@@ -1,14 +1,9 @@
 //! Drivers regenerating every table and figure of the paper's §6, shared
-//! by the `repro_*` binaries and the criterion benches.
+//! by the `repro` binary and the criterion benches.
 
-pub mod durable;
 pub mod fig10;
 pub mod fig3;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod replica;
-pub mod serve;
-pub mod service;
-pub mod shard;
 pub mod table1;

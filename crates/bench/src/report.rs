@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the `repro_*` binaries.
+//! Plain-text table rendering for the `repro` binary.
 
 /// Renders an aligned table with a header row.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -43,373 +43,9 @@ pub fn d3(x: f64) -> String {
     format!("{x:+.3}")
 }
 
-/// Minimal JSON assembly for the `BENCH_*.json` perf-trajectory files —
-/// no serde in the tree, and the shapes are flat enough to hand-write.
-pub mod json {
-    use std::fmt::Write;
-
-    /// Escapes a string for a JSON literal.
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// A JSON number from an `f64` (finite values only; millisecond and
-    /// ratio payloads, 6 significant decimals).
-    pub fn num(x: f64) -> String {
-        debug_assert!(x.is_finite(), "JSON numbers must be finite");
-        format!("{x:.6}")
-    }
-
-    /// An object from rendered `(key, value)` pairs (values must already
-    /// be valid JSON).
-    pub fn object(pairs: &[(&str, String)]) -> String {
-        let body: Vec<String> = pairs
-            .iter()
-            .map(|(k, v)| format!("\"{}\": {v}", escape(k)))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-
-    /// An array from rendered values.
-    pub fn array(values: &[String]) -> String {
-        format!("[{}]", values.join(", "))
-    }
-
-    /// Splices `"key": record` into a flat JSON object's top level,
-    /// replacing any previous entry of that name — how the `repro_*`
-    /// binaries merge their records into one shared `BENCH_*.json`
-    /// without a JSON dependency (re-running against the same file must
-    /// not produce duplicate keys). `None` when `existing` is not a
-    /// JSON object.
-    pub fn merge_key(existing: &str, key: &str, record: &str) -> Option<String> {
-        let without_old = strip_top_level_key(existing, key)?;
-        let body = without_old
-            .strip_prefix('{')?
-            .strip_suffix('}')?
-            .trim()
-            .trim_end_matches(',')
-            .trim_end();
-        Some(if body.is_empty() {
-            format!("{{\"{key}\": {record}}}")
-        } else {
-            format!("{{{body}, \"{key}\": {record}}}")
-        })
-    }
-
-    /// Overlays `pairs` field-by-field onto the object at
-    /// `existing[key]`, creating it if absent — so two runs that measure
-    /// different facets of the same record (an in-process run with cache
-    /// counters, an external idle-fleet run with tail latencies) can
-    /// both contribute to one `"serve"` object instead of the later run
-    /// erasing the earlier one. A non-object value under `key` is
-    /// replaced wholesale. `None` when `existing` is not a JSON object.
-    pub fn merge_fields(existing: &str, key: &str, pairs: &[(&str, String)]) -> Option<String> {
-        let mut record = top_level_value(existing, key)
-            .filter(|v| v.starts_with('{'))
-            .unwrap_or_else(|| "{}".to_string());
-        for (field, value) in pairs {
-            record = merge_key(&record, field, value)?;
-        }
-        merge_key(existing, key, &record)
-    }
-
-    /// Removes `"key": <value>` (and one adjacent comma) from the top
-    /// level of a JSON object, tracking strings and nesting so braces
-    /// inside labels cannot confuse the scan. Returns the input
-    /// unchanged when the key is absent; `None` when the text is not a
-    /// JSON object.
-    pub fn strip_top_level_key(text: &str, key: &str) -> Option<String> {
-        let text = text.trim();
-        if !text.starts_with('{') || !text.ends_with('}') {
-            return None;
-        }
-        let needle = format!("\"{key}\"");
-        let bytes = text.as_bytes();
-        let (mut depth, mut in_string, mut escaped) = (0i32, false, false);
-        let mut key_start = None;
-        let mut i = 0;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if in_string {
-                match b {
-                    _ if escaped => escaped = false,
-                    b'\\' => escaped = true,
-                    b'"' => in_string = false,
-                    _ => {}
-                }
-            } else {
-                match b {
-                    b'"' => {
-                        // A key, not a value: the quoted name must be
-                        // followed by a colon.
-                        if depth == 1
-                            && key_start.is_none()
-                            && text[i..].starts_with(&needle)
-                            && text[i + needle.len()..].trim_start().starts_with(':')
-                        {
-                            key_start = Some(i);
-                        }
-                        in_string = true;
-                    }
-                    b'{' | b'[' => depth += 1,
-                    b'}' | b']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            if let Some(start) = key_start {
-                                // Key ran to the object's end: drop it
-                                // and a comma before it.
-                                let head = text[..start].trim_end().trim_end_matches(',');
-                                return Some(format!("{}{}", head.trim_end(), &text[i..]));
-                            }
-                        }
-                    }
-                    b',' if depth == 1 => {
-                        if let Some(start) = key_start {
-                            // Value ended at this top-level comma:
-                            // splice the entry (and this comma) out.
-                            return Some(format!(
-                                "{}{}",
-                                &text[..start],
-                                text[i + 1..].trim_start()
-                            ));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        Some(text.to_string())
-    }
-
-    /// Reads the number at a dotted path (e.g. `"serve.requests_per_sec"`)
-    /// out of a flat-ish JSON object — the regression gate's extractor.
-    /// `None` when the path is absent or not a number.
-    pub fn number_at(text: &str, dotted_path: &str) -> Option<f64> {
-        let mut value = text.trim().to_string();
-        for segment in dotted_path.split('.') {
-            value = top_level_value(&value, segment)?;
-        }
-        value.trim().parse().ok()
-    }
-
-    /// The raw text of `"key"`'s value at the top level of a JSON
-    /// object, using the same string/nesting-aware scan as
-    /// [`strip_top_level_key`].
-    pub fn top_level_value(text: &str, key: &str) -> Option<String> {
-        let text = text.trim();
-        if !text.starts_with('{') {
-            return None;
-        }
-        let needle = format!("\"{key}\"");
-        let bytes = text.as_bytes();
-        let (mut depth, mut in_string, mut escaped) = (0i32, false, false);
-        let mut value_start: Option<usize> = None;
-        let mut i = 0;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if in_string {
-                match b {
-                    _ if escaped => escaped = false,
-                    b'\\' => escaped = true,
-                    b'"' => in_string = false,
-                    _ => {}
-                }
-            } else {
-                match b {
-                    b'"' => {
-                        if depth == 1
-                            && value_start.is_none()
-                            && text[i..].starts_with(&needle)
-                            && text[i + needle.len()..].trim_start().starts_with(':')
-                        {
-                            let after_key = i + needle.len();
-                            let colon = after_key + text[after_key..].find(':')?;
-                            value_start = Some(colon + 1);
-                        }
-                        in_string = true;
-                    }
-                    b'{' | b'[' => depth += 1,
-                    b'}' | b']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            if let Some(start) = value_start {
-                                if start <= i {
-                                    return Some(text[start..i].trim().to_string());
-                                }
-                            }
-                        }
-                    }
-                    b',' if depth == 1 => {
-                        if let Some(start) = value_start {
-                            if start <= i {
-                                return Some(text[start..i].trim().to_string());
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_into_fresh_and_existing_objects() {
-        assert_eq!(
-            json::merge_key("{}", "serve", "{\"a\": 1}").unwrap(),
-            "{\"serve\": {\"a\": 1}}"
-        );
-        assert_eq!(
-            json::merge_key("{\"x\": 2}", "serve", "{\"a\": 1}").unwrap(),
-            "{\"x\": 2, \"serve\": {\"a\": 1}}"
-        );
-        assert!(json::merge_key("not json", "serve", "{}").is_none());
-    }
-
-    #[test]
-    fn remerging_replaces_instead_of_duplicating() {
-        let once = json::merge_key("{\"x\": 2}", "replica", "{\"a\": 1}").unwrap();
-        let twice = json::merge_key(&once, "replica", "{\"a\": 9}").unwrap();
-        assert_eq!(twice, "{\"x\": 2, \"replica\": {\"a\": 9}}");
-        assert_eq!(twice.matches("\"replica\"").count(), 1);
-    }
-
-    #[test]
-    fn merge_fields_overlays_without_erasing() {
-        let existing = r#"{"serve": {"requests_per_sec": 100.0, "p99_us": 50.0}, "x": 2}"#;
-        let merged = json::merge_fields(
-            existing,
-            "serve",
-            &[
-                ("p99_us", "60.0".to_string()),
-                ("idle_10k_active_p99_us", "80.0".to_string()),
-            ],
-        )
-        .unwrap();
-        // Untouched fields survive, overlaid fields replace, new fields
-        // append — and sibling top-level keys are unharmed.
-        assert_eq!(
-            json::number_at(&merged, "serve.requests_per_sec"),
-            Some(100.0)
-        );
-        assert_eq!(json::number_at(&merged, "serve.p99_us"), Some(60.0));
-        assert_eq!(
-            json::number_at(&merged, "serve.idle_10k_active_p99_us"),
-            Some(80.0)
-        );
-        assert_eq!(json::number_at(&merged, "x"), Some(2.0));
-        assert_eq!(merged.matches("\"serve\"").count(), 1);
-        // Absent key: created from scratch.
-        let fresh = json::merge_fields("{}", "serve", &[("a", "1".to_string())]).unwrap();
-        assert_eq!(json::number_at(&fresh, "serve.a"), Some(1.0));
-        // Non-object under the key: replaced wholesale.
-        let clobbered =
-            json::merge_fields(r#"{"serve": 7}"#, "serve", &[("a", "1".to_string())]).unwrap();
-        assert_eq!(json::number_at(&clobbered, "serve.a"), Some(1.0));
-    }
-
-    #[test]
-    fn strip_handles_mid_object_keys_and_braces_in_strings() {
-        let text = "{\"serve\": {\"label\": \"a } tricky { one\"}, \"x\": 2}";
-        assert_eq!(
-            json::strip_top_level_key(text, "serve").unwrap(),
-            "{\"x\": 2}"
-        );
-        // A nested "serve" key is not top-level and survives.
-        let nested = "{\"outer\": {\"serve\": 1}, \"x\": 2}";
-        assert_eq!(json::strip_top_level_key(nested, "serve").unwrap(), nested);
-    }
-
-    #[test]
-    fn number_at_walks_dotted_paths() {
-        let text = r#"{"serve": {"requests_per_sec": 77088.7, "p50_us": 45.5}, "flat": 3}"#;
-        assert_eq!(
-            json::number_at(text, "serve.requests_per_sec"),
-            Some(77088.7)
-        );
-        assert_eq!(json::number_at(text, "serve.p50_us"), Some(45.5));
-        assert_eq!(json::number_at(text, "flat"), Some(3.0));
-        assert_eq!(json::number_at(text, "serve.missing"), None);
-        assert_eq!(json::number_at(text, "missing.path"), None);
-        assert_eq!(
-            json::number_at(text, "serve"),
-            None,
-            "objects are not numbers"
-        );
-        // Braces inside strings cannot derail the scan.
-        let tricky = r#"{"label": "a } tricky { one", "n": 7}"#;
-        assert_eq!(json::number_at(tricky, "n"), Some(7.0));
-    }
-
-    #[test]
-    fn shard_vector_records_merge_cleanly() {
-        // PR 9's `repro_shard` records carry a per-shard epoch *array* —
-        // the scans must treat `[...]` as one value, not a place to find
-        // top-level commas, and re-merging must still replace in place.
-        let record = json::object(&[
-            ("shards", "2".to_string()),
-            (
-                "shard_epochs",
-                json::array(&["41".to_string(), "40".to_string()]),
-            ),
-            ("write_per_sec", json::num(12345.678901)),
-        ]);
-        let merged = json::merge_key(r#"{"serve": {"p99_us": 50.0}}"#, "shard", &record).unwrap();
-        assert_eq!(json::number_at(&merged, "shard.shards"), Some(2.0));
-        assert_eq!(json::number_at(&merged, "serve.p99_us"), Some(50.0));
-        assert_eq!(
-            json::top_level_value(
-                &json::top_level_value(&merged, "shard").unwrap(),
-                "shard_epochs"
-            )
-            .unwrap(),
-            "[41, 40]"
-        );
-        // Replace the record: the epoch vector must not duplicate or
-        // leak a stray element into the sibling keys.
-        let record2 = json::object(&[(
-            "shard_epochs",
-            json::array(&["50".to_string(), "52".to_string()]),
-        )]);
-        let remerged = json::merge_key(&merged, "shard", &record2).unwrap();
-        assert_eq!(remerged.matches("shard_epochs").count(), 1);
-        assert!(remerged.contains("[50, 52]"));
-        assert_eq!(json::number_at(&remerged, "serve.p99_us"), Some(50.0));
-        // Overlay one facet of the record; the vector survives.
-        let overlaid = json::merge_fields(
-            &remerged,
-            "shard",
-            &[("gather_queries_per_sec", json::num(999.0))],
-        )
-        .unwrap();
-        assert!(overlaid.contains("[50, 52]"));
-        assert_eq!(
-            json::number_at(&overlaid, "shard.gather_queries_per_sec"),
-            Some(999.0)
-        );
-        // And the regression gate can still read scalars through it.
-        assert_eq!(json::number_at(&overlaid, "shard.shard_epochs"), None);
-    }
 
     #[test]
     fn table_is_aligned() {

@@ -1,6 +1,6 @@
 //! Guards the experiment harness against silent rot: the criterion bench
-//! targets must keep compiling and every `repro_*` reproduction binary
-//! must keep building. Runs the real cargo commands so the check is
+//! targets must keep compiling and the `repro` reproduction binary must
+//! keep building. Runs the real cargo commands so the check is
 //! exactly what a developer would type.
 
 use std::env;
@@ -10,20 +10,8 @@ use std::process::Command;
 /// The criterion bench targets declared in this crate's manifest.
 const BENCH_TARGETS: &[&str] = &["protect", "measures", "query", "store"];
 
-/// The paper-reproduction binaries (§6 artifacts plus the all-in-one).
-const REPRO_BINS: &[&str] = &[
-    "repro_table1",
-    "repro_fig3",
-    "repro_fig7",
-    "repro_fig8",
-    "repro_fig9",
-    "repro_fig10",
-    "repro_serve",
-    "repro_replica",
-    "repro_shard",
-    "repro_check",
-    "repro_all",
-];
+/// The paper-reproduction binary (one subcommand per §6 artifact).
+const REPRO_BINS: &[&str] = &["repro"];
 
 fn cargo() -> Command {
     let cargo = env::var_os("CARGO").unwrap_or_else(|| "cargo".into());

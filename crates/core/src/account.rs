@@ -292,9 +292,10 @@ enum NodePlan {
     Absent,
 }
 
-/// Node layer shared by [`generate`] and [`generate_hide`]: originals when
-/// dominated (Def. 9.1), otherwise the most dominant visible surrogate
-/// (Def. 9.2), otherwise absent.
+/// Node layer shared by [`generate_for_set`] and
+/// [`generate_hide_for_set`]: originals when dominated (Def. 9.1),
+/// otherwise the most dominant visible surrogate (Def. 9.2), otherwise
+/// absent.
 fn plan_nodes(
     ctx: &ProtectionContext<'_>,
     preds: &[PrivilegeId],
@@ -558,25 +559,11 @@ impl Default for GenerateOptions {
 /// rule. Decomposable pairs are connected transitively by the pieces, so
 /// maximal connectivity (Def. 9.3) holds by induction on path length.
 ///
-/// # Migration
-/// Deprecated in favor of [`ProtectionContext::protect`] (or, for serving
-/// workloads, `plus_store::AccountService::get_account`), which route
-/// through the pluggable [`ProtectionStrategy`](crate::strategy) layer:
-/// `generate_for_set(&ctx, &[p])` becomes `ctx.protect(p, Strategy::Surrogate)`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ProtectionContext::protect(p, Strategy::Surrogate)` or the \
-            `strategy::ProtectionStrategy` trait; see the strategy module docs"
-)]
-pub fn generate(ctx: &ProtectionContext<'_>, p: PrivilegeId) -> Result<ProtectedAccount> {
-    generate_with_options(ctx, &[p], GenerateOptions::default())
-}
-
-/// [`generate`] for a multi-predicate high-water set (Def. 6): node
-/// visibility and incidence markings take the most permissive
-/// interpretation across members, per Def. 8's "for some p dominated by a
-/// member of HW". Members that are dominated by other members are
-/// redundant and removed up front.
+/// For a multi-predicate high-water set (Def. 6), node visibility and
+/// incidence markings take the most permissive interpretation across
+/// members, per Def. 8's "for some p dominated by a member of HW".
+/// Members that are dominated by other members are redundant and removed
+/// up front.
 pub fn generate_for_set(
     ctx: &ProtectionContext<'_>,
     preds: &[PrivilegeId],
@@ -584,7 +571,7 @@ pub fn generate_for_set(
     generate_with_options(ctx, preds, GenerateOptions::default())
 }
 
-/// Full-control variant of [`generate`] / [`generate_for_set`].
+/// Full-control variant of [`generate_for_set`].
 ///
 /// Runs against a [`Csr`] index of the graph — the one attached via
 /// [`ProtectionContext::with_csr`], or one built on the fly — so the
@@ -837,19 +824,6 @@ pub fn generate_with_options(
 /// The "binary show/hide" edge baseline (§6): same node layer as the
 /// surrogate algorithm, but protected incidences simply drop their edges —
 /// no surrogate edges are synthesized.
-///
-/// # Migration
-/// Deprecated: use `ctx.protect(p, Strategy::HideEdges)` instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ProtectionContext::protect(p, Strategy::HideEdges)` or the \
-            `strategy::ProtectionStrategy` trait; see the strategy module docs"
-)]
-pub fn generate_hide(ctx: &ProtectionContext<'_>, p: PrivilegeId) -> Result<ProtectedAccount> {
-    generate_hide_for_set(ctx, &[p])
-}
-
-/// [`generate_hide`] for a multi-predicate high-water set.
 pub fn generate_hide_for_set(
     ctx: &ProtectionContext<'_>,
     preds: &[PrivilegeId],
@@ -866,22 +840,6 @@ pub fn generate_hide_for_set(
 /// The naïve all-or-nothing baseline of Fig. 1(c): nodes appear only when
 /// the predicate dominates their `lowest` (no surrogates), and edges only
 /// when Visible–Visible with both endpoints present.
-///
-/// # Migration
-/// Deprecated: use `ctx.protect(p, Strategy::HideNodes)` instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ProtectionContext::protect(p, Strategy::HideNodes)` or the \
-            `strategy::ProtectionStrategy` trait; see the strategy module docs"
-)]
-pub fn generate_naive_node_hide(
-    ctx: &ProtectionContext<'_>,
-    p: PrivilegeId,
-) -> Result<ProtectedAccount> {
-    generate_naive_node_hide_for_set(ctx, &[p])
-}
-
-/// [`generate_naive_node_hide`] for a multi-predicate high-water set.
 pub fn generate_naive_node_hide_for_set(
     ctx: &ProtectionContext<'_>,
     preds: &[PrivilegeId],

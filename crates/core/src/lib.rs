@@ -97,11 +97,6 @@ pub mod validate;
 
 /// Convenience re-exports of the most used types.
 pub mod prelude {
-    // The deprecated single-predicate generators stay re-exported so old
-    // call sites keep compiling (they see the deprecation note at their
-    // own use site).
-    #[allow(deprecated)]
-    pub use crate::account::{generate, generate_hide, generate_naive_node_hide};
     pub use crate::account::{
         generate_for_set, generate_hide_for_set, generate_naive_node_hide_for_set,
         generate_with_options, Correspondence, GenerateOptions, ProtectedAccount,

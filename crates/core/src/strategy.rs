@@ -14,14 +14,6 @@
 //! selector for serialization and CLI flags; it implements the trait by
 //! dispatching to the three unit strategies below.
 //!
-//! # Migration from the free generation functions
-//!
-//! | old | new |
-//! |---|---|
-//! | `generate(&ctx, p)` | `Surrogate.protect(&ctx, &[p])` or `ctx.protect(p, Strategy::Surrogate)` |
-//! | `generate_hide(&ctx, p)` | `HideEdges.protect(&ctx, &[p])` |
-//! | `generate_naive_node_hide(&ctx, p)` | `HideNodes.protect(&ctx, &[p])` |
-//!
 //! # Writing a custom strategy
 //!
 //! ```

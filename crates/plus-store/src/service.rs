@@ -34,14 +34,15 @@
 //!   account key coalesce onto a single generating leader; followers
 //!   block until it publishes instead of redundantly generating the same
 //!   account N times (the cold-cache thundering herd).
-//! * **A sealed-frame cache.** [`AccountService::query_sealed`] and
-//!   [`AccountService::query_batch_sealed`] answer with the *wire bytes*
-//!   of the response — encoded, framed, checksummed — memoized by
-//!   `(epoch, consumer credential frontier, request bytes)`. A repeat
-//!   query is a hash lookup plus a socket write; nothing is re-traversed
-//!   or re-encoded. Frames are invalidated exactly like accounts: epoch
-//!   bumps sweep stale epochs, [re-registration](AccountService::register_strategy)
-//!   clears the cache outright.
+//! * **A sealed-frame cache.** [`AccountService::query_sealed`] answers
+//!   with the *wire bytes* of the response — encoded, framed,
+//!   checksummed — memoized by `(epoch, consumer credential frontier,
+//!   request bytes)`. A repeat query is a hash lookup plus a socket
+//!   write; nothing is re-traversed or re-encoded. Frames are
+//!   invalidated exactly like accounts: epoch bumps sweep stale epochs,
+//!   [re-registration](AccountService::register_strategy) clears the
+//!   cache outright. [`AccountService::query_batch_sealed`] seals the
+//!   same way but is never cached.
 //!
 //! ```
 //! use plus_store::{AccountService, Direction, QueryRequest, Store};
@@ -117,8 +118,8 @@ pub struct Snapshot {
     shard_epochs: Vec<u64>,
     /// The source's reset generation (see
     /// [`ShardMerge::generation`](crate::ShardMerge::generation)) this
-    /// materialization was taken at; always 0 for live and frozen
-    /// sources. `(source_gen, epoch)` — not `epoch` alone — identifies
+    /// materialization was taken at; always 0 for a live source.
+    /// `(source_gen, epoch)` — not `epoch` alone — identifies
     /// a sharded view, because a gather-side slot reset is the one
     /// event that can rewind a shard clock; every derived cache entry
     /// carries the pair so repaired history can never alias cached
@@ -129,10 +130,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    fn new(epoch: u64, shard_epochs: Vec<u64>, materialized: Materialized) -> Self {
-        Self::stamped(0, epoch, shard_epochs, materialized)
-    }
-
     fn stamped(
         source_gen: u64,
         epoch: u64,
@@ -304,8 +301,11 @@ struct Flight {
 enum FlightState {
     /// The leader is still generating.
     Pending,
-    /// The leader finished; followers take the account directly.
-    Done(Arc<ProtectedAccount>),
+    /// The leader finished with an account of this registration
+    /// generation; followers whose view of the registry is no newer take
+    /// it directly, the rest retry (a flight begun before a
+    /// re-registration must not answer a request that began after it).
+    Done(u64, Arc<ProtectedAccount>),
     /// The leader failed; followers loop back and retry (one of them
     /// becomes the next leader), so one bad generation does not fan its
     /// error out to every coalesced caller.
@@ -332,7 +332,7 @@ impl Drop for FlightGuard<'_> {
 
 /// Cache key of one pre-sealed response frame: the epoch it answers at,
 /// the consumer's sorted credential frontier, and the canonical wire
-/// bytes of the request(s). The frontier fully determines both
+/// bytes of the query. The frontier fully determines both
 /// authorization and account content, so consumer *names* are
 /// deliberately absent — consumers holding the same credentials see
 /// byte-identical answers and share cache entries.
@@ -348,9 +348,6 @@ struct FrameKey {
 enum Source {
     /// A live store: the epoch tracks its version.
     Live(Arc<Store>),
-    /// A fixed materialization pinned at epoch 0 — an immutable serving
-    /// replica (also the substrate of the deprecated `Session::new`).
-    Frozen(Arc<Snapshot>),
     /// A scatter-gather merge of every shard's record stream: the epoch
     /// is the sum of the per-shard clocks, and responses carry the full
     /// clock vector.
@@ -392,16 +389,6 @@ impl AccountService {
     /// bump the epoch and invalidate cached accounts automatically.
     pub fn new(store: Arc<Store>) -> Self {
         Self::with_source(Source::Live(store))
-    }
-
-    /// A service over a fixed materialization, pinned at epoch 0 — an
-    /// immutable serving replica.
-    pub fn from_materialized(materialized: Materialized) -> Self {
-        Self::with_source(Source::Frozen(Arc::new(Snapshot::new(
-            0,
-            Vec::new(),
-            materialized,
-        ))))
     }
 
     /// A service over a scatter-gather merge of shard feeds: queries
@@ -450,17 +437,16 @@ impl AccountService {
     pub fn store(&self) -> Option<&Arc<Store>> {
         match &self.source {
             Source::Live(store) => Some(store),
-            Source::Frozen(_) | Source::Sharded(_) => None,
+            Source::Sharded(_) => None,
         }
     }
 
-    /// The current epoch: the live store's version, the sum of the
-    /// per-shard clocks for a sharded service, or 0 for a frozen one.
+    /// The current epoch: the live store's version, or the sum of the
+    /// per-shard clocks for a sharded service.
     /// Strictly monotone over the lifetime of the service.
     pub fn epoch(&self) -> u64 {
         match &self.source {
             Source::Live(store) => store.version(),
-            Source::Frozen(snapshot) => snapshot.epoch,
             Source::Sharded(merged) => merged.version(),
         }
     }
@@ -470,7 +456,6 @@ impl AccountService {
     fn source_state(&self) -> (u64, u64) {
         match &self.source {
             Source::Live(store) => (0, store.version()),
-            Source::Frozen(snapshot) => (0, snapshot.epoch),
             Source::Sharded(merged) => merged.stamped_version(),
         }
     }
@@ -479,9 +464,6 @@ impl AccountService {
     /// whenever the source has moved past the cached epoch — or, on a
     /// sharded source, whenever a slot reset bumped the generation.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        if let Source::Frozen(snapshot) = &self.source {
-            return snapshot.clone();
-        }
         let (source_gen, source_epoch) = self.source_state();
         {
             let cached = self.current.read();
@@ -514,9 +496,8 @@ impl AccountService {
                     }
                     None => Vec::new(),
                 };
-                Snapshot::new(epoch, shard_epochs, materialized)
+                Snapshot::stamped(0, epoch, shard_epochs, materialized)
             }
-            Source::Frozen(_) => unreachable!("frozen services returned above"),
             Source::Sharded(merged) => {
                 let (generation, epoch, clocks, materialized) = merged.materialize_stamped();
                 Snapshot::stamped(generation, epoch, clocks, materialized)
@@ -702,11 +683,14 @@ impl AccountService {
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
                 }
-                if let FlightState::Done(account) = &*state {
-                    return Ok(account.clone());
+                if let FlightState::Done(served, account) = &*state {
+                    if *served >= generation {
+                        return Ok(account.clone());
+                    }
                 }
-                // The leader failed; retry from the top (possibly as the
-                // new leader) instead of fanning its error out.
+                // The leader failed or served a replaced registration;
+                // retry from the top (possibly as the new leader) instead
+                // of fanning its outcome out.
                 continue;
             }
             // Leader: generate outside the shard lock — generation is the
@@ -739,13 +723,13 @@ impl AccountService {
                     match guard.entry(key.clone()) {
                         std::collections::hash_map::Entry::Occupied(mut slot) => {
                             if slot.get().generation >= generation {
-                                Ok(slot.get().account.clone())
+                                Ok((slot.get().generation, slot.get().account.clone()))
                             } else {
                                 slot.insert(CachedAccount {
                                     generation,
                                     account: account.clone(),
                                 });
-                                Ok(account)
+                                Ok((generation, account))
                             }
                         }
                         std::collections::hash_map::Entry::Vacant(slot) => {
@@ -753,7 +737,7 @@ impl AccountService {
                                 generation,
                                 account: account.clone(),
                             });
-                            Ok(account)
+                            Ok((generation, account))
                         }
                     }
                 }
@@ -764,11 +748,11 @@ impl AccountService {
                 &key,
                 &flight,
                 match &result {
-                    Ok(account) => FlightState::Done(account.clone()),
+                    Ok((served, account)) => FlightState::Done(*served, account.clone()),
                     Err(_) => FlightState::Failed,
                 },
             );
-            return result;
+            return result.map(|(_, account)| account);
         }
     }
 
@@ -962,18 +946,47 @@ impl AccountService {
     /// # }
     /// ```
     pub fn query_sealed(&self, consumer: &Consumer, request: &QueryRequest) -> Result<Bytes> {
-        self.sealed_answer(consumer, std::slice::from_ref(request), false)
+        let snapshot = self.snapshot();
+        let mut frontier = consumer.frontier(&snapshot.lattice);
+        frontier.sort_unstable_by_key(|p| p.0);
+        let requests = std::slice::from_ref(request);
+        let key = FrameKey {
+            epoch: snapshot.epoch,
+            source_gen: snapshot.source_gen,
+            frontier,
+            request: crate::wire::encode_query_key(requests, false)?,
+        };
+        let shard = &self.frame_shards[Self::frame_shard_index(&key)];
+        if let Some(hit) = shard.lock().get(&key) {
+            self.frame_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit.clone());
+        }
+        self.frame_misses.fetch_add(1, Ordering::Relaxed);
+        let mut responses = self.query_batch_at(&snapshot, consumer, requests)?;
+        let sealed = seal_response(&crate::wire::Response::Query(responses.remove(0)))?;
+        let mut guard = shard.lock();
+        if guard.len() >= FRAME_SHARD_CAP {
+            guard.clear();
+        }
+        guard.insert(key, sealed.clone());
+        Ok(sealed)
     }
 
     /// [`query_batch`](Self::query_batch) as a pre-sealed
-    /// [`Response::Batch`](crate::wire::Response::Batch) frame, with the
-    /// same caching as [`query_sealed`](Self::query_sealed).
+    /// [`Response::Batch`](crate::wire::Response::Batch) frame. Batch
+    /// frames are computed and sealed on every call, never cached: a
+    /// batch is keyed by its whole request bytes, which scan traffic does
+    /// not repeat. Each call counts as one miss in
+    /// [`frame_cache_stats`](Self::frame_cache_stats).
     pub fn query_batch_sealed(
         &self,
         consumer: &Consumer,
         requests: &[QueryRequest],
     ) -> Result<Bytes> {
-        self.sealed_answer(consumer, requests, true)
+        let snapshot = self.snapshot();
+        self.frame_misses.fetch_add(1, Ordering::Relaxed);
+        let responses = self.query_batch_at(&snapshot, consumer, requests)?;
+        seal_response(&crate::wire::Response::Batch(responses))
     }
 
     /// Lifetime sealed-frame cache counters, `(hits, misses)`.
@@ -989,56 +1002,25 @@ impl AccountService {
         self.frame_shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    fn sealed_answer(
-        &self,
-        consumer: &Consumer,
-        requests: &[QueryRequest],
-        batch: bool,
-    ) -> Result<Bytes> {
-        let snapshot = self.snapshot();
-        let mut frontier = consumer.frontier(&snapshot.lattice);
-        frontier.sort_unstable_by_key(|p| p.0);
-        let key = FrameKey {
-            epoch: snapshot.epoch,
-            source_gen: snapshot.source_gen,
-            frontier,
-            request: crate::wire::encode_query_key(requests, batch)?,
-        };
-        let shard = &self.frame_shards[Self::frame_shard_index(&key)];
-        if let Some(hit) = shard.lock().get(&key) {
-            self.frame_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
-        }
-        self.frame_misses.fetch_add(1, Ordering::Relaxed);
-        let mut responses = self.query_batch_at(&snapshot, consumer, requests)?;
-        let response = if batch {
-            crate::wire::Response::Batch(responses)
-        } else {
-            crate::wire::Response::Query(responses.remove(0))
-        };
-        let payload = crate::wire::encode_response(&response)?;
-        if payload.len() as u64 > crate::codec::MAX_FRAME_LEN as u64 {
-            // The answer cannot travel in one frame; surface the same
-            // error an oversized frame would raise at the codec layer
-            // (callers answer "split the batch").
-            return Err(StoreError::Codec(CodecError::FrameTooLarge(
-                u32::try_from(payload.len()).unwrap_or(u32::MAX),
-            )));
-        }
-        let sealed = Bytes::from(crate::codec::seal_frame(&payload));
-        let mut guard = shard.lock();
-        if guard.len() >= FRAME_SHARD_CAP {
-            guard.clear();
-        }
-        guard.insert(key, sealed.clone());
-        Ok(sealed)
-    }
-
     fn frame_shard_index(key: &FrameKey) -> usize {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         (hasher.finish() as usize) % FRAME_SHARDS
     }
+}
+
+/// Encodes and seals one response into its wire frame.
+fn seal_response(response: &crate::wire::Response) -> Result<Bytes> {
+    let payload = crate::wire::encode_response(response)?;
+    if payload.len() as u64 > crate::codec::MAX_FRAME_LEN as u64 {
+        // The answer cannot travel in one frame; surface the same
+        // error an oversized frame would raise at the codec layer
+        // (callers answer "split the batch").
+        return Err(StoreError::Codec(CodecError::FrameTooLarge(
+            u32::try_from(payload.len()).unwrap_or(u32::MAX),
+        )));
+    }
+    Ok(Bytes::from(crate::codec::seal_frame(&payload)))
 }
 
 /// Traverses a protected account from `root`, mapping each visited node
@@ -1356,23 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_service_serves_epoch_zero() {
-        let (store, ids) = setup();
-        let service = AccountService::from_materialized(store.materialize());
-        assert!(service.store().is_none());
-        assert_eq!(service.epoch(), 0);
-        let consumer = Consumer::public(&service.snapshot().lattice);
-        let response = service
-            .query(
-                &consumer,
-                &QueryRequest::new(ids[2], Direction::Backward, u32::MAX, Strategy::Surrogate),
-            )
-            .unwrap();
-        assert_eq!(response.epoch, 0);
-        assert_eq!(response.rows.len(), 2);
-    }
-
-    #[test]
     fn sealed_frames_match_fresh_encodings_and_hit_the_cache() {
         let (store, ids) = setup();
         let service = AccountService::new(store);
@@ -1393,7 +1358,8 @@ mod tests {
         assert_eq!(service.frame_cache_stats(), (1, 1), "(hits, misses)");
         assert_eq!(service.cached_frames(), 1);
 
-        // Batch frames cache independently and verify the same way.
+        // Batch frames verify the same way but are never admitted to the
+        // cache: a repeat is recomputed and counts as another miss.
         let batch = vec![request.clone(), request.clone()];
         let sealed_batch = service.query_batch_sealed(&consumer, &batch).unwrap();
         let fresh_batch = service.query_batch(&consumer, &batch).unwrap();
@@ -1405,6 +1371,8 @@ mod tests {
             service.query_batch_sealed(&consumer, &batch).unwrap(),
             sealed_batch
         );
+        assert_eq!(service.frame_cache_stats(), (1, 3), "(hits, misses)");
+        assert_eq!(service.cached_frames(), 1, "only the single-query frame");
     }
 
     #[test]

@@ -8,12 +8,6 @@
 //! consumer, so it is cheap to create per connection and can be dropped
 //! freely.
 //!
-//! # Migration
-//!
-//! Before the service layer, `Session::new(materialized, consumer)` owned
-//! a private per-session account cache. That constructor is deprecated:
-//! open sessions against a shared service instead —
-//!
 //! ```
 //! # use plus_store::{AccountService, Session, Store};
 //! # use std::sync::Arc;
@@ -24,9 +18,8 @@
 //! let session = Session::open(service, consumer);
 //! ```
 //!
-//! — so concurrent sessions share one account cache and observe policy
-//! mutations through the service's epoch instead of serving stale
-//! private copies forever.
+//! Concurrent sessions share the service's one account cache and observe
+//! policy mutations through its epoch.
 
 use std::sync::Arc;
 
@@ -39,7 +32,6 @@ use surrogate_core::query::Direction;
 use crate::error::Result;
 use crate::record::RecordId;
 use crate::service::{AccountService, QueryRequest, Snapshot};
-use crate::store::Materialized;
 
 pub use crate::service::ProtectedLineageRow;
 
@@ -55,22 +47,6 @@ impl Session {
         Self { service, consumer }
     }
 
-    /// Opens a session over a private, frozen service pinned at epoch 0.
-    ///
-    /// Kept as a shim for pre-service call sites; accounts cached through
-    /// it are never invalidated and never shared with other sessions.
-    #[deprecated(
-        since = "0.2.0",
-        note = "open sessions against a shared `AccountService` with `Session::open`; \
-                see the module docs for the migration"
-    )]
-    pub fn new(materialized: Materialized, consumer: Consumer) -> Self {
-        Self::open(
-            Arc::new(AccountService::from_materialized(materialized)),
-            consumer,
-        )
-    }
-
     /// The service this session queries through.
     pub fn service(&self) -> &Arc<AccountService> {
         &self.service
@@ -81,9 +57,8 @@ impl Session {
         &self.consumer
     }
 
-    /// The service's current epoch-stamped materialization. (Dereferences
-    /// to [`Materialized`], so `session.materialized().lattice` keeps
-    /// working at old call sites.)
+    /// The service's current epoch-stamped materialization (dereferences
+    /// to [`Materialized`](crate::store::Materialized)).
     pub fn materialized(&self) -> Arc<Snapshot> {
         self.service.snapshot()
     }
@@ -332,18 +307,5 @@ mod tests {
         let session = Session::open(service, consumer);
         assert_eq!(session.frontier(), vec![high]);
         assert_eq!(session.consumer().name(), "agent");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_still_serves() {
-        let (store, ids) = setup();
-        let public = store.predicate("Public").unwrap();
-        let m = store.materialize();
-        let consumer = Consumer::public(&m.lattice);
-        let session = Session::new(m, consumer);
-        let up = session.upstream(public, ids[2], u32::MAX).unwrap();
-        assert_eq!(up.len(), 2);
-        assert_eq!(session.materialized().epoch(), 0, "frozen shim");
     }
 }

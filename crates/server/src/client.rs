@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use plus_store::wire::{
-    decode_batch_response_into, decode_response, encode_batch_request, encode_request, ReplicaRole,
+    decode_batch_response_into, decode_response, encode_batch_request, encode_request,
     ReplicaStatus, Request, Response, ServerHello, ShardStatusInfo, WireErrorKind, WriteOp,
     PROTOCOL_VERSION,
 };
@@ -15,7 +15,7 @@ use surrogate_core::shard::ShardMap;
 
 use crate::error::ClientError;
 use crate::frame::{read_frame, write_frame};
-use crate::topology::Topology;
+use crate::topology::{resolve_writable, Topology};
 
 /// A blocking connection to a query server.
 ///
@@ -418,43 +418,20 @@ impl ClientPool {
     /// down or read-only.
     pub fn writable(&self) -> Result<PooledClient<'_>, ClientError> {
         let claims: Vec<&str> = self.claims.iter().map(String::as_str).collect();
-        let mut candidates: Vec<String> = Vec::new();
-        let push = |list: &mut Vec<String>, addr: String| {
-            if !addr.is_empty() && !list.contains(&addr) {
-                list.push(addr);
-            }
-        };
-        if let Some(cached) = self.writable_addr.lock().clone() {
-            push(&mut candidates, cached);
-        }
-        push(&mut candidates, self.addr.clone());
-        for replica in &self.replicas {
-            push(&mut candidates, replica.clone());
-        }
-        let mut next = 0;
-        while next < candidates.len() {
-            let addr = candidates[next].clone();
-            next += 1;
-            let Ok(mut client) = Client::connect(addr.as_str(), &self.consumer, &claims) else {
-                continue;
-            };
-            match client.replica_status() {
-                Ok(status) if status.role == ReplicaRole::Primary => {
-                    *self.writable_addr.lock() = Some(addr);
-                    return Ok(PooledClient {
-                        pool: self,
-                        client: Some(client),
-                    });
-                }
-                Ok(status) => {
-                    if let Some(hint) = status.primary_addr {
-                        push(&mut candidates, hint);
-                    }
-                }
-                Err(_) => {}
-            }
-        }
-        Err(ClientError::NoWritable)
+        let last_good = self.writable_addr.lock().clone();
+        let candidates = std::iter::once(&self.addr).chain(&self.replicas);
+        let (client, addr, _) = resolve_writable(last_good, candidates, |addr| {
+            let mut client =
+                Client::connect(addr, &self.consumer, &claims).map_err(|e| e.to_string())?;
+            let status = client.replica_status().map_err(|e| e.to_string())?;
+            Ok((client, status))
+        })
+        .map_err(|_| ClientError::NoWritable)?;
+        *self.writable_addr.lock() = Some(addr);
+        Ok(PooledClient {
+            pool: self,
+            client: Some(client),
+        })
     }
 
     /// Feeds a write failure back into the pool's routing: a

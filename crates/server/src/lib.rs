@@ -74,12 +74,11 @@
 //! nonblocking per-connection state machines, so tens of thousands of
 //! idle connections cost file descriptors and buffers, not threads —
 //! while the active set keeps the blocking-era round-trip latency
-//! (`TCP_NODELAY` on, >100k single-query round trips per second on
-//! loopback; see `BENCH_PR4.json` and successors). Slow readers get
-//! bounded write backpressure instead of unbounded buffering, and the
-//! [`metrics`] module exposes the whole edge — request latency
-//! histograms, frame-cache hit rates, overload drops — as a Prometheus
-//! `GET /metrics` endpoint on a separate listener
+//! (`TCP_NODELAY` on; `spbench`'s `read-hot` workload measures it). Slow
+//! readers get bounded write backpressure instead of unbounded
+//! buffering, and the [`metrics`] module exposes the whole edge —
+//! request latency histograms, frame-cache hit rates, overload drops —
+//! as a Prometheus `GET /metrics` endpoint on a separate listener
 //! ([`ServerConfig::metrics_addr`]). Frames reuse the WAL's
 //! `len | crc32 | payload` convention, so the same corruption
 //! discipline covers disk and wire: a frame that fails its checksum or

@@ -24,10 +24,11 @@
 //!   which is what makes [`Replica::lag`] meaningful while idle.
 //!
 //! The replica's [`AccountService`] serves the same query protocol as
-//! the primary — bind it with [`Server::bind_replica`](crate::Server::bind_replica) —
-//! at a **coherent but possibly lagging** epoch: every answer is a true
-//! answer for some prefix of the primary's history, stamped with the
-//! epoch it was computed at.
+//! the primary — bind it with [`Server::bind`](crate::Server::bind)
+//! under [`Role::Replica`](crate::Role::Replica) — at a **coherent but
+//! possibly lagging** epoch: every answer is a true answer for some
+//! prefix of the primary's history, stamped with the epoch it was
+//! computed at.
 //!
 //! # Failure model
 //!
@@ -361,8 +362,8 @@ impl Replica {
     }
 
     /// The serving layer over the replica's store — bind it with
-    /// [`Server::bind_replica`](crate::Server::bind_replica), or query
-    /// it in-process. Read-only by contract: do not append through it.
+    /// [`Server::bind`](crate::Server::bind) under
+    /// [`Role::Replica`](crate::Role::Replica), or query it in-process. Read-only by contract: do not append through it.
     pub fn service(&self) -> &Arc<AccountService> {
         &self.service
     }

@@ -37,8 +37,8 @@
 //!
 //! Started from a [`Topology`] that names replicas
 //! ([`Gather::start_topology`]), each feed **re-resolves its shard's
-//! writable primary** the way
-//! [`ClientPool::writable`](crate::ClientPool::writable) does: dial the
+//! writable primary** with the walk
+//! [`ClientPool::writable`](crate::ClientPool::writable) shares: dial the
 //! candidates (last good address, configured primary, then replicas),
 //! ask each for its replication status, follow primary-address
 //! breadcrumbs, and subscribe only to a node that identifies as
@@ -71,15 +71,14 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use plus_store::codec;
-use plus_store::wire::ReplicaRole;
-use plus_store::{AccountService, MergedSource, ReplicaStatus, StoreError};
+use plus_store::{AccountService, MergedSource, StoreError};
 use surrogate_core::shard::{EpochVector, ShardMap};
 
 use crate::error::ReplicaError;
 use crate::replica::FeedConn;
-use crate::topology::Topology;
+use crate::topology::{resolve_writable, Topology};
 
-/// Tuning knobs for [`Gather::start_with`].
+/// Tuning knobs for [`Gather::start_topology`].
 #[derive(Debug, Clone, Copy)]
 pub struct GatherConfig {
     /// Sleep between reconnect attempts on a failed shard feed.
@@ -159,21 +158,6 @@ impl std::fmt::Debug for Gather {
 }
 
 impl Gather {
-    /// Starts a gather over the shard primaries at `peers`, in shard
-    /// order: `peers[i]` must be shard `i` of `peers.len()`. No
-    /// replicas: a dead shard primary stays down until it returns. Use
-    /// [`start_topology`](Self::start_topology) for failover.
-    pub fn start(peers: &[&str]) -> Result<Gather, ReplicaError> {
-        Self::start_with(peers, GatherConfig::default())
-    }
-
-    /// [`start`](Self::start) with explicit tuning.
-    pub fn start_with(peers: &[&str], config: GatherConfig) -> Result<Gather, ReplicaError> {
-        let topology = Topology::from_peers(peers.iter().copied())
-            .map_err(|e| ReplicaError::Protocol(e.to_string()))?;
-        Self::start_topology(&topology, config)
-    }
-
     /// Starts a gather over a full [`Topology`]: each slot follows its
     /// shard's *current* primary, re-resolving through the replica set
     /// (and any breadcrumbs they leave) after a failover — see the
@@ -402,55 +386,6 @@ fn backoff(stop: &AtomicBool, total: Duration) {
     }
 }
 
-/// Resolves a slot's current *writable primary* the way
-/// [`ClientPool::writable`](crate::ClientPool::writable) does: dial the
-/// candidates in order (last good address first, then the configured
-/// primary and replicas), ask each for its replication status, and
-/// collect the `primary_addr` breadcrumbs replicas leave. Returns the
-/// handshaken connection, the address that answered, and its status.
-fn resolve_primary(
-    candidates: &[String],
-    last_good: Option<String>,
-    read_timeout: Duration,
-) -> Result<(FeedConn, String, ReplicaStatus), String> {
-    let push = |list: &mut Vec<String>, addr: String| {
-        if !addr.is_empty() && !list.contains(&addr) {
-            list.push(addr);
-        }
-    };
-    let mut list: Vec<String> = Vec::new();
-    if let Some(addr) = last_good {
-        push(&mut list, addr);
-    }
-    for addr in candidates {
-        push(&mut list, addr.clone());
-    }
-    let mut last_error = "no candidate addresses".to_string();
-    let mut next = 0;
-    while next < list.len() {
-        let addr = list[next].clone();
-        next += 1;
-        let mut conn = match FeedConn::connect(&addr, read_timeout) {
-            Ok(conn) => conn,
-            Err(e) => {
-                last_error = format!("{addr}: {e}");
-                continue;
-            }
-        };
-        match conn.role_status() {
-            Ok(status) if status.role == ReplicaRole::Primary => return Ok((conn, addr, status)),
-            Ok(status) => {
-                last_error = format!("{addr}: read-only replica, not a primary");
-                if let Some(hint) = status.primary_addr {
-                    push(&mut list, hint);
-                }
-            }
-            Err(e) => last_error = format!("{addr}: {e}"),
-        }
-    }
-    Err(last_error)
-}
-
 /// One shard's feed loop: resolve the slot's writable primary, fence by
 /// term (resetting the slot on a term bump — the failover repair),
 /// subscribe from the merge's clock, fold chunks in, reconnect with
@@ -469,15 +404,20 @@ fn run_feed(
     let record = |message: String| *feed.last_error.lock() = Some(message);
     while !stop.load(Ordering::SeqCst) {
         let last_good = feed.addr.lock().clone();
-        let (mut conn, addr, status) =
-            match resolve_primary(&candidates, last_good, config.feed_read_timeout) {
-                Ok(resolved) => resolved,
-                Err(e) => {
-                    record(e);
-                    backoff(&stop, config.reconnect_backoff);
-                    continue;
-                }
-            };
+        let resolved = resolve_writable(last_good, &candidates, |addr| {
+            let mut conn =
+                FeedConn::connect(addr, config.feed_read_timeout).map_err(|e| e.to_string())?;
+            let status = conn.role_status().map_err(|e| e.to_string())?;
+            Ok((conn, status))
+        });
+        let (mut conn, addr, status) = match resolved {
+            Ok(resolved) => resolved,
+            Err(e) => {
+                record(e);
+                backoff(&stop, config.reconnect_backoff);
+                continue;
+            }
+        };
         // Fencing at resolve time, mirroring the in-stream check below:
         // refuse a deposed primary outright, repair on a term bump
         // *before* subscribing so the subscription clock is already the

@@ -92,7 +92,7 @@ use surrogate_core::shard::Partition;
 
 use crate::admission::RateLimiter;
 use crate::metrics::{self, OverloadReason, RequestType, ServerMetrics};
-use crate::replica::{Replica, ReplicationMonitor};
+use crate::replica::ReplicationMonitor;
 use crate::scatter::Gather;
 use crate::topology::Topology;
 
@@ -105,9 +105,10 @@ use crate::topology::Topology;
 ///
 /// * [`Primary`](Role::Primary) — an ordinary single-store server (the
 ///   default).
-/// * [`Replica`](Role::Replica) — fronts a [`Replica`]'s store
-///   read-only, answering `ReplicaStatus` with the live feed state and
-///   refusing writes with a `NotWritable` redirect to the primary.
+/// * [`Replica`](Role::Replica) — fronts a
+///   [`Replica`](crate::Replica)'s store read-only, answering
+///   `ReplicaStatus` with the live feed state and refusing writes with a
+///   `NotWritable` redirect to the primary.
 /// * [`Shard`](Role::Shard) — one shard primary of a partitioned
 ///   deployment: point reads and routed writes for the ids it owns,
 ///   typed `WrongShard` redirects for the rest. Composes with a
@@ -125,7 +126,8 @@ pub enum Role {
     /// Fronts a replica store: read-only at the feed's (possibly
     /// lagging) epoch until the monitor is promoted.
     Replica {
-        /// The replica's monitor, from [`Replica::monitor`].
+        /// The replica's monitor, from
+        /// [`Replica::monitor`](crate::Replica::monitor).
         feed: Arc<ReplicationMonitor>,
     },
     /// One shard primary (or shard replica) of a partitioned
@@ -144,10 +146,10 @@ pub enum Role {
         /// empty (default) topology degrades redirects to decimal
         /// shard indexes.
         topology: Topology,
-        /// `Some` when this shard server fronts a [`Replica`] that has
-        /// not been promoted yet — a **shard replica**: it refuses
-        /// writes with `NotWritable` until promotion, then serves as
-        /// the shard's new primary.
+        /// `Some` when this shard server fronts a
+        /// [`Replica`](crate::Replica) that has not been promoted yet —
+        /// a **shard replica**: it refuses writes with `NotWritable`
+        /// until promotion, then serves as the shard's new primary.
         feed: Option<Arc<ReplicationMonitor>>,
     },
     /// Fronts a [`Gather`]'s merged multi-shard graph. The bound
@@ -392,117 +394,6 @@ impl Server {
             }
         };
         Self::bind_inner(service, addr, config, monitor, shard)
-    }
-
-    /// [`bind`](Self::bind) with owned tuning.
-    #[deprecated(
-        since = "0.10.0",
-        note = "call `Server::bind(service, addr, &config)` — the unified constructor \
-                takes the config by reference and reads the topology role from \
-                `ServerConfig::role`"
-    )]
-    pub fn bind_with(
-        service: Arc<AccountService>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> io::Result<Server> {
-        Self::bind(service, addr, &config)
-    }
-
-    /// Binds a server in front of a [`Replica`]: it serves the same
-    /// query protocol read-only at the replica's (possibly lagging)
-    /// epoch, and answers [`Request::ReplicaStatus`] with the replica's
-    /// live link state instead of the primary default.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `config.role = Role::Replica { feed: replica.monitor() }` and call \
-                `Server::bind(replica.service().clone(), addr, &config)`"
-    )]
-    pub fn bind_replica(
-        replica: &Replica,
-        addr: impl ToSocketAddrs,
-        mut config: ServerConfig,
-    ) -> io::Result<Server> {
-        config.role = Role::Replica {
-            feed: replica.monitor(),
-        };
-        Self::bind(replica.service().clone(), addr, &config)
-    }
-
-    /// Binds one shard primary of a partitioned deployment: the service
-    /// must be backed by a partitioned store
-    /// ([`Store::create_durable_partitioned`]), and `peers` — when
-    /// non-empty — names every shard's address in shard order, so
-    /// mis-routed writes are refused with a
-    /// [`WireErrorKind::WrongShard`] redirect that carries the owner's
-    /// address.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `config.role = Role::Shard { index, count, topology, feed: None }` \
-                (build the topology with `Topology::from_peers` or `Topology::parse`) \
-                and call `Server::bind(service, addr, &config)`"
-    )]
-    pub fn bind_sharded(
-        service: Arc<AccountService>,
-        addr: impl ToSocketAddrs,
-        mut config: ServerConfig,
-        peers: &[&str],
-    ) -> io::Result<Server> {
-        let partition = service
-            .store()
-            .and_then(|store| store.partition())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "bind_sharded needs a partitioned store (Store::create_durable_partitioned)",
-                )
-            })?;
-        let topology = if peers.is_empty() {
-            Topology::default()
-        } else {
-            Topology::from_peers(peers.iter().copied())
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
-        };
-        if !topology.is_empty() && topology.shard_count() != partition.count() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "peer list names {} shards but the store is partitioned {}-way",
-                    topology.shard_count(),
-                    partition.count()
-                ),
-            ));
-        }
-        config.role = Role::Shard {
-            index: partition.index(),
-            count: partition.count(),
-            topology,
-            feed: None,
-        };
-        Self::bind(service, addr, &config)
-    }
-
-    /// Binds a server in front of a [`Gather`]: it serves the ordinary
-    /// query protocol over the merged multi-shard graph, stamps every
-    /// response with the per-shard epoch vector, refuses queries with
-    /// [`WireErrorKind::ShardUnavailable`] while any shard feed is down
-    /// (a partial merge would be a silent gap), and answers mis-routed
-    /// writes with a [`WireErrorKind::WrongShard`] redirect to the
-    /// owning shard.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `config.role = Role::Gather { gather }` and call \
-                `Server::bind(gather_service, addr, &config)` with the gather's own \
-                service (`gather.service().clone()`, captured before the move)"
-    )]
-    pub fn bind_gather(
-        gather: Arc<Gather>,
-        addr: impl ToSocketAddrs,
-        mut config: ServerConfig,
-    ) -> io::Result<Server> {
-        let service = gather.service().clone();
-        config.role = Role::Gather { gather };
-        Self::bind(service, addr, &config)
     }
 
     fn bind_inner(

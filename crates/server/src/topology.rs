@@ -1,14 +1,11 @@
 //! The shared deployment descriptor: who the shard primaries are, which
 //! replicas back each of them, and how clients identify themselves.
 //!
-//! A sharded deployment used to be described three different ways — a
-//! `&[&str]` peer list for [`ShardRouter`](crate::ShardRouter), another
-//! for [`Gather`](crate::Gather), and replica addresses bolted onto
-//! individual [`ClientPool`](crate::ClientPool)s — which made the
-//! replicated-shard composition impossible to even express. A
-//! [`Topology`] is parsed **once** (usually from the operator's
-//! `--peers` flag) and handed to all three consumers, so every layer
-//! agrees on shard order, replica sets, and consumer identity.
+//! A [`Topology`] is parsed **once** (usually from the operator's
+//! `--peers` flag) and handed to every consumer — the
+//! [`ShardRouter`](crate::ShardRouter), the [`Gather`](crate::Gather),
+//! and the shard servers themselves — so every layer agrees on shard
+//! order, replica sets, and consumer identity.
 //!
 //! # Spec syntax
 //!
@@ -37,7 +34,8 @@
 
 use std::fmt;
 
-use plus_store::{MAX_REPLICAS, MAX_SHARDS};
+use plus_store::wire::ReplicaRole;
+use plus_store::{ReplicaStatus, MAX_REPLICAS, MAX_SHARDS};
 use surrogate_core::shard::ShardMap;
 
 use crate::error::ClientError;
@@ -115,8 +113,7 @@ impl Topology {
         })
     }
 
-    /// A topology of bare primaries (no replicas), in shard order —
-    /// what a pre-replica `&[&str]` peer list used to describe.
+    /// A topology of bare primaries (no replicas), in shard order.
     pub fn from_peers(
         peers: impl IntoIterator<Item = impl Into<String>>,
     ) -> Result<Topology, ClientError> {
@@ -189,8 +186,7 @@ impl Topology {
             .unwrap_or(&[])
     }
 
-    /// Every shard's primary address, in shard order — the legacy peer
-    /// list.
+    /// Every shard's primary address, in shard order.
     pub fn primaries(&self) -> Vec<String> {
         self.shards.iter().map(|s| s.primary.clone()).collect()
     }
@@ -229,6 +225,55 @@ impl Topology {
         ShardMap::new(self.shard_count())
             .ok_or_else(|| ClientError::BadTopology("empty topology has no keyspace".to_string()))
     }
+}
+
+/// Resolves a site's current **writable primary**: dials `last_good`
+/// first, then `candidates` in order (each address once), asks each for
+/// its [`ReplicaStatus`] through `probe`, appends the `primary_addr`
+/// breadcrumbs replicas leave — so a promoted node is found even when it
+/// was never configured — and returns the first node that identifies as
+/// a primary, with the address that answered and its status. Fails with
+/// the last candidate's error when every one is down or read-only.
+///
+/// `probe` dials and handshakes one address; the gather's feeds and
+/// [`ClientPool::writable`](crate::ClientPool::writable) share this walk
+/// over their own connection types.
+pub(crate) fn resolve_writable<'a, C>(
+    last_good: Option<String>,
+    candidates: impl IntoIterator<Item = &'a String>,
+    mut probe: impl FnMut(&str) -> Result<(C, ReplicaStatus), String>,
+) -> Result<(C, String, ReplicaStatus), String> {
+    let push = |list: &mut Vec<String>, addr: String| {
+        if !addr.is_empty() && !list.contains(&addr) {
+            list.push(addr);
+        }
+    };
+    let mut list: Vec<String> = Vec::new();
+    if let Some(addr) = last_good {
+        push(&mut list, addr);
+    }
+    for addr in candidates {
+        push(&mut list, addr.clone());
+    }
+    let mut last_error = "no candidate addresses".to_string();
+    let mut next = 0;
+    while next < list.len() {
+        let addr = list[next].clone();
+        next += 1;
+        match probe(&addr) {
+            Ok((conn, status)) if status.role == ReplicaRole::Primary => {
+                return Ok((conn, addr, status))
+            }
+            Ok((_, status)) => {
+                last_error = format!("{addr}: read-only replica, not a primary");
+                if let Some(hint) = status.primary_addr {
+                    push(&mut list, hint);
+                }
+            }
+            Err(e) => last_error = format!("{addr}: {e}"),
+        }
+    }
+    Err(last_error)
 }
 
 impl fmt::Display for Topology {
@@ -317,5 +362,118 @@ mod tests {
             .with_consumer("analyst", ["clearance"]);
         assert_eq!(topo.consumer(), "analyst");
         assert_eq!(topo.claims(), ["clearance"]);
+    }
+
+    /// Drives [`resolve_writable`] with a scripted fleet instead of
+    /// sockets. `fleet` maps an address to its answer: `P` a primary,
+    /// `R` a replica with no hint, `R>addr` a replica pointing at
+    /// `addr`; an address not in the fleet refuses the dial.
+    #[test]
+    fn resolver_walks_candidates_and_follows_breadcrumbs() {
+        struct Case {
+            name: &'static str,
+            last_good: Option<&'static str>,
+            candidates: &'static [&'static str],
+            fleet: &'static [(&'static str, &'static str)],
+            dialled: &'static [&'static str],
+            outcome: Result<&'static str, &'static str>,
+        }
+        let cases = [
+            Case {
+                name: "configured primary answers first",
+                last_good: None,
+                candidates: &["p", "r1"],
+                fleet: &[("p", "P"), ("r1", "R")],
+                dialled: &["p"],
+                outcome: Ok("p"),
+            },
+            Case {
+                name: "last-good is dialled before the configured primary",
+                last_good: Some("r1"),
+                candidates: &["p", "r1"],
+                fleet: &[("p", "P"), ("r1", "P")],
+                dialled: &["r1"],
+                outcome: Ok("r1"),
+            },
+            Case {
+                name: "duplicates (and blanks) are dialled once",
+                last_good: Some("p"),
+                candidates: &["p", "", "r1", "r1", "p"],
+                fleet: &[("r1", "R")],
+                dialled: &["p", "r1"],
+                outcome: Err("r1: read-only replica, not a primary"),
+            },
+            Case {
+                name: "a replica's breadcrumb is appended and followed",
+                last_good: None,
+                candidates: &["p", "r1"],
+                fleet: &[("r1", "R>promoted"), ("promoted", "P")],
+                dialled: &["p", "r1", "promoted"],
+                outcome: Ok("promoted"),
+            },
+            Case {
+                name: "a breadcrumb to a known address is not re-dialled",
+                last_good: None,
+                candidates: &["p", "r1"],
+                fleet: &[("p", "R>r1"), ("r1", "R>p")],
+                dialled: &["p", "r1"],
+                outcome: Err("r1: read-only replica, not a primary"),
+            },
+            Case {
+                name: "an all-dead list returns the last dial error",
+                last_good: Some("gone"),
+                candidates: &["p", "r1"],
+                fleet: &[],
+                dialled: &["gone", "p", "r1"],
+                outcome: Err("r1: connection refused"),
+            },
+            Case {
+                name: "no candidates at all",
+                last_good: None,
+                candidates: &[],
+                fleet: &[],
+                dialled: &[],
+                outcome: Err("no candidate addresses"),
+            },
+        ];
+        for case in cases {
+            let candidates: Vec<String> = case.candidates.iter().map(|a| a.to_string()).collect();
+            let mut dialled: Vec<String> = Vec::new();
+            let resolved =
+                resolve_writable(case.last_good.map(str::to_string), &candidates, |addr| {
+                    dialled.push(addr.to_string());
+                    let (_, answer) = case
+                        .fleet
+                        .iter()
+                        .find(|(a, _)| *a == addr)
+                        .ok_or("connection refused")?;
+                    let (role, hint) = match answer.split_once('>') {
+                        None if *answer == "P" => (ReplicaRole::Primary, None),
+                        None => (ReplicaRole::Replica, None),
+                        Some((_, hint)) => (ReplicaRole::Replica, Some(hint.to_string())),
+                    };
+                    let status = ReplicaStatus {
+                        role,
+                        local_epoch: 0,
+                        primary_epoch: 0,
+                        term: 0,
+                        connected: true,
+                        last_error: None,
+                        primary_addr: hint,
+                    };
+                    // The "connection" is the address that produced it.
+                    Ok((addr.to_string(), status))
+                });
+            assert_eq!(dialled, case.dialled, "{}: dial order", case.name);
+            match (resolved, case.outcome) {
+                (Ok((conn, addr, status)), Ok(expected)) => {
+                    assert_eq!(addr, expected, "{}", case.name);
+                    assert_eq!(conn, expected, "{}: connection of the winner", case.name);
+                    assert_eq!(status.role, ReplicaRole::Primary, "{}", case.name);
+                }
+                (Err(e), Err(expected)) => assert_eq!(e, expected, "{}", case.name),
+                (got, want) => panic!("{}: got {got:?}, want {want:?}", case.name),
+            }
+        }
     }
 }

@@ -546,18 +546,3 @@ fn randomized_shard_primary_kills_preserve_acked_writes_and_epoch_order() {
         deployment.teardown();
     }
 }
-
-/// The deprecated constructors still compile and still work — the
-/// migration is source-compatible for one release. This test is the
-/// shim coverage the rustdoc promises.
-#[test]
-#[allow(deprecated)]
-fn deprecated_bind_shims_still_serve() {
-    let store = Arc::new(Store::new(LATTICE.0, LATTICE.1).unwrap());
-    let service = Arc::new(AccountService::new(store));
-    let server =
-        Server::bind_with(service.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut client = Client::connect(server.local_addr(), "reader", &[]).unwrap();
-    assert!(client.epoch().is_ok());
-    server.shutdown();
-}

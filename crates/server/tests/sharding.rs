@@ -26,7 +26,9 @@ use plus_store::{
     AccountService, Direction, DurabilityOptions, EdgeKind, NodeKind, PolicyStatement,
     QueryRequest, QueryResponse, RecordId, Store, Strategy,
 };
-use server::{Client, ClientError, Gather, Server, ServerConfig, ShardRouter, Topology};
+use server::{
+    Client, ClientError, Gather, GatherConfig, Server, ServerConfig, ShardRouter, Topology,
+};
 use surrogate_core::feature::Features;
 use surrogate_core::marking::Marking;
 use surrogate_core::shard::Partition;
@@ -106,8 +108,8 @@ fn boot_shards(
 }
 
 fn boot_gather(addrs: &[String]) -> (Arc<Gather>, Server) {
-    let peer_refs: Vec<&str> = addrs.iter().map(String::as_str).collect();
-    let gather = Arc::new(Gather::start(&peer_refs).unwrap());
+    let topology = Topology::from_peers(addrs.iter().cloned()).unwrap();
+    let gather = Arc::new(Gather::start_topology(&topology, GatherConfig::default()).unwrap());
     let config = ServerConfig {
         role: server::Role::Gather {
             gather: gather.clone(),

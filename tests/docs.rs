@@ -1,7 +1,7 @@
 //! Documentation conformance: the prose under `docs/` cannot drift from
 //! the implementation silently.
 //!
-//! Two checks:
+//! Three checks:
 //!
 //! 1. `docs/WIRE.md` names every request variant, response variant, and
 //!    error kind the wire module actually ships (the normative lists
@@ -10,6 +10,10 @@
 //!    the build.
 //! 2. Every relative Markdown link in `README.md` and `docs/*.md`
 //!    resolves to a file that exists in the repository.
+//! 3. Every checkable claim in those pages resolves: a `--flag`, a
+//!    `spgraph_*` metric family, a `SCREAMING_CASE` constant, a `repro*`
+//!    binary, a `*.json` record, a reactor backend. Naming a feature the
+//!    code does not have fails the build.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -84,8 +88,8 @@ fn wire_spec_names_every_message_and_error_kind() {
     }
 }
 
-#[test]
-fn doc_links_resolve() {
+/// `README.md` and every `docs/*.md`.
+fn pages() -> Vec<PathBuf> {
     let root = repo_root();
     let mut pages = vec![root.join("README.md")];
     for entry in std::fs::read_dir(root.join("docs")).expect("docs/ exists") {
@@ -95,6 +99,12 @@ fn doc_links_resolve() {
         }
     }
     assert!(pages.len() >= 4, "README + three docs pages at minimum");
+    pages
+}
+
+#[test]
+fn doc_links_resolve() {
+    let pages = pages();
 
     let mut broken = BTreeSet::new();
     for page in &pages {
@@ -122,4 +132,193 @@ fn doc_links_resolve() {
         }
     }
     assert!(broken.is_empty(), "broken relative links: {broken:?}");
+}
+
+/// Flags of the toolchain the pages show commands for; every other
+/// `--flag` must be one this repository's binaries parse.
+const TOOLCHAIN_FLAGS: &[&str] = &[
+    "--all-targets",
+    "--bin",
+    "--check",
+    "--manifest-path",
+    "--no-deps",
+    "--no-run",
+    "--offline",
+    "--release",
+    "--workspace",
+];
+
+/// Readiness backends a reactor could claim; a page naming one needs
+/// `crates/reactor/src` to name it too.
+const REACTOR_BACKENDS: &[&str] = &["epoll", "kqueue", "io_uring", "iocp"];
+
+/// Every file under `dir` (recursively), skipping build output and VCS
+/// state.
+fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("readable entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() {
+            if !matches!(name, "target" | ".git" | ".bench_build") {
+                files_under(&path, out);
+            }
+        } else {
+            out.push(path);
+        }
+    }
+}
+
+/// The concatenated Rust sources under each of `dirs`.
+fn sources(dirs: &[PathBuf]) -> String {
+    let mut files = Vec::new();
+    for dir in dirs {
+        files_under(dir, &mut files);
+    }
+    files
+        .iter()
+        .filter(|f| f.extension().is_some_and(|e| e == "rs"))
+        .map(|f| read(f))
+        .collect()
+}
+
+/// The code of a Markdown page: inline `spans` and fenced blocks, one
+/// string per span or line.
+fn code_of(page: &str) -> Vec<&str> {
+    let mut code = Vec::new();
+    let mut fenced = false;
+    for line in page.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            code.push(line);
+        } else {
+            // Odd pieces of a backtick split are inside a span.
+            code.extend(line.split('`').skip(1).step_by(2));
+        }
+    }
+    code
+}
+
+/// Maximal runs of `text` whose characters satisfy `keep`.
+fn runs(text: &str, keep: impl Fn(char) -> bool) -> impl Iterator<Item = &str> {
+    text.split(move |c: char| !keep(c))
+        .filter(|t| !t.is_empty())
+}
+
+fn word(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Whether `name` matches `pattern`, where `*` stands for any run.
+fn glob(pattern: &str, name: &str) -> bool {
+    let mut parts = pattern.split('*');
+    let first = parts.next().unwrap_or("");
+    let Some(mut rest) = name.strip_prefix(first) else {
+        return false;
+    };
+    let mut parts = parts.peekable();
+    while let Some(part) = parts.next() {
+        if parts.peek().is_none() {
+            return rest.ends_with(part);
+        }
+        match rest.find(part) {
+            Some(at) => rest = &rest[at + part.len()..],
+            None => return false,
+        }
+    }
+    rest.is_empty()
+}
+
+#[test]
+fn doc_claims_resolve() {
+    let root = repo_root();
+    let mut source_dirs = vec![root.join("src"), root.join("spbench/src")];
+    for parent in ["crates", "vendor"] {
+        for entry in std::fs::read_dir(root.join(parent)).expect("workspace dir exists") {
+            source_dirs.push(entry.expect("readable entry").path().join("src"));
+        }
+    }
+    let code = sources(&source_dirs);
+    let symbols: BTreeSet<&str> = runs(&code, word).collect();
+    let reactor = sources(&[root.join("crates/reactor/src")]);
+    let reactor_words: BTreeSet<&str> = runs(&reactor, word).collect();
+    let mut repo_files = Vec::new();
+    files_under(&root, &mut repo_files);
+
+    let mut unresolved = BTreeSet::new();
+    for page in pages() {
+        let text = read(&page);
+        let name = page
+            .strip_prefix(&root)
+            .unwrap_or(&page)
+            .display()
+            .to_string();
+        let mut fail = |kind: &str, claim: &str| {
+            unresolved.insert(format!("{name}: {kind} `{claim}`"));
+        };
+
+        for token in runs(&text, word) {
+            if REACTOR_BACKENDS.contains(&token) && !reactor_words.contains(token) {
+                fail("reactor backend", token);
+            }
+            if token.starts_with("spgraph_") && !code.contains(token) {
+                fail("metric family", token);
+            }
+        }
+        for span in code_of(&text) {
+            for flag in runs(span, |c| c.is_ascii_alphanumeric() || c == '-') {
+                let flag = flag.trim_end_matches('-');
+                let named = flag
+                    .strip_prefix("--")
+                    .is_some_and(|f| f.starts_with(|c: char| c.is_ascii_lowercase()));
+                if named
+                    && !TOOLCHAIN_FLAGS.contains(&flag)
+                    && !code.contains(&format!("\"{flag}\""))
+                {
+                    fail("flag", flag);
+                }
+            }
+            for token in runs(span, word) {
+                let constant = token.contains('_')
+                    && token.starts_with(|c: char| c.is_ascii_uppercase())
+                    && !token.contains(|c: char| c.is_ascii_lowercase());
+                if constant && !symbols.contains(token) {
+                    fail("constant", token);
+                }
+                if token.starts_with("repro")
+                    && !root
+                        .join(format!("crates/bench/src/bin/{token}.rs"))
+                        .exists()
+                {
+                    fail("repro binary", token);
+                }
+            }
+            // Records: `<...>` marks a template for a generated file.
+            let path_char = |c: char| word(c) || "./*-<>".contains(c);
+            for record in runs(span, path_char).filter(|t| t.ends_with(".json")) {
+                if record.contains('<') {
+                    continue;
+                }
+                let found = repo_files.iter().any(|file| {
+                    let relative = file.strip_prefix(&root).expect("walked from the root");
+                    if record.contains('/') {
+                        glob(record, &relative.display().to_string())
+                    } else {
+                        let base = relative.file_name().and_then(|n| n.to_str());
+                        base.is_some_and(|base| glob(record, base))
+                    }
+                });
+                if !found {
+                    fail("record", record);
+                }
+            }
+        }
+    }
+    assert!(
+        unresolved.is_empty(),
+        "README.md / docs/ name things the repository does not have: {unresolved:#?}"
+    );
 }
