@@ -3,11 +3,13 @@
 //! swept over graph size and protection fraction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use graphgen::workflow::{self, WorkflowConfig};
 use graphgen::{synthetic, EdgeProtection, SyntheticConfig};
 use surrogate_core::account::{
     generate_for_set, generate_hide_for_set, generate_with_options, GenerateOptions,
     ProtectionContext,
 };
+use surrogate_core::graph::Csr;
 use surrogate_core::surrogate::SurrogateCatalog;
 
 fn bench_protect(c: &mut Criterion) {
@@ -56,6 +58,33 @@ fn bench_protect(c: &mut Criterion) {
                 b.iter(|| generate_for_set(&ctx, &[public]).expect("generates"));
             },
         );
+    }
+    group.finish();
+
+    // Workflows at the served sizes (1 025 and 4 860 nodes): with 15 % of
+    // the nodes sensitive a walk stops at the first node that can record
+    // pairs itself, with 80 % almost nothing stops it (docs/DESIGN.md
+    // §3.1 item 7) — the record covers both.
+    let mut group = c.benchmark_group("protect/workflow");
+    for (stages, width, sensitive_fraction) in [(20, 25, 0.15), (40, 60, 0.15), (40, 60, 0.8)] {
+        let wf = workflow::generate(WorkflowConfig {
+            stages,
+            width,
+            max_fan_in: 3,
+            sensitive_fraction,
+            seed: 4,
+        });
+        let csr = Csr::build(&wf.graph);
+        let ctx = ProtectionContext::new(&wf.graph, &wf.lattice, &wf.markings, &wf.catalog)
+            .with_csr(&csr);
+        let name = format!(
+            "{}n/{:.0}%",
+            wf.graph.node_count(),
+            sensitive_fraction * 100.0
+        );
+        group.bench_function(BenchmarkId::new("surrogate", name), |b| {
+            b.iter(|| generate_for_set(&ctx, &[wf.public]).expect("generates"));
+        });
     }
     group.finish();
 

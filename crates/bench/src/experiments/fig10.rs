@@ -36,7 +36,7 @@ pub struct Fig10Config {
     /// load is ~1000× cheaper, which would invert the figure's shape. When
     /// set, the simulated cost (records × round-trip) is reported *in
     /// addition to* the raw measured load so both views are visible
-    /// (DESIGN.md substitution table; EXPERIMENTS.md discussion).
+    /// (DESIGN.md substitution table).
     pub simulated_db_roundtrip_us: Option<f64>,
 }
 

@@ -149,9 +149,13 @@ impl<'a> ProtectionContext<'a> {
     /// Attaches a prebuilt [`Csr`] index of [`graph`](Self::graph), so
     /// repeated protections against one materialized snapshot skip the
     /// `O(V + E)` rebuild. The index **must** describe the same graph.
+    ///
+    /// # Panics
+    /// Panics if the index's node or edge count differs from the graph's:
+    /// an index of another epoch would silently read the wrong markings.
     pub fn with_csr(mut self, csr: &'a Csr) -> Self {
-        debug_assert_eq!(csr.node_count(), self.graph.node_count());
-        debug_assert_eq!(csr.edge_count(), self.graph.edge_count());
+        assert_eq!(csr.node_count(), self.graph.node_count());
+        assert_eq!(csr.edge_count(), self.graph.edge_count());
         self.csr = Some(csr);
         self
     }
@@ -575,11 +579,23 @@ pub fn generate_for_set(
 ///
 /// Runs against a [`Csr`] index of the graph — the one attached via
 /// [`ProtectionContext::with_csr`], or one built on the fly — so the
-/// marking resolution, the permitted-reach BFS, and the redundancy
+/// marking resolution, the permitted-reach walks, and the redundancy
 /// filter all address dense per-edge/per-node arrays instead of hashing
 /// node or edge keys. Surrogate edges are emitted in canonical
 /// `(source, target)` order, so accounts are deterministic and
 /// comparable edge-for-edge with [`reference::generate_with_options`].
+///
+/// # Cost
+///
+/// Linear in the graph plus the protected regions it bridges. Each
+/// present source is walked only as far as the redundancy rule can still
+/// keep a pair (the private `Walker`; the argument is docs/DESIGN.md §3.1
+/// item 7), so a source surrounded by nodes that can record pairs
+/// themselves costs its own out-edges and theirs, and a source at the
+/// edge of a protected region costs that region. With
+/// `redundancy_filter: false` every permitted pair is an edge of the
+/// account, nothing bounds a walk, and the cost is one full BFS per
+/// present source.
 ///
 /// # Panics
 /// Panics if `preds` is empty.
@@ -588,6 +604,28 @@ pub fn generate_with_options(
     preds: &[PrivilegeId],
     options: GenerateOptions,
 ) -> Result<ProtectedAccount> {
+    generate_counted(ctx, preds, options).map(|(account, _)| account)
+}
+
+/// Work done by one [`generate_counted`] call. A count repeats exactly,
+/// so the tests can bound the generator's work where a timing cannot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct WalkCounts {
+    /// Filtered out-edges examined, over every walk.
+    edges_examined: u64,
+    /// First walks: one per present source.
+    walks: u64,
+    /// Sources walked a second time, to the depth a candidate compares
+    /// their rows at.
+    rewalks: u64,
+}
+
+/// [`generate_with_options`] with its work counters.
+fn generate_counted(
+    ctx: &ProtectionContext<'_>,
+    preds: &[PrivilegeId],
+    options: GenerateOptions,
+) -> Result<(ProtectedAccount, WalkCounts)> {
     assert!(!preds.is_empty(), "high-water set must be non-empty");
     ctx.catalog.validate(ctx.graph, ctx.lattice)?;
     let preds = ctx.lattice.maximal_antichain(preds);
@@ -604,11 +642,10 @@ pub fn generate_with_options(
     };
     let tables = EdgeTables::resolve(ctx, &preds, csr);
     let n = csr.node_count();
-    let e = csr.edge_count();
 
     // Visible–Visible original edges with both endpoints present, in
     // insertion order (Algorithm 1 lines 13–14, as in `add_shown_edges`).
-    for id in 0..e {
+    for id in 0..csr.edge_count() {
         if !tables.visible(id as u32) {
             continue;
         }
@@ -622,190 +659,67 @@ pub fn generate_with_options(
     }
 
     let present: Vec<bool> = (0..n).map(|i| account.to_account[i].is_some()).collect();
+    let mut walker = Walker::new(csr, &tables, &present, options.redundancy_filter);
 
-    // Pre-filtered adjacency, resolved once per call and shared by every
-    // per-source BFS: the non-hidden out-edges of each node in CSR
-    // layout, with the per-edge Def. 8 facts folded into a byte — bit 0:
-    // the edge can *record* its target as a permitted pair (destination
-    // incidence Visible and target present); bit 1: the edge can *seed*
-    // a walk (source incidence Visible). The O(V × E) walks below then
-    // read two small sequential arrays instead of gathering from the
-    // flag table and the presence map on every edge examination.
-    const REC: u8 = 1;
-    const SEED: u8 = 1 << 1;
-    let mut fadj_start = vec![0u32; n + 1];
-    let mut fadj_target: Vec<u32> = Vec::with_capacity(e);
-    let mut fadj_bits: Vec<u8> = Vec::with_capacity(e);
-    for (w, start) in fadj_start.iter_mut().enumerate().take(n) {
-        *start = fadj_target.len() as u32;
-        let (targets, edge_ids) = csr.out(NodeId(w as u32));
-        for (&x, &id) in targets.iter().zip(edge_ids) {
-            let f = tables.flags[id as usize];
-            if f & EdgeTables::HIDDEN != 0 {
-                continue;
-            }
-            let mut bits = 0u8;
-            if f & EdgeTables::DST_VISIBLE != 0 && present[x as usize] {
-                bits |= REC;
-            }
-            if f & EdgeTables::SRC_VISIBLE != 0 {
-                bits |= SEED;
-            }
-            fadj_target.push(x);
-            fadj_bits.push(bits);
-        }
-    }
-    fadj_start[n] = fadj_target.len() as u32;
-
-    // Per-source BFS over the non-hidden subgraph (the repaired
-    // Algorithm 2; see `permitted_reach` for the Def. 8 reasoning). The
-    // frontier holds *nodes* in level-synchronous `Vec`s, and every node
-    // expands its out-edges at most once per source — at its BFS-minimal
-    // depth — so each edge is examined exactly once per source and
-    // frontier traffic is O(V), not O(E). Examining edge `(w, x)` at
-    // `depth(w) + 1` both records the row for `x` (first qualifying
-    // examination = shortest permitted walk, because examinations happen
-    // in nondecreasing source depth) and enqueues `x` if unvisited.
-    //
-    // `status` packs the per-node visited stamp (low 32 bits) and
-    // row-recorded stamp (high 32 bits) into one word, so the hot path
-    // touches a single cache line per node; all scratch is stamped
-    // instead of cleared, keeping per-source setup at O(out-degree).
-    let mut status = vec![0u64; n];
-    let mut cand_depth = vec![0u32; n];
-    let mut direct = vec![0u32; n];
-    let mut direct_id = vec![0u32; n];
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut next_frontier: Vec<u32> = Vec::new();
-    let mut stamp = 0u32;
-
-    // Shortest permitted-pair rows, arena-allocated: source `u`'s rows
-    // live in `rows_flat[row_start[u]..row_start[u + 1]]`, sorted by
-    // target so the redundancy filter can binary-search `d(w, v)`
-    // instead of hashing. `deep_flat` carries the same rows per source as
-    // `(depth, target)` in nondecreasing depth order — recorded for free
-    // by the level-synchronous BFS — so the redundancy filter can stop
-    // scanning witnesses at the candidate's own depth. One pair of
-    // growing buffers instead of `Vec`s per source keeps the BFS free of
-    // per-source reallocation.
-    let mut rows_flat: Vec<(u32, u32)> = Vec::new();
-    let mut deep_flat: Vec<(u32, u32)> = Vec::new();
-    let mut row_start: Vec<u32> = vec![0u32; n + 1];
-
-    for u in ctx.graph.node_ids() {
-        let ui = u.index();
-        row_start[ui] = rows_flat.len() as u32;
-        if !present[ui] {
-            continue;
-        }
-        stamp += 1;
-        let (targets, edge_ids) = csr.out(u);
-        // Def. 8 cond. 2 lookup table: direct edges out of `u`.
-        for (&t, &id) in targets.iter().zip(edge_ids) {
-            direct[t as usize] = stamp;
-            direct_id[t as usize] = id;
-        }
-        // Examines filtered edge `(w, x)` (bits `b`) entering `x` at
-        // `depth`: Def. 8 cond. 1 — recordability (destination incidence
-        // Visible, target present) was folded into `REC`; cond. 2 — a
-        // direct edge between the pair, if any, must be Visible–Visible.
-        let recorded = (stamp as u64) << 32;
-        macro_rules! examine {
-            ($x:expr, $b:expr, $depth:expr, $next:expr) => {
-                let xi = $x as usize;
-                let s = status[xi];
-                if $b & REC != 0
-                    && (s >> 32) as u32 != stamp
-                    && $x != u.0
-                    && (direct[xi] != stamp
-                        || tables.flags[direct_id[xi] as usize] & EdgeTables::VISIBLE != 0)
-                {
-                    status[xi] = (status[xi] & 0xFFFF_FFFF) | recorded;
-                    cand_depth[xi] = $depth;
-                    deep_flat.push(($depth, $x));
+    // One horizon-bounded walk per present source.
+    for u in (0..n as u32).filter(|&u| present[u as usize]) {
+        walker.counts.walks += 1;
+        let deepest = walker.walk(u, 0);
+        // A candidate at depth `d` compares the rows of every target
+        // recorded below `d`, to depth `d − 1`.
+        if options.redundancy_filter {
+            let (lo, hi) = walker.range[u as usize];
+            for &(dw, w) in &walker.deep[lo as usize..hi as usize] {
+                if dw >= deepest {
+                    break;
                 }
-                if s as u32 != stamp {
-                    status[xi] = (status[xi] & !0xFFFF_FFFF) | stamp as u64;
-                    $next.push($x);
-                }
-            };
-        }
-        let fedges = |w: usize| {
-            let (lo, hi) = (fadj_start[w] as usize, fadj_start[w + 1] as usize);
-            fadj_target[lo..hi].iter().zip(&fadj_bits[lo..hi])
-        };
-        // Def. 8: the source's incidence on the first edge must be
-        // Visible. `u` itself stays unvisited: if a cycle re-enters it,
-        // it expands *all* its non-hidden out-edges as an intermediate
-        // (re-examining a seed edge is harmless — the row conditions are
-        // depth-independent, so it either recorded at depth 1 or never
-        // will).
-        frontier.clear();
-        for (&x, &b) in fedges(ui) {
-            if b & SEED == 0 {
-                continue;
-            }
-            examine!(x, b, 1, frontier);
-        }
-        let mut depth = 1;
-        while !frontier.is_empty() {
-            depth += 1;
-            next_frontier.clear();
-            for &w in &frontier {
-                for (&x, &b) in fedges(w as usize) {
-                    examine!(x, b, depth, next_frontier);
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next_frontier);
-        }
-        // Harvest the recorded targets by scanning node ids in order: the
-        // rows come out target-sorted without a comparison sort, which
-        // both the redundancy filter's binary search and the canonical
-        // (deterministic) emission order below rely on.
-        for (x, s) in status.iter().enumerate() {
-            if (s >> 32) as u32 == stamp {
-                rows_flat.push((x as u32, cand_depth[x]));
+                let need = &mut walker.need[w as usize];
+                *need = (*need).max(deepest - 1);
             }
         }
     }
-    row_start[n] = rows_flat.len() as u32;
-    let rows = |w: usize| &rows_flat[row_start[w] as usize..row_start[w + 1] as usize];
-    let rows_by_depth = |w: usize| &deep_flat[row_start[w] as usize..row_start[w + 1] as usize];
+    // A walk that ended before the depth some candidate compares its
+    // rows at is repeated to that depth; its candidates do not change
+    // (nothing past its horizon is live), only its rows grow.
+    for w in 0..n as u32 {
+        let need = walker.need[w as usize];
+        if need > walker.complete[w as usize] {
+            walker.counts.rewalks += 1;
+            walker.walk(w, need);
+        }
+    }
 
-    for u in ctx.graph.node_ids() {
-        let ui = u.index();
-        let own = rows(ui);
-        if own.is_empty() {
+    let rows = |w: u32| {
+        let (lo, hi) = walker.range[w as usize];
+        &walker.rows[lo as usize..hi as usize]
+    };
+    for u in 0..n as u32 {
+        let (lo, hi) = walker.range[u as usize];
+        if lo == hi {
             continue;
         }
-        stamp += 1;
-        // A Visible–Visible direct edge is already shown; any other direct
-        // edge forbids the pair (Def. 8 cond. 2) and was never recorded.
-        let (targets, _) = csr.out(u);
-        for &t in targets {
-            direct[t as usize] = stamp;
-        }
-        let u_acct = account.to_account[ui].expect("present source");
-        for &(v, d) in own {
-            if direct[v as usize] == stamp {
+        let by_depth = &walker.deep[lo as usize..hi as usize];
+        let u_acct = account.to_account[u as usize].expect("present source");
+        for &(v, row) in rows(u) {
+            if row & 1 == 0 {
                 continue;
             }
+            let d = row >> 1;
             // Redundancy rule: skip when the pair splits into strictly
             // shorter permitted pairs via a present intermediate — a
             // witness must be strictly closer than the candidate, so only
             // the depth-ascending prefix `dw < d` is worth scanning.
             if options.redundancy_filter {
-                let decomposable =
-                    rows_by_depth(ui)
-                        .iter()
-                        .take_while(|&&(dw, _)| dw < d)
-                        .any(|&(_, w)| {
-                            w != v && {
-                                let via = rows(w as usize);
-                                via.binary_search_by_key(&v, |&(t, _)| t)
-                                    .is_ok_and(|pos| via[pos].1 < d)
-                            }
-                        });
+                let decomposable = by_depth
+                    .iter()
+                    .take_while(|&&(dw, _)| dw < d)
+                    .any(|&(_, w)| {
+                        w != v && {
+                            let via = rows(w);
+                            via.binary_search_by_key(&v, |&(t, _)| t)
+                                .is_ok_and(|pos| via[pos].1 >> 1 < d)
+                        }
+                    });
                 if decomposable {
                     continue;
                 }
@@ -818,7 +732,316 @@ pub fn generate_with_options(
             account.surrogate_edges.insert((u_acct, v_acct));
         }
     }
-    Ok(account)
+    Ok((account, walker.counts))
+}
+
+/// Per-node scratch of one walk, stamped instead of cleared so that
+/// starting a walk costs the source's out-degree, not `O(V)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    /// Stamp of the walk that last visited the node.
+    visited: u32,
+    /// `visit depth << 1 | live` in that walk.
+    level: u32,
+    /// Stamp of the walk that last recorded the node as a target.
+    recorded: u32,
+    /// `record depth << 1 | candidate` in that walk.
+    row: u32,
+}
+
+/// The per-source walks of the repaired Algorithm 2 (see
+/// `permitted_reach` for the Def. 8 reasoning), bounded by the
+/// redundancy rule's own guarantee (docs/DESIGN.md §3.1 item 7).
+///
+/// A walk is a level-synchronous BFS from one source over the non-hidden
+/// subgraph: the frontier holds *nodes*, every node expands its
+/// out-edges once, at its BFS-minimal depth, and examining edge `(w, x)`
+/// at `depth(w) + 1` both records the row for `x` (first qualifying
+/// examination = shortest permitted walk, because examinations happen in
+/// nondecreasing depth) and enqueues `x` if unvisited. Three additions
+/// keep it from crossing the whole graph:
+///
+/// * **Relays.** A node `x` with no out-edge in `G` that is both not
+///   Visible–Visible and into a node some walk can end in is never
+///   forbidden a pair by Def. 8 cond. 2. If source `u` records such an
+///   `x` at exactly `x`'s visit depth `j` — so `d(u, x) = j` — every `v`
+///   with a shortest permitted walk that leaves `x` through a seed edge
+///   of `x` splits into `(u, x)` and `(x, v)`, both strictly shorter: `x`
+///   is a witness and the rule drops `(u, v)`.
+/// * **Live walks.** A visited node is *live* while no BFS-shortest walk
+///   to it leaves such an `x` through a seed edge. One such walk is
+///   enough: every shortest permitted walk through the node can take it
+///   as its prefix, so `x` witnesses them all. Dead nodes still expand
+///   and still record — rows must stay exact — but the walk stops at the
+///   first level with no live node, and only pairs whose every
+///   record-depth examination came over a live walk are *candidates* for
+///   the redundancy test.
+/// * **Exact witness rows.** A walk stopped after level `k` has recorded
+///   exactly the true rows of depth ≤ `k`. The rule compares a candidate
+///   at depth `d` against *any* closer target's rows to depth `d − 1`, on
+///   a shortest walk or not, so the caller repeats a walk that stopped
+///   short of that depth (`need` against `complete`).
+struct Walker<'a> {
+    csr: &'a Csr,
+    /// Per-edge marking facts, for Def. 8 cond. 2 on direct edges.
+    flags: &'a [u8],
+    /// Pre-filtered adjacency, resolved once per call and shared by every
+    /// walk: the non-hidden out-edges of each node in CSR layout, with
+    /// the per-edge Def. 8 facts folded into a byte of `REC` | `SEED`, so
+    /// a walk reads two small sequential arrays instead of gathering from
+    /// the flag table and the presence map on every edge examination.
+    fadj_start: Vec<u32>,
+    fadj_target: Vec<u32>,
+    fadj_bits: Vec<u8>,
+    /// Nodes Def. 8 cond. 2 forbids no pair from. All `false` without
+    /// the redundancy filter: nothing is dropped, so nothing bounds a
+    /// walk.
+    relay: Vec<bool>,
+
+    marks: Vec<Mark>,
+    /// Def. 8 cond. 2 lookup: `direct[t] == stamp` iff the current source
+    /// has a direct edge to `t`, with id `direct_id[t]`.
+    direct: Vec<u32>,
+    direct_id: Vec<u32>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+    stamp: u32,
+
+    /// Shortest permitted-pair rows, arena-allocated: a source's rows are
+    /// `rows[lo..hi]` for its `range`, as `(target, depth << 1 |
+    /// candidate)` sorted by target, so the redundancy filter can
+    /// binary-search `d(w, v)` and emission is in canonical order.
+    rows: Vec<(u32, u32)>,
+    /// The same rows over the same range as `(depth, target)` in
+    /// nondecreasing depth — recorded for free by the level-synchronous
+    /// BFS — so the filter stops scanning witnesses at the candidate's
+    /// own depth.
+    deep: Vec<(u32, u32)>,
+    /// Arena range of each source's latest walk.
+    range: Vec<(u32, u32)>,
+    /// Depth each source's rows are exact to (`u32::MAX` once its walk
+    /// ran out of graph).
+    complete: Vec<u32>,
+    /// Greatest depth any candidate compares each node's rows at.
+    need: Vec<u32>,
+    counts: WalkCounts,
+}
+
+impl<'a> Walker<'a> {
+    /// The edge can *record* its target as a permitted pair (destination
+    /// incidence Visible and target present).
+    const REC: u8 = 1;
+    /// The edge can *seed* a walk (source incidence Visible).
+    const SEED: u8 = 1 << 1;
+
+    fn new(csr: &'a Csr, tables: &'a EdgeTables, present: &[bool], bounded: bool) -> Self {
+        let n = csr.node_count();
+        let e = csr.edge_count();
+        let mut fadj_start = vec![0u32; n + 1];
+        let mut fadj_target: Vec<u32> = Vec::with_capacity(e);
+        let mut fadj_bits: Vec<u8> = Vec::with_capacity(e);
+        // `recordable[v]`: some walk can end in `v`.
+        let mut recordable = vec![false; n];
+        for (w, start) in fadj_start.iter_mut().enumerate().take(n) {
+            *start = fadj_target.len() as u32;
+            let (targets, edge_ids) = csr.out(NodeId(w as u32));
+            for (&x, &id) in targets.iter().zip(edge_ids) {
+                let f = tables.flags[id as usize];
+                if f & EdgeTables::HIDDEN != 0 {
+                    continue;
+                }
+                let mut bits = 0u8;
+                if f & EdgeTables::DST_VISIBLE != 0 && present[x as usize] {
+                    bits |= Self::REC;
+                    recordable[x as usize] = true;
+                }
+                if f & EdgeTables::SRC_VISIBLE != 0 {
+                    bits |= Self::SEED;
+                }
+                fadj_target.push(x);
+                fadj_bits.push(bits);
+            }
+        }
+        fadj_start[n] = fadj_target.len() as u32;
+
+        // Hidden out-edges count too: cond. 2 reads the direct edge's
+        // markings whether or not a walk may use it. An edge into a node
+        // no walk can end in forbids nothing.
+        let relay = (0..n)
+            .map(|x| {
+                let (targets, edge_ids) = csr.out(NodeId(x as u32));
+                bounded
+                    && targets
+                        .iter()
+                        .zip(edge_ids)
+                        .all(|(&y, &id)| tables.visible(id) || !recordable[y as usize])
+            })
+            .collect();
+
+        Self {
+            csr,
+            flags: &tables.flags,
+            fadj_start,
+            fadj_target,
+            fadj_bits,
+            relay,
+            marks: vec![Mark::default(); n],
+            direct: vec![0; n],
+            direct_id: vec![0; n],
+            frontier: Vec::new(),
+            next: Vec::new(),
+            stamp: 0,
+            rows: Vec::new(),
+            deep: Vec::new(),
+            range: vec![(0, 0); n],
+            complete: vec![0; n],
+            need: vec![0; n],
+            counts: WalkCounts::default(),
+        }
+    }
+
+    /// Where `w`'s out-edges sit in the filtered adjacency.
+    fn out_range(&self, w: usize) -> std::ops::Range<usize> {
+        self.fadj_start[w] as usize..self.fadj_start[w + 1] as usize
+    }
+
+    /// Walks from present source `u` until no live node is left and at
+    /// least to `min_depth`, appends its rows to the arena and points
+    /// `range[u]` at them. Returns the depth of `u`'s deepest candidate
+    /// (0 when it has none).
+    fn walk(&mut self, u: u32, min_depth: u32) -> u32 {
+        let ui = u as usize;
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let (targets, edge_ids) = self.csr.out(NodeId(u));
+        for (&t, &id) in targets.iter().zip(edge_ids) {
+            self.direct[t as usize] = stamp;
+            self.direct_id[t as usize] = id;
+        }
+        let lo = self.deep.len();
+        // Live nodes among those visited at the level being built.
+        let mut live = 0u32;
+
+        // Examines filtered edge `(w, x)` (bits `b`) entering `x` at
+        // `depth`; `carries` says a live walk arrives over it. Def. 8
+        // cond. 1 — recordability — was folded into `REC`; cond. 2 — a
+        // direct edge between the pair, if any, must be Visible–Visible.
+        // A same-level re-examination over a dead walk still takes
+        // liveness from the node, or from the pair it recorded at this
+        // depth.
+        macro_rules! examine {
+            ($x:expr, $b:expr, $depth:expr, $carries:expr, $next:expr) => {
+                let xi = $x as usize;
+                let level = $depth << 1;
+                let m = &mut self.marks[xi];
+                if m.visited != stamp {
+                    m.visited = stamp;
+                    m.level = level | $carries as u32;
+                    live += $carries as u32;
+                    $next.push($x);
+                } else if !$carries && m.level == level | 1 {
+                    m.level = level;
+                    live -= 1;
+                }
+                if $b & Self::REC != 0 {
+                    if m.recorded == stamp {
+                        if !$carries && m.row == level | 1 {
+                            m.row = level;
+                        }
+                    } else if $x != u
+                        && (self.direct[xi] != stamp
+                            || self.flags[self.direct_id[xi] as usize] & EdgeTables::VISIBLE != 0)
+                    {
+                        m.recorded = stamp;
+                        m.row = level | $carries as u32;
+                        self.deep.push(($depth, $x));
+                    }
+                }
+            };
+        }
+
+        // Def. 8: the source's incidence on the first edge must be
+        // Visible. `u` itself stays unvisited: if a cycle re-enters it,
+        // it expands *all* its non-hidden out-edges as an intermediate
+        // (re-examining a seed edge is harmless — the row conditions are
+        // depth-independent, so it either recorded at depth 1 or never
+        // will).
+        self.frontier.clear();
+        let out = self.out_range(ui);
+        self.counts.edges_examined += out.len() as u64;
+        for i in out {
+            let (x, b) = (self.fadj_target[i], self.fadj_bits[i]);
+            if b & Self::SEED != 0 {
+                examine!(x, b, 1u32, true, self.frontier);
+            }
+        }
+        // `frontier` holds the nodes visited at `depth`; every
+        // examination at `depth` or less has happened.
+        let mut depth = 1u32;
+        while !self.frontier.is_empty() && (live > 0 || depth < min_depth) {
+            live = 0;
+            self.next.clear();
+            for &w in &self.frontier {
+                let wi = w as usize;
+                let m = self.marks[wi];
+                let w_live = m.level & 1 != 0;
+                // Recorded at exactly its visit depth: `d(u, w) = depth`.
+                // A relay first entered over a non-`REC` edge and recorded
+                // by a same-level neighbour is one step further away than
+                // it expands at, and expands as an ordinary node. `u` is
+                // never recorded.
+                let clean = self.relay[wi] && m.recorded == stamp && m.row >> 1 == depth;
+                let blocked = if clean { Self::SEED } else { 0 };
+                let out = self.out_range(wi);
+                self.counts.edges_examined += out.len() as u64;
+                for i in out {
+                    let (x, b) = (self.fadj_target[i], self.fadj_bits[i]);
+                    let carries = w_live && b & blocked == 0;
+                    examine!(x, b, depth + 1, carries, self.next);
+                }
+            }
+            depth += 1;
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+        self.complete[ui] = if self.frontier.is_empty() {
+            u32::MAX
+        } else {
+            depth
+        };
+
+        // Harvest target-sorted: sort the recorded list, or — when the
+        // walk recorded a fair share of the graph — scan node ids in
+        // order, which sorts without comparing.
+        let n = self.marks.len();
+        if (self.deep.len() - lo) * 16 > n {
+            for (x, m) in self.marks.iter().enumerate() {
+                if m.recorded == stamp {
+                    self.rows.push((x as u32, m.row));
+                }
+            }
+        } else {
+            let marks = &self.marks;
+            self.rows.extend(
+                self.deep[lo..]
+                    .iter()
+                    .map(|&(_, x)| (x, marks[x as usize].row)),
+            );
+            self.rows[lo..].sort_unstable_by_key(|&(x, _)| x);
+        }
+        // A pair with a direct edge is already shown (any other direct
+        // edge forbade it, cond. 2): it stays a row, never a candidate.
+        let mut deepest = 0u32;
+        for (x, row) in &mut self.rows[lo..] {
+            if self.direct[*x as usize] == stamp {
+                *row &= !1;
+            }
+            if *row & 1 != 0 {
+                deepest = deepest.max(*row >> 1);
+            }
+        }
+        self.range[ui] = (lo as u32, self.deep.len() as u32);
+        deepest
+    }
 }
 
 /// The "binary show/hide" edge baseline (§6): same node layer as the
@@ -1424,6 +1647,205 @@ mod tests {
             let slow_edges: Vec<Edge> = slow.graph().edges().collect();
             assert_eq!(fast_edges, slow_edges);
         }
+    }
+
+    /// An all-public graph over `edges` where the nodes in `pass` are
+    /// pass-through: public, with every incidence `Surrogate`-marked, so
+    /// walks cross them but no pair starts or ends there.
+    fn pass_through_fixture(nodes: usize, edges: &[(usize, usize)], pass: &[usize]) -> Fixture {
+        let (lattice, _) = PrivilegeLattice::flat(&[]).unwrap();
+        let public = lattice.public();
+        let mut graph = Graph::new();
+        let ids: Vec<NodeId> = (0..nodes)
+            .map(|i| graph.add_node(format!("n{i}"), public))
+            .collect();
+        for &(a, b) in edges {
+            graph.add_edge(ids[a], ids[b]).unwrap();
+        }
+        let mut markings = MarkingStore::new();
+        for &n in pass {
+            markings.set_node(ids[n], public, Marking::Surrogate);
+        }
+        Fixture {
+            graph,
+            lattice,
+            markings,
+            catalog: SurrogateCatalog::new(),
+            ids,
+        }
+    }
+
+    /// The generated account, after checking it is valid and equal to the
+    /// reference's edge for edge.
+    fn generate_checked(fx: &Fixture) -> ProtectedAccount {
+        let ctx = fx.ctx();
+        let public = fx.lattice.public();
+        let account = generate_for_set(&ctx, &[public]).unwrap();
+        let spec = reference::generate_for_set(&ctx, &[public]).unwrap();
+        let edges: Vec<Edge> = account.graph().edges().collect();
+        let spec_edges: Vec<Edge> = spec.graph().edges().collect();
+        assert_eq!(edges, spec_edges, "identical edges, same order");
+        let violations = crate::validate::check_all(&ctx, &account);
+        assert!(violations.is_empty(), "{violations:?}");
+        account
+    }
+
+    #[test]
+    fn cond2_hazard_keeps_the_pair_past_a_capable_node() {
+        // u→x is shown and x can record pairs, but the direct x→v is
+        // Surrogate-marked at v, so Def. 8 cond. 2 forbids (x, v): x is no
+        // witness for (u, v), and a walk from u that stopped at x would
+        // leave the permitted pair (u, v) disconnected.
+        let (u, x, y, v) = (0, 1, 2, 3);
+        let mut fx = pass_through_fixture(4, &[(u, x), (x, y), (y, v), (x, v)], &[y]);
+        let public = fx.lattice.public();
+        fx.markings.set(
+            fx.ids[v],
+            (fx.ids[x], fx.ids[v]),
+            public,
+            Marking::Surrogate,
+        );
+        let account = generate_checked(&fx);
+        let edge = (
+            account.account_node(fx.ids[u]).unwrap(),
+            account.account_node(fx.ids[v]).unwrap(),
+        );
+        assert!(account.graph().has_edge(edge.0, edge.1), "u→v past x");
+        assert!(account.is_surrogate_edge(edge));
+    }
+
+    #[test]
+    fn off_geodesic_witness_behind_relays_drops_the_pair() {
+        // (u, v) is at depth 5 over four pass-through nodes and no relay.
+        // Its only witness is w — d(u, w) = 4 behind u's relay x,
+        // d(w, v) = 4 — which lies on no shortest walk from u, and whose
+        // own walk stops at its relay r, two levels short of v.
+        let (u, x, w, r, v) = (0, 1, 2, 3, 4);
+        let fx = pass_through_fixture(
+            13,
+            &[
+                (u, x),
+                (x, 5),
+                (5, 6),
+                (6, w),
+                (u, 7),
+                (7, 8),
+                (8, 9),
+                (9, 10),
+                (10, v),
+                (w, r),
+                (r, 11),
+                (11, 12),
+                (12, v),
+            ],
+            &[5, 6, 7, 8, 9, 10, 11, 12],
+        );
+        let account = generate_checked(&fx);
+        let node = |n: usize| account.account_node(fx.ids[n]).unwrap();
+        assert!(!account.graph().has_edge(node(u), node(v)), "w splits it");
+        for (a, b) in [(x, w), (r, v)] {
+            assert!(account.is_surrogate_edge((node(a), node(b))));
+        }
+    }
+
+    #[test]
+    fn relay_recorded_after_its_visit_expands_as_an_ordinary_node() {
+        // u reaches relay y at level 2 over the non-recording a→y and
+        // records it at depth 3 over w→y, from the same level and earlier
+        // in it: d(u, y) = 3, yet y expands at level 2, so (u, v) is at
+        // depth 3 too and y is no witness for it.
+        let (u, c, a, w, y, v) = (0, 1, 2, 3, 4, 5);
+        let mut fx = pass_through_fixture(
+            6,
+            &[(u, c), (u, a), (c, w), (a, y), (w, y), (y, v)],
+            &[c, a, w],
+        );
+        let public = fx.lattice.public();
+        fx.markings.set(
+            fx.ids[y],
+            (fx.ids[a], fx.ids[y]),
+            public,
+            Marking::Surrogate,
+        );
+        let account = generate_checked(&fx);
+        let node = |n: usize| account.account_node(fx.ids[n]).unwrap();
+        for target in [y, v] {
+            assert!(account.is_surrogate_edge((node(u), node(target))));
+        }
+    }
+
+    /// A layered DAG, 8 wide, each node fed by two of the layer above;
+    /// every 7th node needs High, has a Public surrogate and
+    /// `Surrogate`-marked incidences.
+    fn layered_fixture(nodes: usize) -> Fixture {
+        const WIDTH: usize = 8;
+        let (lattice, preds) = PrivilegeLattice::flat(&["High"]).unwrap();
+        let public = lattice.public();
+        let mut graph = Graph::new();
+        let mut markings = MarkingStore::new();
+        let mut catalog = SurrogateCatalog::new();
+        let mut ids = Vec::with_capacity(nodes);
+        for i in 0..nodes {
+            let protected = i % 7 == 0;
+            let id = graph.add_node(format!("n{i}"), if protected { preds[0] } else { public });
+            if protected {
+                markings.set_node(id, public, Marking::Surrogate);
+                catalog.add(
+                    id,
+                    SurrogateDef {
+                        label: format!("n{i}'"),
+                        features: Features::new(),
+                        lowest: public,
+                        info_score: 0.5,
+                    },
+                );
+            }
+            ids.push(id);
+            if i >= WIDTH {
+                let above = i / WIDTH * WIDTH - WIDTH;
+                for slot in [i % WIDTH, (i + 1) % WIDTH] {
+                    graph.add_edge(ids[above + slot], id).unwrap();
+                }
+            }
+        }
+        Fixture {
+            graph,
+            lattice,
+            markings,
+            catalog,
+            ids,
+        }
+    }
+
+    #[test]
+    fn walk_work_is_linear_in_the_graph() {
+        // Counted, not timed: the counts repeat exactly. A generator that
+        // walked the graph from every source would examine about V/2
+        // edges per source here, not four.
+        for nodes in [2_000usize, 8_000] {
+            let fx = layered_fixture(nodes);
+            let public = fx.lattice.public();
+            let (account, counts) =
+                generate_counted(&fx.ctx(), &[public], GenerateOptions::default()).unwrap();
+            let edges = fx.graph.edge_count() as u64;
+            assert!(account.surrogate_edge_count() > nodes / 7);
+            assert_eq!(counts.walks, nodes as u64, "every node is present");
+            assert!(
+                counts.edges_examined <= 4 * edges,
+                "{nodes} nodes, {edges} edges: {counts:?}"
+            );
+            assert!(counts.rewalks <= nodes as u64 / 10, "{counts:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn with_csr_rejects_an_index_of_another_epoch() {
+        let mut fx = chain_fixture(false);
+        let stale = Csr::build(&fx.graph);
+        let public = fx.lattice.public();
+        fx.graph.add_node("later", public);
+        let _ = fx.ctx().with_csr(&stale);
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl OpacityModel {
     }
 
     /// Normalized directional terms combined as `FP·FP·(q1+q2)`; reported
-    /// alongside the other variants in EXPERIMENTS.md.
+    /// alongside the other variants by `repro table1`.
     pub fn fp_product() -> Self {
         Self {
             combiner: Combiner::FpProduct,

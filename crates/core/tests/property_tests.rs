@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use surrogate_core::account::{
-    generate_for_set, generate_hide_for_set, generate_naive_node_hide_for_set,
+    self, generate_for_set, generate_hide_for_set, generate_naive_node_hide_for_set,
     generate_with_options, GenerateOptions, ProtectionContext, Strategy,
 };
 use surrogate_core::feature::Features;
@@ -41,10 +41,9 @@ impl Scenario {
     }
 }
 
-fn build_scenario(nodes: usize, seed: u64) -> Scenario {
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    // Lattice: Public ⊑ L1 ⊑ L2, or Public ⊑ {L1, L2} incomparable.
+/// `Public ⊑ L1 ⊑ L2`, or `Public ⊑ {L1, L2}` incomparable, with the
+/// levels in that order.
+fn random_lattice(rng: &mut StdRng) -> (PrivilegeLattice, [PrivilegeId; 3]) {
     let mut builder = PrivilegeLattice::builder();
     let public = builder.add("Public").unwrap();
     let l1 = builder.add("L1").unwrap();
@@ -55,8 +54,14 @@ fn build_scenario(nodes: usize, seed: u64) -> Scenario {
     } else {
         builder.declare_dominates(l2, public);
     }
-    let lattice = builder.finish().unwrap();
-    let levels = [public, l1, l2];
+    (builder.finish().unwrap(), [public, l1, l2])
+}
+
+fn build_scenario(nodes: usize, seed: u64) -> Scenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+
+    let (lattice, levels) = random_lattice(&mut rng);
+    let public = levels[0];
 
     let mut graph = Graph::new();
     let ids: Vec<_> = (0..nodes)
@@ -132,6 +137,125 @@ fn build_scenario(nodes: usize, seed: u64) -> Scenario {
     }
 }
 
+/// A sparse scenario of the shape that makes the bounded generator's
+/// walks hard: out-degree 1–2.5, edges between nearby ids so chains of
+/// protected nodes run deep, a DAG or (when `cyclic`) with back edges,
+/// 15–60 % of the nodes non-public, and markings mostly set per node — so
+/// public nodes that can record pairs alternate with long pass-through
+/// runs, shortest walks of different lengths run in parallel, and a
+/// sprinkle of per-incidence markings forbids pairs by Def. 8 cond. 2.
+fn build_sparse_scenario(nodes: usize, cyclic: bool, seed: u64) -> Scenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+
+    let (lattice, levels) = random_lattice(&mut rng);
+    let public = levels[0];
+
+    let non_public = rng.gen_range(15..=60) as f64 / 100.0;
+    let mut graph = Graph::new();
+    let ids: Vec<_> = (0..nodes)
+        .map(|i| {
+            let lowest = if rng.gen_bool(non_public) {
+                levels[rng.gen_range(1..3usize)]
+            } else {
+                public
+            };
+            graph.add_node_with_features(format!("n{i}"), Features::new(), lowest)
+        })
+        .collect();
+
+    let out_degree = rng.gen_range(10..=25) as f64 / 10.0;
+    for i in 0..nodes {
+        let fan_out = out_degree as usize + usize::from(rng.gen_bool(out_degree.fract()));
+        for _ in 0..fan_out {
+            let hop = rng.gen_range(1..=4usize);
+            let j = if cyclic && rng.gen_bool(0.3) {
+                i.checked_sub(hop)
+            } else {
+                Some(i + hop).filter(|&j| j < nodes)
+            };
+            if let Some(j) = j {
+                let _ = graph.add_edge(ids[i], ids[j]); // duplicates are fine to skip
+            }
+        }
+    }
+
+    let mut markings = MarkingStore::new();
+    let mut catalog = SurrogateCatalog::new();
+    for &n in &ids {
+        if graph.node(n).lowest == public {
+            // Pass-through: a public node whose role is protected.
+            if rng.gen_bool(0.1) {
+                markings.set_node_all_predicates(n, Marking::Surrogate);
+            }
+            continue;
+        }
+        match rng.gen_range(0..10) {
+            0 => {} // incidences stay Visible: absent nodes pass through
+            1 => markings.set_node(n, levels[rng.gen_range(0..3usize)], Marking::Hide),
+            2 | 3 => markings.set_node(n, levels[rng.gen_range(0..3usize)], Marking::Surrogate),
+            _ => markings.set_node_all_predicates(n, Marking::Surrogate),
+        }
+        if rng.gen_bool(0.5) {
+            catalog.add(
+                n,
+                SurrogateDef {
+                    label: format!("{}'", graph.node(n).label),
+                    features: Features::new(),
+                    lowest: public,
+                    info_score: 0.5,
+                },
+            );
+        }
+    }
+    let edges: Vec<_> = graph.edges().collect();
+    for &edge in &edges {
+        for node in [edge.0, edge.1] {
+            if rng.gen_bool(0.12) {
+                let marking = match rng.gen_range(0..4) {
+                    0 => Marking::Visible,
+                    1 => Marking::Hide,
+                    _ => Marking::Surrogate,
+                };
+                markings.set_all_predicates(node, edge, marking);
+            }
+        }
+    }
+
+    Scenario {
+        graph,
+        lattice,
+        markings,
+        catalog,
+        predicate: public,
+    }
+}
+
+/// `generate_with_options` against `reference::generate_with_options`,
+/// for each single predicate, the `{L1, L2}` set and both filter
+/// settings: the same edges in the same order, classified the same way,
+/// and an account `validate` accepts.
+fn assert_matches_reference(scenario: &Scenario) -> Result<(), TestCaseError> {
+    let ctx = scenario.ctx();
+    let [public, l1, l2] = ["Public", "L1", "L2"].map(|n| scenario.lattice.by_name(n).unwrap());
+    for preds in [vec![public], vec![l1], vec![l2], vec![l1, l2]] {
+        for redundancy_filter in [true, false] {
+            let options = GenerateOptions { redundancy_filter };
+            let bounded = generate_with_options(&ctx, &preds, options).unwrap();
+            let reference =
+                account::reference::generate_with_options(&ctx, &preds, options).unwrap();
+            let got: Vec<_> = bounded.graph().edges().collect();
+            let want: Vec<_> = reference.graph().edges().collect();
+            prop_assert_eq!(&got, &want, "{:?}, filter {}", preds, redundancy_filter);
+            for &e in &got {
+                prop_assert_eq!(bounded.is_surrogate_edge(e), reference.is_surrogate_edge(e));
+            }
+            let violations = check_all(&ctx, &bounded);
+            prop_assert!(violations.is_empty(), "{preds:?}: {violations:?}");
+        }
+    }
+    Ok(())
+}
+
 /// Reference BFS: collects `(node, depth)` into `Vec`s the naive way —
 /// no `BitSet`, no borrowed iterators — as an oracle for the
 /// allocation-free `Traversal::iter()` / `nodes()` accessors.
@@ -181,6 +305,21 @@ proptest! {
         let account = generate_for_set(&ctx, &[scenario.predicate]).unwrap();
         let violations = check_all(&ctx, &account);
         prop_assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// The relay-bounded generator is bit-identical to the executable
+    /// spec where its three invariants are not vacuous (docs/DESIGN.md
+    /// §3.1 item 7): on the dense cyclic scenarios with per-incidence
+    /// markings and cond.-2-forbidden pairs, and on sparse deep ones.
+    #[test]
+    fn bounded_generator_matches_reference(
+        nodes in 1usize..12,
+        sparse_nodes in 2usize..65,
+        cyclic in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        assert_matches_reference(&build_scenario(nodes, seed))?;
+        assert_matches_reference(&build_sparse_scenario(sparse_nodes, cyclic, seed))?;
     }
 
     /// Both baselines remain sound (Def. 5) even though they give up the

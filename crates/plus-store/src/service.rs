@@ -78,6 +78,7 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -371,6 +372,10 @@ pub struct AccountService {
     frame_shards: Vec<Mutex<HashMap<FrameKey, Bytes>>>,
     frame_hits: AtomicU64,
     frame_misses: AtomicU64,
+    /// Strategy invocations on the account-miss path, and their total
+    /// duration in nanoseconds.
+    protects: AtomicU64,
+    protect_nanos: AtomicU64,
 }
 
 impl std::fmt::Debug for AccountService {
@@ -418,6 +423,8 @@ impl AccountService {
                 .collect(),
             frame_hits: AtomicU64::new(0),
             frame_misses: AtomicU64::new(0),
+            protects: AtomicU64::new(0),
+            protect_nanos: AtomicU64::new(0),
         }
     }
 
@@ -703,10 +710,14 @@ impl AccountService {
                 published: false,
             };
             let ctx = snapshot.context().with_csr(snapshot.index.csr());
+            let started = Instant::now();
             let generated = match &registered {
                 Some(current) => current.protect(&ctx, &key.preds),
                 None => strategy.protect(&ctx, &key.preds),
             };
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.protects.fetch_add(1, Ordering::Relaxed);
+            self.protect_nanos.fetch_add(nanos, Ordering::Relaxed);
             let result = match generated {
                 Ok(account) => {
                     let account = Arc::new(account);
@@ -994,6 +1005,16 @@ impl AccountService {
         (
             self.frame_hits.load(Ordering::Relaxed),
             self.frame_misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Lifetime account-generation cost: how many times a cache miss ran
+    /// a protection strategy, and the total time those runs took — what a
+    /// fresh read pays beyond a cached one.
+    pub fn protect_stats(&self) -> (u64, Duration) {
+        (
+            self.protects.load(Ordering::Relaxed),
+            Duration::from_nanos(self.protect_nanos.load(Ordering::Relaxed)),
         )
     }
 

@@ -30,6 +30,8 @@
 //! | `spgraph_hangups_total` | counter | protocol-violation hangups |
 //! | `spgraph_frame_cache_{hits,misses}_total` | counter | sealed-frame cache traffic |
 //! | `spgraph_frame_cache_hit_rate` | gauge | hits / (hits + misses), for humans |
+//! | `spgraph_account_protects_total` | counter | account-cache misses that ran a protection strategy |
+//! | `spgraph_account_protect_seconds_total` | counter | total time those strategy runs took |
 //! | `spgraph_bytes_{read,written}_total` | counter | query-socket traffic volume |
 //! | `spgraph_epoch` | gauge | the served store's current epoch |
 //! | `spgraph_snapshots_shipped_total` | counter | replica backfill snapshots |
@@ -398,6 +400,23 @@ impl ServerMetrics {
             "Replica-to-primary promotions served by this process.",
             self.promotions.get(),
         );
+        let (protects, protect_time) = service.protect_stats();
+        counter(
+            "spgraph_account_protects_total",
+            "Account-cache misses that ran a protection strategy.",
+            protects,
+        );
+        // A counter in seconds: fractional, so not through `counter`.
+        let _ = writeln!(
+            out,
+            "# HELP spgraph_account_protect_seconds_total Total time those strategy runs took."
+        );
+        let _ = writeln!(out, "# TYPE spgraph_account_protect_seconds_total counter");
+        let _ = writeln!(
+            out,
+            "spgraph_account_protect_seconds_total {}",
+            protect_time.as_secs_f64()
+        );
 
         let _ = writeln!(
             out,
@@ -638,6 +657,8 @@ mod tests {
             "spgraph_replication_term 0",
             "spgraph_replication_lag 0",
             "spgraph_promotions_total 1",
+            "spgraph_account_protects_total 0",
+            "spgraph_account_protect_seconds_total 0",
             "spgraph_request_latency_seconds_bucket{type=\"query\",le=\"0.00005\"} 1",
             "spgraph_request_latency_seconds_count{type=\"query\"} 1",
             "# TYPE spgraph_request_latency_seconds histogram",

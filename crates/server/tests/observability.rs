@@ -131,6 +131,50 @@ fn metrics_endpoint_serves_consistent_prometheus_text() {
 }
 
 #[test]
+fn protect_cost_moves_on_a_fresh_read_only() {
+    let (store, sink) = setup();
+    let server = Server::bind(
+        Arc::new(AccountService::new(store.clone())),
+        "127.0.0.1:0",
+        &ServerConfig {
+            threads: 1,
+            metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let metrics_addr = server.metrics_local_addr().expect("metrics listener bound");
+    let protect_cost = || {
+        let (_, body) = scrape(metrics_addr, "/metrics");
+        (
+            sample(&body, "spgraph_account_protects_total"),
+            sample(&body, "spgraph_account_protect_seconds_total"),
+        )
+    };
+
+    let mut client = Client::connect(server.local_addr(), "reader", &[]).unwrap();
+    let request = QueryRequest::new(sink, Direction::Backward, u32::MAX, Strategy::Surrogate);
+    client.query(&request).unwrap();
+    let cold = protect_cost();
+    assert_eq!(cold.0, 1.0, "the first read generates the account");
+    assert!(cold.1 > 0.0);
+
+    // A cached read never reaches the strategy.
+    client.query(&request).unwrap();
+    assert_eq!(protect_cost(), cold);
+
+    // A write makes the next read fresh: one more generation.
+    let public = store.predicate("Public").unwrap();
+    store.append_node("c", NodeKind::Data, Features::new(), public);
+    client.query(&request).unwrap();
+    let fresh = protect_cost();
+    assert_eq!(fresh.0, 2.0);
+    assert!(fresh.1 > cold.1);
+
+    server.shutdown();
+}
+
+#[test]
 fn metrics_listener_is_optional_and_shut_down_cleanly() {
     let (store, _) = setup();
     let server = Server::bind(

@@ -1,7 +1,7 @@
 //! Documentation conformance: the prose under `docs/` cannot drift from
 //! the implementation silently.
 //!
-//! Three checks:
+//! Four checks:
 //!
 //! 1. `docs/WIRE.md` names every request variant, response variant, and
 //!    error kind the wire module actually ships (the normative lists
@@ -14,6 +14,8 @@
 //!    `spgraph_*` metric family, a `SCREAMING_CASE` constant, a `repro*`
 //!    binary, a `*.json` record, a reactor backend. Naming a feature the
 //!    code does not have fails the build.
+//! 4. Every `*.md` page a source comment cites exists, so a rustdoc
+//!    "see DESIGN.md §3.1" always has somewhere to send the reader.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -320,5 +322,44 @@ fn doc_claims_resolve() {
     assert!(
         unresolved.is_empty(),
         "README.md / docs/ name things the repository does not have: {unresolved:#?}"
+    );
+}
+
+#[test]
+fn pages_cited_in_comments_exist() {
+    let root = repo_root();
+    let mut dirs = vec![root.join("src"), root.join("examples")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let krate = entry.expect("readable entry").path();
+        dirs.extend([krate.join("src"), krate.join("benches")]);
+    }
+    let mut files = Vec::new();
+    for dir in &dirs {
+        files_under(dir, &mut files);
+    }
+
+    let mut missing = BTreeSet::new();
+    for file in files
+        .iter()
+        .filter(|f| f.extension().is_some_and(|e| e == "rs"))
+    {
+        let text = read(file);
+        for comment in text.lines().filter_map(|line| line.split_once("//")) {
+            let path_char = |c: char| word(c) || "./-".contains(c);
+            for page in runs(comment.1, path_char).filter(|t| t.ends_with(".md")) {
+                // A bare name is a page at the root or under docs/.
+                let found = [root.join(page), root.join("docs").join(page)]
+                    .iter()
+                    .any(|candidate| candidate.is_file());
+                if !found {
+                    let file = file.strip_prefix(&root).unwrap_or(file);
+                    missing.insert(format!("{}: {page}", file.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "source comments cite pages that do not exist: {missing:#?}"
     );
 }
