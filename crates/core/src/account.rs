@@ -66,12 +66,11 @@ impl Correspondence {
 
 /// The protection strategy used to produce an account.
 ///
-/// This is the thin, serializable *selector* for the three built-in
-/// strategies — the right type for CLI flags, wire formats, and cache
-/// keys. The open extension point is the
-/// [`ProtectionStrategy`](crate::strategy::ProtectionStrategy) trait,
-/// which this enum implements by dispatching to the built-ins; new
-/// redaction policies implement the trait instead of growing this enum.
+/// The set is closed: the paper defines exactly these three (§5–§6),
+/// and [`ProtectionContext::protect_set`] is the one place that
+/// dispatches on them. The enum is also the CLI flag, the wire tag and
+/// the cache-key component, so adding a strategy means an enum arm
+/// here, a tag in the wire codec, and a protocol-version bump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Strategy {
@@ -92,7 +91,7 @@ impl Strategy {
         Strategy::HideNodes,
     ];
 
-    /// The stable name used for CLI flags, registries, and cache keys.
+    /// The stable name used for CLI flags and display.
     pub fn name(self) -> &'static str {
         match self {
             Strategy::Surrogate => "surrogate",
@@ -1495,6 +1494,14 @@ mod tests {
             ctx.protect(public, Strategy::HideNodes).unwrap().strategy(),
             Strategy::HideNodes
         );
+    }
+
+    #[test]
+    fn names_are_distinct_and_parseable() {
+        for &s in Strategy::ALL {
+            assert_eq!(Strategy::parse(s.name()), Some(s));
+        }
+        assert_eq!(Strategy::parse("bogus"), None);
     }
 
     /// Flat lattice with incomparable A and B; one node at each level plus

@@ -69,7 +69,6 @@
 //! | §3.1 high-water sets (Def. 6) | [`hw`] |
 //! | §3.2 edge markings (Def. 7) | [`marking`] |
 //! | §5 + Appendix B generation (Defs. 8–9) | [`account`] |
-//! | §6 protection strategies as a plug-in point | [`strategy`] |
 //! | §4 utility & opacity measures | [`measures`] |
 //! | §1 path-traversal queries | [`query`] |
 //! | Lemmas 1–2 / Theorem 1 as checks | [`validate`] |
@@ -90,7 +89,6 @@ pub mod measures;
 pub mod privilege;
 pub mod query;
 pub mod shard;
-pub mod strategy;
 pub mod surrogate;
 pub mod util;
 pub mod validate;
@@ -119,6 +117,5 @@ pub mod prelude {
         ancestors, descendants, reaches, shortest_path, traverse, Direction, Traversal,
     };
     pub use crate::shard::{Partition, ShardMap};
-    pub use crate::strategy::ProtectionStrategy;
     pub use crate::surrogate::{SurrogateCatalog, SurrogateDef};
 }

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 use crate::record::RecordId;
 
-/// Errors raised by the store, codec, service, and sessions.
+/// Errors raised by the store, codec, and service.
 ///
 /// `#[non_exhaustive]`: the service layer will keep growing variants
 /// (stale-epoch rejection, per-consumer quotas, …) without a breaking
@@ -40,7 +40,8 @@ pub enum StoreError {
         /// The directory that was searched.
         dir: PathBuf,
     },
-    /// A session was asked for a predicate its consumer does not satisfy.
+    /// An account was requested for a predicate the consumer does not
+    /// satisfy.
     NotAuthorized {
         /// The consumer's name.
         consumer: String,
@@ -49,9 +50,6 @@ pub enum StoreError {
     },
     /// A protection setup cannot be represented as store policy.
     UnsupportedPolicy(&'static str),
-    /// A service request named a protection strategy that is not
-    /// registered.
-    UnknownStrategy(String),
     /// A predicate id outside the store's lattice was passed to an
     /// append or policy call.
     UnknownPredicate(u16),
@@ -127,9 +125,6 @@ impl fmt::Display for StoreError {
             ),
             StoreError::UnsupportedPolicy(reason) => {
                 write!(f, "unsupported policy: {reason}")
-            }
-            StoreError::UnknownStrategy(name) => {
-                write!(f, "no protection strategy registered under {name:?}")
             }
             StoreError::UnknownPredicate(id) => {
                 write!(f, "predicate #{id} does not exist in the store's lattice")

@@ -12,14 +12,14 @@
 //!   graph materialization;
 //! * [`wal`] — the segmented write-ahead log: durable appends, crash
 //!   recovery, checkpointing;
-//! * [`lineage`] — upstream/downstream provenance queries;
+//! * [`ingest`] — imports an in-memory graph and its protection setup
+//!   as store records and policy statements;
 //! * [`service`] — **the serving layer**: the concurrent, epoch-versioned
-//!   [`AccountService`] with a sharded account cache, single-flight
-//!   generation, a sealed-frame cache, pluggable protection strategies,
-//!   and the typed batch query API;
+//!   [`AccountService`], whose [`Snapshot`]s own the protected accounts
+//!   (single-flight per key) and sealed response frames derived from
+//!   them, and the typed batch query API;
 //! * [`snapshot`] — the per-epoch CSR index ([`SnapshotIndex`]) the
 //!   protection hot path runs against;
-//! * [`session`] — thin per-consumer views over a shared service;
 //! * [`shard`] — scatter-gather support for partitioned deployments:
 //!   [`ShardMerge`] folds per-shard record feeds into one
 //!   order-canonical graph, and [`MergedSource`] serves it through
@@ -30,9 +30,8 @@
 //!
 //! The Fig. 10 performance pipeline maps to: `Store::load` (DB access) →
 //! [`AccountService::snapshot`] (build graph, epoch-cached) →
-//! [`AccountService::get_account`] (protect, cached per
-//! `(epoch, predicate, strategy)`) → [`AccountService::query_batch`]
-//! (query).
+//! [`AccountService::get_account`] (protect, cached in the snapshot per
+//! `(predicate, strategy)`) → [`AccountService::query_batch`] (query).
 //!
 //! # Durability
 //!
@@ -57,10 +56,8 @@
 pub mod codec;
 pub mod error;
 pub mod ingest;
-pub mod lineage;
 pub mod record;
 pub mod service;
-pub mod session;
 pub mod shard;
 pub mod snapshot;
 pub mod store;
@@ -71,7 +68,6 @@ pub use error::{CodecError, Result, StoreError};
 pub use ingest::{ingest, IngestKinds};
 pub use record::{EdgeKind, EdgeRecord, NodeKind, NodeRecord, PolicyStatement, RecordId};
 pub use service::{AccountService, ProtectedLineageRow, QueryRequest, QueryResponse, Snapshot};
-pub use session::Session;
 pub use shard::{MergedSource, ShardMerge};
 pub use snapshot::SnapshotIndex;
 // Re-exported so service call sites can name directions and strategies
@@ -79,7 +75,6 @@ pub use snapshot::SnapshotIndex;
 pub use store::{CheckpointStats, Materialized, Store};
 pub use surrogate_core::account::Strategy;
 pub use surrogate_core::query::Direction;
-pub use surrogate_core::strategy::ProtectionStrategy;
 pub use wal::{DurabilityOptions, RecoveryReport, SegmentDigest, TailChunk, TailCursor};
 pub use wire::{
     ReplicaRole, ReplicaStatus, ServerHello, ShardStatusInfo, WalChunk, WireError, WireErrorKind,

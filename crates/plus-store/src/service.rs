@@ -3,7 +3,7 @@
 //!
 //! The paper's deployment sketch (§6.4) computes a protected account once
 //! per consumer predicate and then serves many path queries from it. At
-//! serving scale that workflow needs three things the bare store does not
+//! serving scale that workflow needs two things the bare store does not
 //! give you:
 //!
 //! 1. **A shared, versioned materialization.** [`AccountService::snapshot`]
@@ -11,16 +11,14 @@
 //!    **epoch** it corresponds to. The epoch is the store's logical clock:
 //!    it bumps on every `append_*` / `apply_policy` mutation, so readers
 //!    can pin a consistent view while writers keep appending.
-//! 2. **A concurrent account cache.** [`AccountService::get_account`] and
-//!    friends serve `Arc<ProtectedAccount>`s from a sharded,
-//!    `parking_lot`-guarded cache keyed by `(epoch, high-water set,
-//!    strategy name)`. A policy mutation bumps the epoch, which makes
-//!    every cached account stale; stale entries are evicted as fresh
-//!    epochs are populated.
-//! 3. **Pluggable strategies.** Anything implementing
-//!    [`ProtectionStrategy`] can be [registered](AccountService::register_strategy)
-//!    and requested by name — new redaction policies never touch
-//!    `surrogate-core`.
+//! 2. **Derived state owned by that snapshot.** Everything computed from
+//!    a snapshot is cached *inside* it: the protected accounts
+//!    [`AccountService::get_account`] and friends serve, keyed by
+//!    `(high-water set, strategy)`, and the sealed response frames
+//!    below. No key carries an epoch — a mutation makes the service
+//!    build a new snapshot, and the old one's caches are freed with its
+//!    last pin. A reader holding an old snapshot keeps hitting that
+//!    snapshot's own caches.
 //!
 //! Lineage queries go through the typed batch API: a [`QueryRequest`]
 //! names a root, a direction, a depth bound, and a strategy;
@@ -30,19 +28,18 @@
 //!
 //! Two more layers keep the hot path flat under load:
 //!
-//! * **Single-flight generation.** Concurrent cache misses of one
-//!   account key coalesce onto a single generating leader; followers
-//!   block until it publishes instead of redundantly generating the same
-//!   account N times (the cold-cache thundering herd).
+//! * **Single-flight generation.** Each account key of a snapshot has
+//!   one lock-guarded slot; the first miss generates while holding it,
+//!   and concurrent misses of that key block on the slot and take the
+//!   result instead of redundantly generating the same account N times
+//!   (the cold-cache thundering herd).
 //! * **A sealed-frame cache.** [`AccountService::query_sealed`] answers
 //!   with the *wire bytes* of the response — encoded, framed,
-//!   checksummed — memoized by `(epoch, consumer credential frontier,
-//!   request bytes)`. A repeat query is a hash lookup plus a socket
-//!   write; nothing is re-traversed or re-encoded. Frames are
-//!   invalidated exactly like accounts: epoch bumps sweep stale epochs,
-//!   [re-registration](AccountService::register_strategy) clears the
-//!   cache outright. [`AccountService::query_batch_sealed`] seals the
-//!   same way but is never cached.
+//!   checksummed — memoized in the snapshot by `(consumer credential
+//!   frontier, request bytes)`. A repeat query is a hash lookup plus a
+//!   socket write; nothing is re-traversed or re-encoded.
+//!   [`AccountService::query_batch_sealed`] seals the same way but is
+//!   never cached.
 //!
 //! ```
 //! use plus_store::{AccountService, Direction, QueryRequest, Store};
@@ -77,7 +74,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -87,7 +84,6 @@ use surrogate_core::credential::Consumer;
 use surrogate_core::graph::NodeId;
 use surrogate_core::privilege::PrivilegeId;
 use surrogate_core::query::{traverse, Direction};
-use surrogate_core::strategy::ProtectionStrategy;
 
 use crate::error::{CodecError, Result, StoreError};
 use crate::record::RecordId;
@@ -95,12 +91,8 @@ use crate::snapshot::SnapshotIndex;
 use crate::store::{Materialized, Store};
 use crate::wal::DurabilityOptions;
 
-/// Number of cache shards; requests for different `(epoch, preds,
-/// strategy)` keys mostly hit different locks.
-const SHARDS: usize = 16;
-
-/// Number of sealed-frame cache shards (same spreading idea as
-/// [`SHARDS`], keyed by whole frames instead of accounts).
+/// Number of sealed-frame cache shards per snapshot; requests for
+/// different frames mostly hit different locks.
 const FRAME_SHARDS: usize = 16;
 
 /// Per-shard sealed-frame cap. A shard at capacity is cleared rather
@@ -109,25 +101,32 @@ const FRAME_SHARDS: usize = 16;
 const FRAME_SHARD_CAP: usize = 4096;
 
 /// An epoch-stamped materialization: the consistent view of the store all
-/// accounts and query answers of that epoch are derived from.
+/// accounts and query answers of that epoch are derived from — and the
+/// owner of those accounts and sealed answers. Its caches are reachable
+/// only through it, so they can never answer for another epoch and are
+/// freed when the last `Arc` pinning it is dropped.
 ///
 /// Dereferences to [`Materialized`], so `snapshot.graph`,
 /// `snapshot.lattice`, and `snapshot.context()` work directly.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
     shard_epochs: Vec<u64>,
     /// The source's reset generation (see
     /// [`ShardMerge::generation`](crate::ShardMerge::generation)) this
-    /// materialization was taken at; always 0 for a live source.
-    /// `(source_gen, epoch)` — not `epoch` alone — identifies
-    /// a sharded view, because a gather-side slot reset is the one
-    /// event that can rewind a shard clock; every derived cache entry
-    /// carries the pair so repaired history can never alias cached
-    /// pre-repair answers.
+    /// materialization was taken at; always 0 for a live source. A
+    /// gather-side slot reset is the one event that can rewind a shard
+    /// clock, so [`AccountService::snapshot`] compares `(source_gen,
+    /// epoch)` — not `epoch` alone — to decide whether to adopt a
+    /// rebuild. Nothing else reads it.
     source_gen: u64,
     materialized: Materialized,
     index: SnapshotIndex,
+    /// One single-flight slot per requested account. Live keys are
+    /// consumer classes × strategies — a handful — so one map, not shards.
+    accounts: Mutex<HashMap<CacheKey, Arc<AccountSlot>>>,
+    /// Pre-sealed response frames; see [`FrameKey`].
+    frames: Vec<Mutex<HashMap<FrameKey, Bytes>>>,
 }
 
 impl Snapshot {
@@ -146,6 +145,10 @@ impl Snapshot {
             source_gen,
             materialized,
             index,
+            accounts: Mutex::new(HashMap::new()),
+            frames: (0..FRAME_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
         }
     }
 
@@ -174,6 +177,12 @@ impl Snapshot {
     pub fn index(&self) -> &SnapshotIndex {
         &self.index
     }
+
+    fn frame_shard(&self, key: &FrameKey) -> &Mutex<HashMap<FrameKey, Bytes>> {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        &self.frames[(hasher.finish() as usize) % FRAME_SHARDS]
+    }
 }
 
 impl Deref for Snapshot {
@@ -188,10 +197,7 @@ impl Deref for Snapshot {
 /// `direction` up to `max_depth` hops, through the account produced by
 /// `strategy`.
 ///
-/// `strategy` is the serializable [`Strategy`] selector — this is a wire
-/// type. To query through a custom registered strategy, resolve the
-/// account with [`AccountService::get_account_named`] and traverse it
-/// directly.
+/// This is a wire type: `strategy` travels as the [`Strategy`] tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryRequest {
     /// The record to traverse from.
@@ -257,91 +263,49 @@ pub struct ProtectedLineageRow {
     pub surrogate: bool,
 }
 
+/// Key of one protected account within its [`Snapshot`]: the sorted
+/// maximal antichain of the requested high-water set, and the strategy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
-    epoch: u64,
-    /// The snapshot's source reset generation (see
-    /// [`Snapshot::source_gen`]); 0 except on a sharded service that
-    /// has repaired a slot.
-    source_gen: u64,
     preds: Vec<PrivilegeId>,
-    strategy: String,
+    strategy: Strategy,
 }
 
-/// A cached account, stamped with the registry **generation** of the
-/// strategy that produced it. A hit is only served while its generation
-/// is still the name's current one, so a completed
-/// [`register_strategy`](AccountService::register_strategy) can never be
-/// shadowed by a racing generator inserting an account built from the
-/// replaced registration (generation 0 = the name is unregistered and
-/// the caller's own strategy object generated directly).
-#[derive(Debug, Clone)]
-struct CachedAccount {
-    generation: u64,
-    account: Arc<ProtectedAccount>,
-}
+/// The single-flight slot of one [`CacheKey`]: empty until the first
+/// miss has generated the account, then the account for as long as the
+/// snapshot lives.
+type AccountSlot = StdMutex<Option<Arc<ProtectedAccount>>>;
 
-/// A registered strategy with the generation stamp of its registration.
-type Registration = (u64, Arc<dyn ProtectionStrategy>);
-
-/// One in-flight account generation, coalescing concurrent misses of a
-/// key onto a single generating **leader**. Followers block on the
-/// condvar until the leader publishes; a cold cache (or an epoch bump)
-/// under N concurrent requests then costs one generation, not N — the
-/// most expensive step in the system is never duplicated.
+/// Serves the slot's account, generating it first if the slot is empty.
 ///
-/// Built on `std::sync` primitives: the vendored `parking_lot` shim has
-/// no `Condvar`. Poisoning is ignored ([`PoisonError::into_inner`]) —
-/// the state machine below stays consistent across an unwinding leader
-/// because [`FlightGuard`] always publishes an outcome.
-struct Flight {
-    state: StdMutex<FlightState>,
-    cv: Condvar,
-}
-
-enum FlightState {
-    /// The leader is still generating.
-    Pending,
-    /// The leader finished with an account of this registration
-    /// generation; followers whose view of the registry is no newer take
-    /// it directly, the rest retry (a flight begun before a
-    /// re-registration must not answer a request that began after it).
-    Done(u64, Arc<ProtectedAccount>),
-    /// The leader failed; followers loop back and retry (one of them
-    /// becomes the next leader), so one bad generation does not fan its
-    /// error out to every coalesced caller.
-    Failed,
-}
-
-/// Publishes `Failed` if a generation leader unwinds before publishing,
-/// so followers blocked on the flight can never wait forever.
-struct FlightGuard<'a> {
-    service: &'a AccountService,
-    key: &'a CacheKey,
-    flight: &'a Flight,
-    published: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            self.service
-                .finish_flight(self.key, self.flight, FlightState::Failed);
-        }
+/// `generate` runs **while holding the slot**, so concurrent misses of
+/// one key block here and take the first caller's result — a cold key
+/// under N concurrent requests costs one generation, not N. A generator
+/// that fails or unwinds leaves the slot empty: its error reaches only
+/// its own caller, and the next one generates. Poison is ignored for
+/// that reason — the slot is only ever written whole, after `generate`
+/// has returned.
+fn fill_slot(
+    slot: &AccountSlot,
+    generate: impl FnOnce() -> Result<ProtectedAccount>,
+) -> Result<Arc<ProtectedAccount>> {
+    let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(account) = slot.as_ref() {
+        return Ok(account.clone());
     }
+    let account = Arc::new(generate()?);
+    *slot = Some(account.clone());
+    Ok(account)
 }
 
-/// Cache key of one pre-sealed response frame: the epoch it answers at,
-/// the consumer's sorted credential frontier, and the canonical wire
-/// bytes of the query. The frontier fully determines both
-/// authorization and account content, so consumer *names* are
-/// deliberately absent — consumers holding the same credentials see
-/// byte-identical answers and share cache entries.
+/// Key of one pre-sealed response frame within its [`Snapshot`]: the
+/// consumer's sorted credential frontier and the canonical wire bytes
+/// of the query. The frontier fully determines both authorization and
+/// account content, so consumer *names* are deliberately absent —
+/// consumers holding the same credentials see byte-identical answers
+/// and share cache entries.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FrameKey {
-    epoch: u64,
-    /// See [`CacheKey::source_gen`].
-    source_gen: u64,
     frontier: Vec<PrivilegeId>,
     request: Vec<u8>,
 }
@@ -362,14 +326,6 @@ enum Source {
 pub struct AccountService {
     source: Source,
     current: RwLock<Option<Arc<Snapshot>>>,
-    shards: Vec<Mutex<HashMap<CacheKey, CachedAccount>>>,
-    strategies: RwLock<HashMap<String, Registration>>,
-    /// Monotone counter stamping each registration; see [`CachedAccount`].
-    generation: AtomicU64,
-    /// In-flight account generations, for single-flight coalescing.
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
-    /// Pre-sealed response frames; see [`FrameKey`].
-    frame_shards: Vec<Mutex<HashMap<FrameKey, Bytes>>>,
     frame_hits: AtomicU64,
     frame_misses: AtomicU64,
     /// Strategy invocations on the account-miss path, and their total
@@ -384,7 +340,6 @@ impl std::fmt::Debug for AccountService {
             .field("epoch", &self.epoch())
             .field("cached_accounts", &self.cached_accounts())
             .field("cached_frames", &self.cached_frames())
-            .field("strategies", &self.strategy_names())
             .finish()
     }
 }
@@ -405,22 +360,9 @@ impl AccountService {
     }
 
     fn with_source(source: Source) -> Self {
-        let mut strategies: HashMap<String, Registration> = HashMap::new();
-        let mut generation = 0;
-        for &builtin in Strategy::ALL {
-            generation += 1;
-            strategies.insert(builtin.name().to_string(), (generation, Arc::new(builtin)));
-        }
         Self {
             source,
             current: RwLock::new(None),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            strategies: RwLock::new(strategies),
-            generation: AtomicU64::new(generation),
-            inflight: Mutex::new(HashMap::new()),
-            frame_shards: (0..FRAME_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
             frame_hits: AtomicU64::new(0),
             frame_misses: AtomicU64::new(0),
             protects: AtomicU64::new(0),
@@ -510,95 +452,34 @@ impl AccountService {
                 Snapshot::stamped(generation, epoch, clocks, materialized)
             }
         });
-        let epoch = snapshot.epoch;
-        if cached
-            .as_ref()
-            .is_some_and(|old| old.source_gen != snapshot.source_gen)
-        {
-            // A slot reset intervened: the new materialization may sit
-            // at a *lower* epoch than the cached one while the repaired
-            // slot re-bootstraps. Entries of older generations can never
-            // hit again (the generation is part of every key), so drop
-            // them wholesale and adopt the post-reset snapshot.
-            let generation = snapshot.source_gen;
+        // Adopt the rebuild unless it would move a generation's epoch
+        // backward (it cannot: materialization reads the version and the
+        // log under one lock, and versions only grow). Across a slot
+        // reset the new materialization may sit at a *lower* epoch while
+        // the repaired slot re-bootstraps, and is adopted regardless.
+        let adopt = cached.as_ref().map_or(true, |old| {
+            old.source_gen != snapshot.source_gen || old.epoch < snapshot.epoch
+        });
+        if adopt {
+            // Swapping `current` is the whole invalidation: the retired
+            // snapshot's accounts and frames go with its last pin. When
+            // that pin is this one it is freed here, still under the
+            // write lock: freeing a materialization while the other
+            // readers, let in, allocate their next account contends on
+            // the allocator (`churn` read 40 % slower fresh reads with
+            // the drop moved past the unlock).
             *cached = Some(snapshot.clone());
-            for shard in &self.shards {
-                shard.lock().retain(|k, _| k.source_gen >= generation);
-            }
-            for shard in &self.frame_shards {
-                shard.lock().retain(|k, _| k.source_gen >= generation);
-            }
-        } else if !cached
-            .as_ref()
-            .is_some_and(|old| old.epoch >= snapshot.epoch)
-        {
-            // Within one generation the epoch never goes backward:
-            // materialization reads the version and the log under one
-            // lock, and versions only grow.
-            *cached = Some(snapshot.clone());
-            // Accounts and sealed frames older than the new epoch can
-            // never be current again; drop them so the caches track live
-            // entries only.
-            for shard in &self.shards {
-                shard.lock().retain(|k, _| k.epoch >= epoch);
-            }
-            for shard in &self.frame_shards {
-                shard.lock().retain(|k, _| k.epoch >= epoch);
-            }
         }
         snapshot
     }
 
-    /// Registers a protection strategy under its [`name`]
-    /// (`ProtectionStrategy::name`), replacing any previous registration
-    /// of that name. The three built-ins are pre-registered.
-    ///
-    /// Accounts cached under the replaced name are purged, and every
-    /// registration carries a fresh generation stamp that cached accounts
-    /// are checked against on every hit — so once `register_strategy`
-    /// returns, no request that starts afterwards can be served an
-    /// account generated by a previous registration, even if a racing
-    /// request caches one after the purge. (A request already in flight
-    /// during the swap may still receive the old strategy's account —
-    /// that request is concurrent with the registration.)
-    ///
-    /// [`name`]: ProtectionStrategy::name
-    pub fn register_strategy(&self, strategy: Arc<dyn ProtectionStrategy>) {
-        let name = strategy.name().to_string();
-        let mut registry = self.strategies.write();
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        for shard in &self.shards {
-            shard.lock().retain(|k, _| k.strategy != name);
-        }
-        // Sealed frames carry no strategy generation (they are keyed by
-        // the request bytes, which name strategies only by selector), so
-        // a re-registration drops them all rather than guessing which
-        // frames the replaced implementation produced.
-        for shard in &self.frame_shards {
-            shard.lock().clear();
-        }
-        registry.insert(name, (generation, strategy));
-    }
-
-    /// The registered strategy of that name.
-    pub fn strategy(&self, name: &str) -> Result<Arc<dyn ProtectionStrategy>> {
-        self.strategies
-            .read()
-            .get(name)
-            .map(|(_, strategy)| strategy.clone())
-            .ok_or_else(|| StoreError::UnknownStrategy(name.to_string()))
-    }
-
-    /// Names of all registered strategies, sorted.
-    pub fn strategy_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.strategies.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Total accounts currently cached (all epochs).
+    /// Accounts cached (or being generated) for the snapshot the service
+    /// currently serves.
     pub fn cached_accounts(&self) -> usize {
-        self.shards.iter().map(|shard| shard.lock().len()).sum()
+        self.current
+            .read()
+            .as_ref()
+            .map_or(0, |snapshot| snapshot.accounts.lock().len())
     }
 
     /// The cached account for the high-water set `preds` at the current
@@ -612,28 +493,20 @@ impl AccountService {
     pub fn protect(
         &self,
         preds: &[PrivilegeId],
-        strategy: &dyn ProtectionStrategy,
+        strategy: &Strategy,
     ) -> Result<Arc<ProtectedAccount>> {
         self.protect_at(&self.snapshot(), preds, strategy)
     }
 
     /// [`protect`](Self::protect) against a pinned snapshot: the returned
-    /// account is generated from (or cached for) exactly that snapshot's
-    /// epoch, so a reader holding a snapshot gets answers consistent with
-    /// it even while writers advance the store.
-    ///
-    /// The strategy *name* owns the cache slot and the behavior: when a
-    /// strategy is [registered](Self::register_strategy) under
-    /// `strategy.name()`, the registered implementation generates the
-    /// account — so `&Strategy::Surrogate` and a registered replacement
-    /// of `"surrogate"` can never poison each other's cache entries. The
-    /// passed strategy only generates directly when its name is
-    /// unregistered.
+    /// account is generated from — and cached in — exactly that snapshot,
+    /// so a reader holding a snapshot gets answers consistent with it
+    /// even while writers advance the store.
     pub fn protect_at(
         &self,
         snapshot: &Snapshot,
         preds: &[PrivilegeId],
-        strategy: &dyn ProtectionStrategy,
+        strategy: &Strategy,
     ) -> Result<Arc<ProtectedAccount>> {
         assert!(!preds.is_empty(), "high-water set must be non-empty");
         let mut preds = snapshot.lattice.maximal_antichain(preds);
@@ -641,149 +514,27 @@ impl AccountService {
         // account.
         preds.sort_unstable_by_key(|p| p.0);
         let key = CacheKey {
-            epoch: snapshot.epoch,
-            source_gen: snapshot.source_gen,
             preds,
-            strategy: strategy.name().to_string(),
+            strategy: *strategy,
         };
-        loop {
-            // One consistent view of the name's registration: its
-            // generation stamp and implementation (generation 0 =
-            // unregistered, the passed strategy object generates
-            // directly).
-            let (generation, registered) = match self.strategies.read().get(&key.strategy) {
-                Some((generation, registered)) => (*generation, Some(registered.clone())),
-                None => (0, None),
-            };
-            let shard = &self.shards[Self::shard_index(&key)];
-            if let Some(hit) = shard.lock().get(&key) {
-                // Serve only accounts of the name's *current*
-                // registration: a racing generator may have cached an
-                // account built from a replaced registration after
-                // register_strategy purged.
-                if hit.generation == generation {
-                    return Ok(hit.account.clone());
-                }
+        let slot = {
+            let mut accounts = snapshot.accounts.lock();
+            match accounts.get(&key) {
+                Some(slot) => slot.clone(),
+                None => accounts.entry(key.clone()).or_default().clone(),
             }
-            // Single-flight: the first miss of a key becomes the leader
-            // and generates; concurrent misses find the flight and wait.
-            let (flight, leader) = {
-                let mut inflight = self.inflight.lock();
-                match inflight.entry(key.clone()) {
-                    std::collections::hash_map::Entry::Occupied(slot) => {
-                        (slot.get().clone(), false)
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        let flight = Arc::new(Flight {
-                            state: StdMutex::new(FlightState::Pending),
-                            cv: Condvar::new(),
-                        });
-                        (slot.insert(flight).clone(), true)
-                    }
-                }
-            };
-            if !leader {
-                let mut state = flight.state.lock().unwrap_or_else(PoisonError::into_inner);
-                while matches!(*state, FlightState::Pending) {
-                    state = flight
-                        .cv
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                if let FlightState::Done(served, account) = &*state {
-                    if *served >= generation {
-                        return Ok(account.clone());
-                    }
-                }
-                // The leader failed or served a replaced registration;
-                // retry from the top (possibly as the new leader) instead
-                // of fanning its outcome out.
-                continue;
-            }
-            // Leader: generate outside the shard lock — generation is the
-            // expensive step and must not serialize unrelated cache
-            // traffic. The guard publishes Failed if we unwind.
-            let mut flight_guard = FlightGuard {
-                service: self,
-                key: &key,
-                flight: &flight,
-                published: false,
-            };
+        };
+        // The map lock is released: generation is the expensive step and
+        // serializes only requests for this one key.
+        fill_slot(&slot, || {
             let ctx = snapshot.context().with_csr(snapshot.index.csr());
             let started = Instant::now();
-            let generated = match &registered {
-                Some(current) => current.protect(&ctx, &key.preds),
-                None => strategy.protect(&ctx, &key.preds),
-            };
+            let generated = ctx.protect_set(&key.preds, key.strategy);
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.protects.fetch_add(1, Ordering::Relaxed);
             self.protect_nanos.fetch_add(nanos, Ordering::Relaxed);
-            let result = match generated {
-                Ok(account) => {
-                    let account = Arc::new(account);
-                    let mut guard = shard.lock();
-                    // Entries for this account older than this epoch can
-                    // never be current again (the snapshot rebuild also
-                    // sweeps all shards).
-                    guard.retain(|k, _| {
-                        k.epoch >= key.epoch || k.preds != key.preds || k.strategy != key.strategy
-                    });
-                    // A racing generator may have inserted first; serve
-                    // whichever entry carries the newest registration
-                    // generation.
-                    match guard.entry(key.clone()) {
-                        std::collections::hash_map::Entry::Occupied(mut slot) => {
-                            if slot.get().generation >= generation {
-                                Ok((slot.get().generation, slot.get().account.clone()))
-                            } else {
-                                slot.insert(CachedAccount {
-                                    generation,
-                                    account: account.clone(),
-                                });
-                                Ok((generation, account))
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(CachedAccount {
-                                generation,
-                                account: account.clone(),
-                            });
-                            Ok((generation, account))
-                        }
-                    }
-                }
-                Err(e) => Err(StoreError::from(e)),
-            };
-            flight_guard.published = true;
-            self.finish_flight(
-                &key,
-                &flight,
-                match &result {
-                    Ok((served, account)) => FlightState::Done(*served, account.clone()),
-                    Err(_) => FlightState::Failed,
-                },
-            );
-            return result.map(|(_, account)| account);
-        }
-    }
-
-    /// Retires an in-flight generation: removes it from the coalescing
-    /// map and wakes every waiting follower with the outcome.
-    fn finish_flight(&self, key: &CacheKey, flight: &Flight, outcome: FlightState) {
-        self.inflight.lock().remove(key);
-        let mut state = flight.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state = outcome;
-        flight.cv.notify_all();
-    }
-
-    /// Shard by `(preds, strategy)` — *not* the epoch — so successive
-    /// epochs of the same logical account land in the same shard and the
-    /// insert-time eviction above can see its stale predecessors.
-    fn shard_index(key: &CacheKey) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.preds.hash(&mut hasher);
-        key.strategy.hash(&mut hasher);
-        (hasher.finish() as usize) % SHARDS
+            generated.map_err(StoreError::from)
+        })
     }
 
     /// The account for the consumer's *entire* credential frontier — the
@@ -792,7 +543,7 @@ impl AccountService {
     pub fn get_account(
         &self,
         consumer: &Consumer,
-        strategy: &dyn ProtectionStrategy,
+        strategy: &Strategy,
     ) -> Result<Arc<ProtectedAccount>> {
         let snapshot = self.snapshot();
         self.frontier_account_at(&snapshot, consumer, strategy)
@@ -805,28 +556,17 @@ impl AccountService {
         &self,
         consumer: &Consumer,
         predicate: PrivilegeId,
-        strategy: &dyn ProtectionStrategy,
+        strategy: &Strategy,
     ) -> Result<Arc<ProtectedAccount>> {
         self.authorize(consumer, predicate)?;
         self.protect_at(&self.snapshot(), &[predicate], strategy)
-    }
-
-    /// [`get_account`](Self::get_account) through a
-    /// [registered](Self::register_strategy) strategy, looked up by name.
-    pub fn get_account_named(
-        &self,
-        consumer: &Consumer,
-        strategy_name: &str,
-    ) -> Result<Arc<ProtectedAccount>> {
-        let strategy = self.strategy(strategy_name)?;
-        self.get_account(consumer, strategy.as_ref())
     }
 
     fn frontier_account_at(
         &self,
         snapshot: &Snapshot,
         consumer: &Consumer,
-        strategy: &dyn ProtectionStrategy,
+        strategy: &Strategy,
     ) -> Result<Arc<ProtectedAccount>> {
         let frontier = consumer.frontier(&snapshot.lattice);
         if frontier.is_empty() {
@@ -879,8 +619,8 @@ impl AccountService {
     }
 
     /// [`query_batch`](Self::query_batch) against a pinned snapshot, so
-    /// callers that key derived artifacts by epoch (the sealed-frame
-    /// cache) answer at exactly the epoch they keyed.
+    /// the sealed-frame cache answers from exactly the snapshot it
+    /// stores the frame in.
     fn query_batch_at(
         &self,
         snapshot: &Snapshot,
@@ -897,9 +637,6 @@ impl AccountService {
                 let account = match accounts.entry((request.predicate, request.strategy)) {
                     std::collections::hash_map::Entry::Occupied(hit) => hit.get().clone(),
                     std::collections::hash_map::Entry::Vacant(slot) => {
-                        // protect_at resolves the strategy name through
-                        // the registry, so a re-registered built-in name
-                        // serves its replacement here too.
                         let account = match request.predicate {
                             Some(predicate) => {
                                 self.authorize(consumer, predicate)?;
@@ -962,12 +699,10 @@ impl AccountService {
         frontier.sort_unstable_by_key(|p| p.0);
         let requests = std::slice::from_ref(request);
         let key = FrameKey {
-            epoch: snapshot.epoch,
-            source_gen: snapshot.source_gen,
             frontier,
             request: crate::wire::encode_query_key(requests, false)?,
         };
-        let shard = &self.frame_shards[Self::frame_shard_index(&key)];
+        let shard = snapshot.frame_shard(&key);
         if let Some(hit) = shard.lock().get(&key) {
             self.frame_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
@@ -1018,15 +753,12 @@ impl AccountService {
         )
     }
 
-    /// Sealed frames currently cached (all epochs).
+    /// Sealed frames cached for the snapshot the service currently
+    /// serves.
     pub fn cached_frames(&self) -> usize {
-        self.frame_shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    fn frame_shard_index(key: &FrameKey) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % FRAME_SHARDS
+        self.current.read().as_ref().map_or(0, |snapshot| {
+            snapshot.frames.iter().map(|s| s.lock().len()).sum()
+        })
     }
 }
 
@@ -1078,8 +810,6 @@ pub fn lineage_rows(
 mod tests {
     use super::*;
     use crate::record::{EdgeKind, NodeKind, PolicyStatement};
-    use surrogate_core::account::{generate_with_options, GenerateOptions, ProtectionContext};
-    use surrogate_core::error::Result as CoreResult;
     use surrogate_core::feature::Features;
 
     /// source(High) → mid(Public) → sink(Public), with a Public surrogate
@@ -1231,6 +961,12 @@ mod tests {
             service.query(&consumer, &request),
             Err(StoreError::NotAuthorized { .. })
         ));
+        // A consumer holding the predicate sees the original, not the
+        // surrogate the public gets.
+        let insider = Consumer::new("insider", &snapshot.lattice, &[high]);
+        let rows = service.query(&insider, &request).unwrap().rows;
+        assert_eq!(rows[1].label, "secret source");
+        assert!(!rows[1].surrogate);
     }
 
     #[test]
@@ -1247,102 +983,6 @@ mod tests {
             )
             .unwrap();
         assert!(response.rows.is_empty());
-    }
-
-    /// A custom strategy registered without touching `surrogate-core`: the
-    /// redundancy-filter ablation.
-    struct Unfiltered;
-
-    impl ProtectionStrategy for Unfiltered {
-        fn name(&self) -> &str {
-            "unfiltered"
-        }
-
-        fn protect(
-            &self,
-            ctx: &ProtectionContext<'_>,
-            preds: &[PrivilegeId],
-        ) -> CoreResult<ProtectedAccount> {
-            generate_with_options(
-                ctx,
-                preds,
-                GenerateOptions {
-                    redundancy_filter: false,
-                },
-            )
-        }
-    }
-
-    #[test]
-    fn custom_strategy_registers_and_serves() {
-        let (store, _) = setup();
-        let service = AccountService::new(store);
-        let consumer = Consumer::public(&service.snapshot().lattice);
-        assert!(matches!(
-            service.get_account_named(&consumer, "unfiltered"),
-            Err(StoreError::UnknownStrategy(_))
-        ));
-        service.register_strategy(Arc::new(Unfiltered));
-        let account = service.get_account_named(&consumer, "unfiltered").unwrap();
-        // Unfiltered keeps every permitted pair: at least as many edges as
-        // the filtered built-in, cached under its own name.
-        let filtered = service.get_account_named(&consumer, "surrogate").unwrap();
-        assert!(account.graph().edge_count() >= filtered.graph().edge_count());
-        assert!(service.strategy_names().contains(&"unfiltered".to_string()));
-    }
-
-    /// Replaces the built-in surrogate algorithm under its own name.
-    struct ReplacementSurrogate;
-
-    impl ProtectionStrategy for ReplacementSurrogate {
-        fn name(&self) -> &str {
-            "surrogate"
-        }
-
-        fn protect(
-            &self,
-            ctx: &ProtectionContext<'_>,
-            preds: &[PrivilegeId],
-        ) -> CoreResult<ProtectedAccount> {
-            // Observably different from the built-in: no redundancy filter.
-            generate_with_options(
-                ctx,
-                preds,
-                GenerateOptions {
-                    redundancy_filter: false,
-                },
-            )
-        }
-    }
-
-    #[test]
-    fn re_registering_a_name_purges_its_cached_accounts() {
-        let (store, ids) = setup();
-        let service = AccountService::new(store);
-        let consumer = Consumer::public(&service.snapshot().lattice);
-        let before = service.get_account_named(&consumer, "surrogate").unwrap();
-        service.register_strategy(Arc::new(ReplacementSurrogate));
-        // The stale built-in account must not be served under the name…
-        let after = service.get_account_named(&consumer, "surrogate").unwrap();
-        assert!(!Arc::ptr_eq(&before, &after), "cache purged on replace");
-        // …and the enum-selector query path resolves through the registry,
-        // so it serves the replacement too (same cached object).
-        let response = service
-            .query(
-                &consumer,
-                &QueryRequest::new(ids[2], Direction::Backward, u32::MAX, Strategy::Surrogate),
-            )
-            .unwrap();
-        assert_eq!(response.rows.len(), 2);
-        let via_query = service.get_account_named(&consumer, "surrogate").unwrap();
-        assert!(Arc::ptr_eq(&after, &via_query));
-        // The enum selector resolves through the registry as well: passing
-        // &Strategy::Surrogate serves the replacement, not the built-in,
-        // so the two call styles can never poison each other's cache.
-        let via_enum = service
-            .get_account(&consumer, &Strategy::Surrogate)
-            .unwrap();
-        assert!(Arc::ptr_eq(&after, &via_enum));
     }
 
     #[test]
@@ -1397,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn sealed_frames_invalidate_on_epoch_and_registration() {
+    fn sealed_frames_invalidate_on_epoch() {
         let (store, ids) = setup();
         let service = AccountService::new(store.clone());
         let public = store.predicate("Public").unwrap();
@@ -1406,22 +1046,13 @@ mod tests {
         let before = service.query_sealed(&consumer, &request).unwrap();
         assert_eq!(service.cached_frames(), 1);
 
-        // An epoch bump sweeps the stale frame and answers fresh (the
-        // epoch is part of the response payload, so the bytes differ).
+        // An epoch bump retires the snapshot holding the stale frame and
+        // answers fresh (the epoch is part of the response payload, so
+        // the bytes differ).
         store.append_node("late", NodeKind::Data, Features::new(), public);
         let after = service.query_sealed(&consumer, &request).unwrap();
         assert_ne!(before, after);
-        assert_eq!(service.cached_frames(), 1, "stale frame swept");
-
-        // Re-registering a strategy drops all cached frames.
-        service.register_strategy(Arc::new(ReplacementSurrogate));
-        assert_eq!(service.cached_frames(), 0);
-        let replaced = service.query_sealed(&consumer, &request).unwrap();
-        let fresh = service.query(&consumer, &request).unwrap();
-        let expected = crate::codec::seal_frame(
-            &crate::wire::encode_response(&crate::wire::Response::Query(fresh)).unwrap(),
-        );
-        assert_eq!(&*replaced, &expected[..], "frame reflects the replacement");
+        assert_eq!(service.cached_frames(), 1, "stale frame gone");
     }
 
     #[test]
@@ -1437,6 +1068,10 @@ mod tests {
         service.query_sealed(&bob, &request).unwrap();
         // Same credentials ⇒ same frame: bob's query was a cache hit.
         assert_eq!(service.frame_cache_stats(), (1, 1));
+        assert!(Arc::ptr_eq(
+            &service.get_account(&alice, &Strategy::Surrogate).unwrap(),
+            &service.get_account(&bob, &Strategy::Surrogate).unwrap(),
+        ));
         // A consumer with more credentials misses (different frontier).
         let high = snapshot.lattice.by_name("High").unwrap();
         let insider = Consumer::new("insider", &snapshot.lattice, &[high]);
@@ -1459,5 +1094,106 @@ mod tests {
         // …while the current snapshot sees the new node.
         let new = service.protect(&[public], &Strategy::Surrogate).unwrap();
         assert_eq!(new.graph().node_count(), 4);
+    }
+
+    #[test]
+    fn pinned_snapshot_keeps_its_own_caches() {
+        let (store, ids) = setup();
+        let service = AccountService::new(store.clone());
+        let public = store.predicate("Public").unwrap();
+        let consumer = Consumer::public(&service.snapshot().lattice);
+        let request = QueryRequest::new(ids[2], Direction::Backward, u32::MAX, Strategy::Surrogate);
+        let pinned = service.snapshot();
+        service.query_sealed(&consumer, &request).unwrap();
+        assert_eq!((service.cached_accounts(), service.cached_frames()), (1, 1));
+
+        for i in 0..3 {
+            store.append_node(
+                format!("later-{i}"),
+                NodeKind::Data,
+                Features::new(),
+                public,
+            );
+            service.snapshot();
+        }
+        // The live snapshot starts cold; the pin's caches are not counted…
+        assert_eq!((service.cached_accounts(), service.cached_frames()), (0, 0));
+        // …but still answer the pin, at its own epoch, from one entry.
+        let (protects, _) = service.protect_stats();
+        let old = service
+            .protect_at(&pinned, &[public], &Strategy::Surrogate)
+            .unwrap();
+        let again = service
+            .protect_at(&pinned, &[public], &Strategy::Surrogate)
+            .unwrap();
+        assert!(Arc::ptr_eq(&old, &again));
+        assert_eq!(old.graph().node_count(), 3);
+        assert_eq!(
+            service.protect_stats().0,
+            protects,
+            "the pin's account was a hit"
+        );
+        assert_eq!(
+            service.cached_accounts(),
+            0,
+            "a pinned lookup caches in the pin"
+        );
+        let live = service.protect(&[public], &Strategy::Surrogate).unwrap();
+        assert_eq!(live.graph().node_count(), 6);
+        assert_eq!(service.cached_accounts(), 1);
+
+        // The service retired the pinned snapshot three epochs ago, so
+        // ours is the last reference: its caches die with it.
+        let weak = Arc::downgrade(&pinned);
+        drop(pinned);
+        assert!(weak.upgrade().is_none());
+    }
+
+    /// The failing-leader contract of [`fill_slot`]: a generator that
+    /// fails or unwinds leaves the slot empty, only its own caller sees
+    /// the failure, and the next caller generates.
+    #[test]
+    fn failed_or_unwinding_leader_leaves_the_slot_empty() {
+        let (store, _) = setup();
+        let snapshot = AccountService::new(store).snapshot();
+        let generate = || {
+            let public = snapshot.lattice.public();
+            Ok(snapshot.context().protect(public, Strategy::Surrogate)?)
+        };
+        let slot = Arc::new(AccountSlot::default());
+
+        assert!(matches!(
+            fill_slot(&slot, || Err(StoreError::NotDurable)),
+            Err(StoreError::NotDurable)
+        ));
+        assert!(slot.lock().unwrap().is_none());
+
+        // A leader that unwinds while a follower may already be blocked
+        // on the slot: whichever side of the panic the follower arrives
+        // on, it finds the slot empty and generates.
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (fail_tx, fail_rx) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let slot = slot.clone();
+            std::thread::spawn(move || {
+                fill_slot(&slot, || {
+                    entered_tx.send(()).unwrap();
+                    fail_rx.recv().unwrap();
+                    panic!("generator unwinds while holding the slot");
+                })
+            })
+        };
+        entered_rx.recv().unwrap();
+        let account = std::thread::scope(|scope| {
+            let follower = scope.spawn(|| fill_slot(&slot, generate));
+            fail_tx.send(()).unwrap();
+            follower.join().unwrap().unwrap()
+        });
+        assert!(leader.join().is_err(), "the panic reached only the leader");
+        assert!(slot.is_poisoned());
+
+        // The follower's account is what the slot now serves.
+        let hit = fill_slot(&slot, || panic!("a filled slot never generates")).unwrap();
+        assert!(Arc::ptr_eq(&hit, &account));
     }
 }

@@ -1,7 +1,6 @@
 //! Concurrency contract of `AccountService`: several reader threads
-//! hammer `get_account` / `query` while a writer applies mutations (or
-//! re-registers strategies), and every answer must be consistent with
-//! the epoch — and the strategy registration — it claims.
+//! hammer `protect_at` / `query` while a writer applies mutations, and
+//! every answer must be consistent with the epoch it claims.
 //!
 //! The store construction makes "consistent" checkable: after the base
 //! fixture, **every mutation appends exactly one Public node**, so the
@@ -13,6 +12,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use graphgen::workflow::{self, WorkflowConfig};
 use plus_store::{
     AccountService, Direction, EdgeKind, NodeKind, PolicyStatement, QueryRequest, Store,
 };
@@ -154,9 +154,9 @@ fn concurrent_mutations_never_serve_stale_epochs() {
         final_account.graph().node_count() as u64,
         base_nodes + MUTATIONS as u64
     );
-    // While readers race, a pinned old snapshot may legitimately coexist
-    // in the cache with the live epoch; once a fresh epoch is built with
-    // no concurrent pins, the sweep leaves exactly the live account.
+    // `cached_accounts` counts the live snapshot only, whatever readers
+    // still pin: a fresh epoch starts cold and holds exactly the one
+    // account requested from it.
     store.append_node("final", NodeKind::Data, Features::new(), public);
     let _ = service.protect(&[public], &Strategy::Surrogate).unwrap();
     assert_eq!(
@@ -225,64 +225,51 @@ fn concurrent_policy_mutations_flip_visibility_atomically() {
     }
 }
 
-/// A strategy that counts how many times it actually ran. Single-flight
-/// generation makes the count observable: however many threads race on a
-/// cold cache key, exactly one of them may pay for the build.
-struct CountingStrategy {
-    builds: Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl surrogate_core::strategy::ProtectionStrategy for CountingStrategy {
-    fn name(&self) -> &str {
-        "counting"
-    }
-
-    fn protect(
-        &self,
-        ctx: &surrogate_core::account::ProtectionContext<'_>,
-        preds: &[surrogate_core::privilege::PrivilegeId],
-    ) -> surrogate_core::error::Result<surrogate_core::account::ProtectedAccount> {
-        self.builds.fetch_add(1, Ordering::SeqCst);
-        // Widen the race window: every thread that sneaks past the cache
-        // check before the leader publishes would add a build here.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        Strategy::Surrogate.protect(ctx, preds)
-    }
-}
-
-/// Satellite regression: a cold cache key under a thundering herd must
-/// trigger exactly one account build. Before single-flight, all sixteen
-/// threads released from the barrier found the cache empty and each ran
-/// the (deliberately slow) strategy; now followers block on the leader's
-/// flight and are served its published account.
+/// A cold cache key under a thundering herd must trigger exactly one
+/// account build: the first miss generates while holding the key's slot
+/// in the snapshot, and the other fifteen block on it and are served
+/// its account. The store is `spbench`'s G5k shape (4 860 nodes), where
+/// one surrogate `protect` takes milliseconds — a real race window.
 #[test]
 fn cold_cache_misses_build_exactly_once_per_key() {
     const HERD: usize = 16;
-    let store = base_store();
-    let service = Arc::new(AccountService::new(store));
-    let builds = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    service.register_strategy(Arc::new(CountingStrategy {
-        builds: builds.clone(),
-    }));
+    let wf = workflow::generate(WorkflowConfig {
+        stages: 40,
+        width: 60,
+        max_fan_in: 3,
+        sensitive_fraction: 0.15,
+        seed: 1,
+    });
+    let store = plus_store::ingest(
+        &wf.graph,
+        &wf.lattice,
+        &wf.markings,
+        &wf.catalog,
+        plus_store::IngestKinds::default(),
+    )
+    .unwrap();
+    let service = AccountService::new(Arc::new(store));
+    let snapshot = service.snapshot();
+    let consumer = Consumer::public(&snapshot.lattice);
+    let (protects_before, _) = service.protect_stats();
 
-    let barrier = Arc::new(std::sync::Barrier::new(HERD));
-    let threads: Vec<_> = (0..HERD)
-        .map(|_| {
-            let service = service.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                let consumer = Consumer::public(&service.snapshot().lattice);
-                barrier.wait();
-                service
-                    .get_account_named(&consumer, "counting")
-                    .expect("counting strategy is registered")
+    let barrier = std::sync::Barrier::new(HERD);
+    let accounts: Vec<_> = std::thread::scope(|scope| {
+        let herd: Vec<_> = (0..HERD)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    service
+                        .get_account(&consumer, &Strategy::Surrogate)
+                        .expect("the public account is always authorized")
+                })
             })
-        })
-        .collect();
-    let accounts: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+            .collect();
+        herd.into_iter().map(|t| t.join().unwrap()).collect()
+    });
 
     assert_eq!(
-        builds.load(Ordering::SeqCst),
+        service.protect_stats().0 - protects_before,
         1,
         "thundering herd on one cold key must collapse to a single build"
     );
@@ -290,120 +277,4 @@ fn cold_cache_misses_build_exactly_once_per_key() {
     for account in &accounts[1..] {
         assert!(Arc::ptr_eq(account, &accounts[0]));
     }
-}
-
-/// A strategy whose account shape identifies which registration built
-/// it: `wide` serves the surrogate account (3 public nodes on the base
-/// fixture), narrow the naive node-hide account (2 — the secret is
-/// dropped outright).
-struct FlipStrategy {
-    wide: bool,
-}
-
-impl surrogate_core::strategy::ProtectionStrategy for FlipStrategy {
-    fn name(&self) -> &str {
-        "flip"
-    }
-
-    fn protect(
-        &self,
-        ctx: &surrogate_core::account::ProtectionContext<'_>,
-        preds: &[surrogate_core::privilege::PrivilegeId],
-    ) -> surrogate_core::error::Result<surrogate_core::account::ProtectedAccount> {
-        if self.wide {
-            Strategy::Surrogate.protect(ctx, preds)
-        } else {
-            Strategy::HideNodes.protect(ctx, preds)
-        }
-    }
-}
-
-/// Account shape of registration `i` on the base fixture's public view.
-fn flip_nodes(i: usize) -> usize {
-    if i % 2 == 0 {
-        3
-    } else {
-        2
-    }
-}
-
-/// Readers hammer a named strategy while the writer re-registers it with
-/// alternating implementations. The contract under test: once a
-/// registration completes, *no* later-starting request may be served an
-/// account generated by a previous registration — even though a request
-/// racing the swap may cache its (old) account after the swap's purge.
-///
-/// Each reader brackets its call with two counters: `done` (stored after
-/// `register_strategy` returns) read *before* the call, and `started`
-/// (stored before `register_strategy` begins) read *after* it. When the
-/// two agree, the whole call ran inside one stable registration, so the
-/// served account must match that registration exactly.
-#[test]
-fn re_registration_is_never_shadowed_by_racing_caches() {
-    const SWAPS: usize = 200;
-    let store = base_store();
-    let service = Arc::new(AccountService::new(store));
-    service.register_strategy(Arc::new(FlipStrategy { wide: true })); // registration 0
-    let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let done = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let mut readers = Vec::new();
-    for reader in 0..READERS {
-        let service = service.clone();
-        let started = started.clone();
-        let done = done.clone();
-        let stop = stop.clone();
-        readers.push(std::thread::spawn(move || {
-            let consumer = Consumer::public(&service.snapshot().lattice);
-            let mut stable_windows = 0u64;
-            let mut last_pass = false;
-            while !last_pass {
-                // One guaranteed-stable pass after the writer quiesces.
-                last_pass = stop.load(Ordering::SeqCst);
-                let d = done.load(Ordering::SeqCst);
-                let account = service
-                    .get_account_named(&consumer, "flip")
-                    .expect("flip stays registered");
-                let s = started.load(Ordering::SeqCst);
-                let nodes = account.graph().node_count();
-                assert!(
-                    nodes == 2 || nodes == 3,
-                    "reader {reader}: impossible account shape ({nodes} nodes)"
-                );
-                if d == s {
-                    // Registration `d` completed before the call began and
-                    // no replacement started before it returned: serving
-                    // any other registration's account is a stale read.
-                    stable_windows += 1;
-                    assert_eq!(
-                        nodes,
-                        flip_nodes(d),
-                        "reader {reader}: stale strategy served in stable window {d}"
-                    );
-                }
-            }
-            stable_windows
-        }));
-    }
-
-    for i in 1..=SWAPS {
-        started.store(i, Ordering::SeqCst);
-        service.register_strategy(Arc::new(FlipStrategy { wide: i % 2 == 0 }));
-        done.store(i, Ordering::SeqCst);
-        if i % 8 == 0 {
-            std::thread::yield_now();
-        }
-    }
-    stop.store(true, Ordering::SeqCst);
-
-    let stable: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-    assert!(
-        stable >= READERS as u64,
-        "every reader saw at least its quiescent stable window"
-    );
-    // Quiesced: the name serves exactly the final registration.
-    let consumer = Consumer::public(&service.snapshot().lattice);
-    let account = service.get_account_named(&consumer, "flip").unwrap();
-    assert_eq!(account.graph().node_count(), flip_nodes(SWAPS));
 }

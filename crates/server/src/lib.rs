@@ -1,6 +1,6 @@
 //! # server
 //!
-//! The network edge of the reproduction: a std-only threaded TCP server
+//! The network edge of the reproduction: an epoll-reactor TCP server
 //! that puts the epoch-versioned
 //! [`AccountService`](plus_store::AccountService) behind the wire
 //! protocol of [`plus_store::wire`], plus the blocking [`Client`] /

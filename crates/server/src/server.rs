@@ -1654,7 +1654,6 @@ fn queue_oversize(conn: &mut Conn) {
 fn wire_error(e: &StoreError) -> WireError {
     let kind = match e {
         StoreError::NotAuthorized { .. } => WireErrorKind::NotAuthorized,
-        StoreError::UnknownStrategy(_) => WireErrorKind::UnknownStrategy,
         StoreError::UnknownPredicate(_) => WireErrorKind::UnknownPredicate,
         StoreError::NotDurable => WireErrorKind::NotDurable,
         StoreError::UnknownRecord(_) => WireErrorKind::BadRequest,

@@ -164,6 +164,57 @@ fn one_byte_at_a_time_reader_gets_the_whole_response() {
     server.shutdown();
 }
 
+/// A well-framed `Query` whose strategy byte is outside WIRE.md §5's
+/// table does not decode, so it is a malformed frame like any other:
+/// one `BadRequest`, then EOF, counted in `spgraph_hangups_total`.
+/// Error kind 1 (`UnknownStrategy`) is reserved and never sent.
+#[test]
+fn unknown_strategy_tag_is_a_bad_request_and_a_hangup() {
+    let (store, tail) = chain_store(3);
+    let server = serve(store, ServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let hello = Request::Hello {
+        version: plus_store::wire::PROTOCOL_VERSION,
+        consumer: "time traveller".into(),
+        claims: vec![],
+    };
+    stream
+        .write_all(&seal_frame(&encode_request(&hello).unwrap()))
+        .unwrap();
+    let mut scratch = Vec::new();
+    server::read_frame(&mut stream, &mut scratch)
+        .unwrap()
+        .expect("hello answer");
+
+    // tag u8 | root u32 | direction u8 | max_depth u32 | strategy u8 | …
+    let query = Request::Query(QueryRequest::new(
+        tail,
+        Direction::Backward,
+        u32::MAX,
+        Strategy::HideNodes,
+    ));
+    let mut payload = encode_request(&query).unwrap();
+    assert_eq!(payload[10], 2, "the strategy byte is where §5 puts it");
+    payload[10] = 3;
+    stream.write_all(&seal_frame(&payload)).unwrap();
+
+    let answer = server::read_frame(&mut stream, &mut scratch)
+        .unwrap()
+        .expect("one error frame before the hangup");
+    match decode_response(answer).unwrap() {
+        Response::Error(error) => assert_eq!(error.kind, WireErrorKind::BadRequest),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "EOF after the error frame");
+    assert_eq!(server.stats().hangups, 1);
+    server.shutdown();
+}
+
 /// Connect-and-never-Hello costs one fd for `handshake_timeout`, not
 /// forever: the sweep reaps it and counts the reap.
 #[test]

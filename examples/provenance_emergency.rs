@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use surrogate_parenthood::graphgen::Figure11;
 use surrogate_parenthood::plus_store::{
-    AccountService, EdgeKind, NodeKind, PolicyStatement, RecordId, Session, Store,
+    AccountService, Direction, EdgeKind, NodeKind, PolicyStatement, QueryRequest, RecordId, Store,
 };
 use surrogate_parenthood::prelude::*;
 use surrogate_parenthood::surrogate_core::graph::NodeId;
@@ -80,9 +80,9 @@ fn main() -> Result<()> {
         })
         .expect("node exists");
 
-    // One service, shared by every consumer's session: accounts are
-    // generated once per (epoch, predicate, strategy) and cached.
-    let service = Arc::new(AccountService::new(store.clone()));
+    // One service, shared by every consumer: accounts are generated once
+    // per (predicate, strategy) in each snapshot and cached there.
+    let service = AccountService::new(store.clone());
     let lattice = service.snapshot().lattice.clone();
     let plan = RecordId(
         fig.graph
@@ -93,8 +93,12 @@ fn main() -> Result<()> {
 
     // An Emergency Responder asks: where did the treatment plan come from?
     println!("== Emergency Responder's provenance view of the treatment plan ==\n");
-    let session = Session::open(service.clone(), Consumer::new("responder", &lattice, &[er]));
-    for row in session.upstream(er, plan, u32::MAX).expect("authorized") {
+    let responder = Consumer::new("responder", &lattice, &[er]);
+    let upstream = QueryRequest::new(plan, Direction::Backward, u32::MAX, Strategy::Surrogate);
+    let response = service
+        .query(&responder, &upstream.clone().with_predicate(er))
+        .expect("authorized");
+    for row in response.rows {
         println!(
             "  depth {} | {}{}",
             row.depth,
@@ -113,8 +117,11 @@ fn main() -> Result<()> {
     let cer = lattice
         .by_name("Cleared Emergency Responder")
         .expect("declared");
-    let session = Session::open(service.clone(), Consumer::new("cleared", &lattice, &[cer]));
-    for row in session.upstream(cer, plan, u32::MAX).expect("authorized") {
+    let cleared = Consumer::new("cleared", &lattice, &[cer]);
+    let response = service
+        .query(&cleared, &upstream.with_predicate(cer))
+        .expect("authorized");
+    for row in response.rows {
         println!(
             "  depth {} | {}{}",
             row.depth,

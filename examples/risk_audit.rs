@@ -1,7 +1,7 @@
 //! An administrator's release audit (paper §4.2): before publishing a
 //! protected account, rank the protected edges by inference risk, compare
-//! protection strategies — including a custom strategy registered with
-//! the serving layer — and decide whether the release meets the
+//! protection strategies — including the redundancy-filter ablation of
+//! the surrogate algorithm — and decide whether the release meets the
 //! application's opacity bar.
 //!
 //! Run with: `cargo run --example risk_audit`
@@ -11,31 +11,6 @@ use std::sync::Arc;
 use surrogate_parenthood::graphgen::{social, SocialConfig};
 use surrogate_parenthood::plus_store::{ingest, AccountService, IngestKinds};
 use surrogate_parenthood::prelude::*;
-
-/// A custom strategy plugged into the service without touching
-/// `surrogate-core`: the redundancy-filter ablation, which keeps every
-/// permitted pair as an explicit surrogate edge.
-struct Unfiltered;
-
-impl ProtectionStrategy for Unfiltered {
-    fn name(&self) -> &str {
-        "unfiltered"
-    }
-
-    fn protect(
-        &self,
-        ctx: &ProtectionContext<'_>,
-        preds: &[PrivilegeId],
-    ) -> Result<ProtectedAccount> {
-        generate_with_options(
-            ctx,
-            preds,
-            GenerateOptions {
-                redundancy_filter: false,
-            },
-        )
-    }
-}
 
 fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     // A social network with three sensitive affiliations.
@@ -57,25 +32,40 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         IngestKinds::default(),
     )?;
     let service = AccountService::new(Arc::new(store));
-    service.register_strategy(Arc::new(Unfiltered));
-    let auditor = Consumer::public(&service.snapshot().lattice);
+    let snapshot = service.snapshot();
+    let auditor = Consumer::public(&snapshot.lattice);
     let model = OpacityModel::default();
+    let surrogate = service.get_account(&auditor, &Strategy::Surrogate)?;
+    let hide = service.get_account(&auditor, &Strategy::HideEdges)?;
+    // The ablation is not a served strategy: it keeps every permitted
+    // pair as an explicit surrogate edge, generated here straight from
+    // the snapshot's protection context.
+    let unfiltered = generate_with_options(
+        &snapshot.context(),
+        &auditor.frontier(&snapshot.lattice),
+        GenerateOptions {
+            redundancy_filter: false,
+        },
+    )?;
 
     println!("== Release audit: public account of the investigation network ==\n");
-    for name in ["surrogate", "hide", "unfiltered"] {
-        let account = service.get_account_named(&auditor, name)?;
-        let avg = average_protected_opacity(&net.graph, &account, model);
-        let min = min_protected_opacity(&net.graph, &account, model);
+    for (name, account) in [
+        ("surrogate", &*surrogate),
+        ("hide", &*hide),
+        ("unfiltered", &unfiltered),
+    ] {
+        let avg = average_protected_opacity(&net.graph, account, model);
+        let min = min_protected_opacity(&net.graph, account, model);
         println!(
             "{name:>10}: path utility {:.3} | avg opacity {} | worst-case opacity {}",
-            path_utility(&net.graph, &account),
+            path_utility(&net.graph, account),
             avg.map(|v| format!("{v:.3}")).unwrap_or_else(|| "-".into()),
             min.map(|v| format!("{v:.3}")).unwrap_or_else(|| "-".into()),
         );
     }
 
     // Drill into the surrogate account: which hidden ties are most at risk?
-    let account = service.get_account_named(&auditor, "surrogate")?;
+    let account = surrogate;
     let report = risk_report(&net.graph, &account, model);
     println!("\nmost inferable protected ties (lowest opacity first):");
     for entry in report.iter().take(5) {

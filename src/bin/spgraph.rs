@@ -368,10 +368,8 @@ fn cmd_info(args: &[String]) -> CliResult<()> {
         snapshot.graph.is_connected(),
         snapshot.graph.is_acyclic()
     );
-    println!(
-        "  strategies registered: {}",
-        service.strategy_names().join(", ")
-    );
+    let strategies: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
+    println!("  strategies: {}", strategies.join(", "));
     Ok(())
 }
 

@@ -4,11 +4,11 @@
 //! Protected and Informative Graphs* (Blaustein et al., PVLDB 4(8), 2011).
 //!
 //! * [`surrogate_core`] — the paper's contribution: protected accounts,
-//!   surrogate nodes/edges, utility and opacity measures, and the
-//!   pluggable [`ProtectionStrategy`] trait;
+//!   surrogate nodes/edges, the three §5–§6 protection strategies, and
+//!   the utility and opacity measures;
 //! * [`plus_store`] — the PLUS-like provenance store substrate and the
 //!   concurrent, epoch-versioned [`AccountService`] serving layer;
-//! * [`server`] — the network edge: a std-only threaded TCP server that
+//! * [`server`] — the network edge: an epoll-reactor TCP server that
 //!   exposes *only* the protected query surface over a checksummed
 //!   binary protocol, the blocking [`Client`]/[`ClientPool`]
 //!   (`spgraph serve` / `spgraph query --remote`), and WAL-shipping
@@ -24,8 +24,9 @@
 //! Ingest provenance into the PLUS-like store, state the protection
 //! policy, and stand up an [`AccountService`] — the one concurrent,
 //! epoch-versioned surface that materializes the graph, caches each
-//! consumer's protected account per `(epoch, predicate, strategy)`, and
-//! answers batched lineage queries (paper §3/§5/§6.4):
+//! consumer's protected account per `(predicate, strategy)` in the
+//! snapshot it was derived from, and answers batched lineage queries
+//! (paper §3/§5/§6.4):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -122,13 +123,12 @@ pub use plus_store;
 pub use server;
 pub use surrogate_core;
 
-pub use plus_store::{AccountService, QueryRequest, QueryResponse, Session, Snapshot};
+pub use plus_store::{AccountService, QueryRequest, QueryResponse, Snapshot};
 pub use server::{Client, ClientPool, Replica, Server};
-pub use surrogate_core::strategy::ProtectionStrategy;
 
 /// The most used types across the workspace.
 pub mod prelude {
-    pub use plus_store::{AccountService, QueryRequest, QueryResponse, Session, Snapshot};
+    pub use plus_store::{AccountService, QueryRequest, QueryResponse, Snapshot};
     pub use server::{Client, ClientPool, Replica, Server};
     pub use surrogate_core::prelude::*;
 }

@@ -12,8 +12,9 @@
 //!    resolves to a file that exists in the repository.
 //! 3. Every checkable claim in those pages resolves: a `--flag`, a
 //!    `spgraph_*` metric family, a `SCREAMING_CASE` constant, a `repro*`
-//!    binary, a `*.json` record, a reactor backend. Naming a feature the
-//!    code does not have fails the build.
+//!    binary, a `*.json` record, a reactor backend, a `crate::path::Item`
+//!    of a workspace crate, a `service.method(` of `AccountService`.
+//!    Naming a feature the code does not have fails the build.
 //! 4. Every `*.md` page a source comment cites exists, so a rustdoc
 //!    "see DESIGN.md §3.1" always has somewhere to send the reader.
 
@@ -57,13 +58,13 @@ fn wire_spec_names_every_message_and_error_kind() {
         spec.contains(&format!("**Protocol version:** {PROTOCOL_VERSION}")),
         "docs/WIRE.md states protocol version {PROTOCOL_VERSION}"
     );
-    // The version-history table must cover every version up to the
-    // current one: bumping PROTOCOL_VERSION without a history row is
-    // exactly the silent drift this test exists to catch.
+    // The version history must cover every version up to the current
+    // one: bumping PROTOCOL_VERSION without an entry is exactly the
+    // silent drift this test exists to catch.
     for version in 1..=PROTOCOL_VERSION {
         assert!(
-            spec.contains(&format!("| {version} | ")),
-            "docs/WIRE.md's version history is missing a row for version {version}"
+            spec.contains(&format!("**v{version}**")),
+            "docs/WIRE.md's version history has no entry for version {version}"
         );
     }
     // The limits table must state the decode-time bounds with the
@@ -234,6 +235,32 @@ fn glob(pattern: &str, name: &str) -> bool {
     rest.is_empty()
 }
 
+/// Workspace crates by the name a Rust path starts with, and where their
+/// sources live.
+const CRATE_SOURCES: &[(&str, &str)] = &[
+    ("surrogate_core", "crates/core/src"),
+    ("plus_store", "crates/plus-store/src"),
+    ("server", "crates/server/src"),
+    ("graphgen", "crates/graphgen/src"),
+    ("reactor", "crates/reactor/src"),
+    ("surrogate_parenthood", "src"),
+];
+
+/// Keywords that declare the identifier following them.
+const DECLARATORS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "const", "static", "type", "mod",
+];
+
+/// Every identifier `source` declares with one of [`DECLARATORS`].
+fn declared(source: &str) -> BTreeSet<&str> {
+    let words: Vec<&str> = runs(source, word).collect();
+    words
+        .windows(2)
+        .filter(|pair| DECLARATORS.contains(&pair[0]))
+        .map(|pair| pair[1])
+        .collect()
+}
+
 #[test]
 fn doc_claims_resolve() {
     let root = repo_root();
@@ -249,6 +276,20 @@ fn doc_claims_resolve() {
     let reactor_words: BTreeSet<&str> = runs(&reactor, word).collect();
     let mut repo_files = Vec::new();
     files_under(&root, &mut repo_files);
+    let crate_sources: Vec<(&str, String)> = CRATE_SOURCES
+        .iter()
+        .map(|(name, dir)| (*name, sources(&[root.join(dir)])))
+        .collect();
+    let crate_items: Vec<(&str, BTreeSet<&str>)> = crate_sources
+        .iter()
+        .map(|(name, source)| (*name, declared(source)))
+        .collect();
+    let service = read(&root.join("crates/plus-store/src/service.rs"));
+    let service_impl = service
+        .split_once("\nimpl AccountService {")
+        .and_then(|(_, rest)| rest.split_once("\n}\n"))
+        .expect("service.rs has the AccountService impl block")
+        .0;
 
     let mut unresolved = BTreeSet::new();
     for page in pages() {
@@ -296,6 +337,32 @@ fn doc_claims_resolve() {
                         .exists()
                 {
                     fail("repro binary", token);
+                }
+            }
+            // `crate::…::item`: the last segment must be something the
+            // named workspace crate declares.
+            for path in runs(span, |c| word(c) || c == ':') {
+                let path = path.trim_matches(':');
+                let Some((first, rest)) = path.split_once("::") else {
+                    continue;
+                };
+                let Some((_, items)) = crate_items.iter().find(|(name, _)| *name == first) else {
+                    continue;
+                };
+                let item = rest.rsplit("::").next().unwrap_or(rest);
+                if !items.contains(item) {
+                    fail("path", path);
+                }
+            }
+            // `service.method(`: a `pub fn` of `AccountService`.
+            for (_, call) in span
+                .match_indices("service.")
+                .map(|(at, m)| span.split_at(at + m.len()))
+            {
+                let method = call.split(|c| !word(c)).next().unwrap_or("");
+                let called = call[method.len()..].starts_with('(');
+                if called && !service_impl.contains(&format!("    pub fn {method}(")) {
+                    fail("AccountService method", method);
                 }
             }
             // Records: `<...>` marks a template for a generated file.

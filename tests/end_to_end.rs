@@ -1,14 +1,14 @@
 //! End-to-end flows across all crates: generate a workload, persist it in
 //! the store, reload it, stand the `AccountService` up in front of it,
-//! open consumer sessions, and answer protected lineage queries — the
-//! full deployment pipeline of the paper's Fig. 10.
+//! and answer consumers' protected lineage queries — the full deployment
+//! pipeline of the paper's Fig. 10.
 
 use std::sync::Arc;
 
 use surrogate_parenthood::graphgen::{workflow, WorkflowConfig};
 use surrogate_parenthood::plus_store::{
-    ingest, AccountService, EdgeKind, IngestKinds, NodeKind, PolicyStatement, RecordId, Session,
-    Store,
+    ingest, AccountService, Direction, EdgeKind, IngestKinds, NodeKind, PolicyStatement,
+    QueryRequest, RecordId, Store,
 };
 use surrogate_parenthood::prelude::*;
 use surrogate_parenthood::surrogate_core::graph::NodeId;
@@ -44,17 +44,18 @@ fn persist_reload_protect_query() {
     assert_eq!(reloaded.node_count(), store.node_count());
 
     // Serve the reloaded store and query lineage of a workflow output
-    // through a public session.
-    let service = Arc::new(AccountService::new(Arc::new(reloaded)));
+    // as a public consumer.
+    let service = AccountService::new(Arc::new(reloaded));
     let snapshot = service.snapshot();
     let public = snapshot.lattice.by_name("Public").unwrap();
     let consumer = Consumer::public(&snapshot.lattice);
-    let session = Session::open(service, consumer);
     let output = RecordId(wf.outputs[0].0);
-    let up = session.upstream(public, output, u32::MAX);
+    let request = QueryRequest::new(output, Direction::Backward, u32::MAX, Strategy::Surrogate)
+        .with_predicate(public);
 
-    match up {
-        Ok(rows) => {
+    match service.query(&consumer, &request) {
+        Ok(response) => {
+            let rows = response.rows;
             // Either the root is visible and lineage flows, or the root
             // itself was sensitive (then rows is empty).
             let root_sensitive = wf.sensitive.contains(&wf.outputs[0]);
@@ -68,7 +69,7 @@ fn persist_reload_protect_query() {
                 }
             }
         }
-        Err(e) => panic!("public session must be authorized: {e}"),
+        Err(e) => panic!("public consumer must be authorized: {e}"),
     }
 }
 
@@ -84,18 +85,17 @@ fn restricted_consumer_sees_more_than_public() {
     assert!(!wf.sensitive.is_empty(), "seed must yield sensitive nodes");
     let store = store_from_workflow(&wf);
 
-    let service = Arc::new(AccountService::new(Arc::new(store)));
+    let service = AccountService::new(Arc::new(store));
     let lattice = service.snapshot().lattice.clone();
     let public = lattice.by_name("Public").unwrap();
     let restricted = lattice.by_name("Restricted").unwrap();
-
-    let public_session = Session::open(service.clone(), Consumer::public(&lattice));
     let insider = Consumer::new("insider", &lattice, &[restricted]);
-    let insider_session = Session::open(service, insider);
 
-    let public_account = public_session.account(public, Strategy::Surrogate).unwrap();
-    let insider_account = insider_session
-        .account(restricted, Strategy::Surrogate)
+    let public_account = service
+        .get_account_for(&Consumer::public(&lattice), public, &Strategy::Surrogate)
+        .unwrap();
+    let insider_account = service
+        .get_account_for(&insider, restricted, &Strategy::Surrogate)
         .unwrap();
 
     assert_eq!(
@@ -119,11 +119,16 @@ fn restricted_consumer_sees_more_than_public() {
 fn session_rejects_predicates_above_credentials() {
     let wf = workflow::generate(WorkflowConfig::default());
     let store = store_from_workflow(&wf);
-    let service = Arc::new(AccountService::new(Arc::new(store)));
+    let service = AccountService::new(Arc::new(store));
     let lattice = service.snapshot().lattice.clone();
     let restricted = lattice.by_name("Restricted").unwrap();
-    let session = Session::open(service, Consumer::public(&lattice));
-    assert!(session.account(restricted, Strategy::Surrogate).is_err());
+    assert!(service
+        .get_account_for(
+            &Consumer::public(&lattice),
+            restricted,
+            &Strategy::Surrogate
+        )
+        .is_err());
 }
 
 #[test]
