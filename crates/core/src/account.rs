@@ -8,8 +8,7 @@
 //! possible (Def. 9.3).
 //!
 //! Three built-in strategies are provided, selected by [`Strategy`] via
-//! [`ProtectionContext::protect`] (or pluggably through the
-//! [`strategy`](crate::strategy) trait layer):
+//! [`ProtectionContext::protect`]:
 //!
 //! * [`Strategy::Surrogate`] / [`generate_for_set`] — the paper's
 //!   Surrogate Generation Algorithm (Algorithms 1–3), with the pseudocode

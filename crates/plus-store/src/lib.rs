@@ -12,7 +12,7 @@
 //!   graph materialization;
 //! * [`wal`] — the segmented write-ahead log: durable appends, crash
 //!   recovery, checkpointing;
-//! * [`ingest`] — imports an in-memory graph and its protection setup
+//! * [`mod@ingest`] — imports an in-memory graph and its protection setup
 //!   as store records and policy statements;
 //! * [`service`] — **the serving layer**: the concurrent, epoch-versioned
 //!   [`AccountService`], whose [`Snapshot`]s own the protected accounts

@@ -24,6 +24,9 @@
 //!   protocol.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use surrogate_core::graph::{Graph, NodeId};
@@ -90,10 +93,65 @@ struct Inner {
     partition: Option<Partition>,
 }
 
+/// Where threads park until the clock moves: a waiter count, a mutex and
+/// a condvar. No descriptor, no thread; an append with nobody parked pays
+/// one atomic load.
+///
+/// **No wake-up is lost.** A waiter (`Store::wait_clock_past`) increments
+/// `waiters`, takes `gate`, *then* reads the clock and its interrupt flag,
+/// and parks on `moved` (which releases `gate` atomically) only if neither
+/// fired. An appender publishes the clock inside the store's write lock,
+/// releases it, *then* loads `waiters`, and when that is non-zero takes
+/// and drops `gate` before `notify_all`. Two orderings cover every
+/// interleaving:
+///
+/// 1. *Count against clock.* The waiter's clock read is a read-lock
+///    section, the appender's bump a write-lock section, and a lock orders
+///    the two. Reader first: the increment is sequenced before that
+///    section, so it happens-before the appender's load, which sees a
+///    non-zero count and notifies. Writer first: the waiter reads the new
+///    clock and never parks. An interrupter (`Store::wake_clock_waiters`)
+///    stores its flag and then loads `waiters`; the waiter increments and
+///    then loads the flag. All four are `SeqCst`, so one side sees the
+///    other.
+/// 2. *Notify against park.* A notifier that saw the count holds `gate`
+///    before notifying. If the waiter took `gate` first, it is parked by
+///    the time the notifier gets it, and the notify reaches it. If the
+///    notifier took it first, the waiter's reads come after the bump (or
+///    the flag) and it does not park.
+///
+/// The wait is bounded anyway, so a bug here would cost one late chunk,
+/// never a hang; `wait_stress_never_times_out` looks for one.
+#[derive(Debug, Default)]
+struct ClockWatch {
+    waiters: AtomicUsize,
+    gate: Mutex<()>,
+    moved: Condvar,
+    #[cfg(test)]
+    notifies: AtomicUsize,
+}
+
+impl ClockWatch {
+    /// Wakes every parked waiter, if there is one. Call with the store's
+    /// write lock released: a woken waiter reads the clock first thing.
+    /// std's `Condvar::notify_all` is a futex syscall even with nobody
+    /// parked, hence the count in front of it.
+    fn notify(&self) {
+        if self.waiters.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        drop(self.gate.lock().unwrap_or_else(|e| e.into_inner()));
+        self.moved.notify_all();
+        #[cfg(test)]
+        self.notifies.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Thread-safe provenance store.
 #[derive(Debug)]
 pub struct Store {
     inner: RwLock<Inner>,
+    watch: ClockWatch,
 }
 
 impl Store {
@@ -126,6 +184,7 @@ impl Store {
                 wal: None,
                 partition: None,
             }),
+            watch: ClockWatch::default(),
         })
     }
 
@@ -210,6 +269,8 @@ impl Store {
         });
         inner.clock += 1;
         inner.nodes.push(record);
+        drop(inner);
+        self.watch.notify();
         Ok(id)
     }
 
@@ -250,6 +311,8 @@ impl Store {
         inner.edge_set.insert((from, to));
         inner.clock += 1;
         inner.edges.push(EdgeRecord { from, to, kind });
+        drop(inner);
+        self.watch.notify();
         Ok(())
     }
 
@@ -291,6 +354,8 @@ impl Store {
         };
         inner.clock += 1;
         inner.policy.push(statement);
+        drop(inner);
+        self.watch.notify();
         Ok(())
     }
 
@@ -357,6 +422,45 @@ impl Store {
     /// `append_*` / `apply_policy` bumps it by exactly one.
     pub fn version(&self) -> u64 {
         self.clock()
+    }
+
+    /// Parks the caller until the clock passes `seen`, `interrupt` is
+    /// raised, or `timeout` runs out, and returns the clock it then read
+    /// (`seen` itself after a timeout with no append). This is how a
+    /// replication feeder waits for the log instead of polling it; a
+    /// caller that raises `interrupt` follows it with
+    /// [`wake_clock_waiters`](Self::wake_clock_waiters).
+    pub fn wait_clock_past(&self, seen: u64, timeout: Duration, interrupt: &AtomicBool) -> u64 {
+        let deadline = Instant::now() + timeout;
+        let watch = &self.watch;
+        watch.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut gate = watch.gate.lock().unwrap_or_else(|e| e.into_inner());
+        let clock = loop {
+            let clock = self.clock();
+            let left = deadline.saturating_duration_since(Instant::now());
+            if clock > seen || interrupt.load(Ordering::SeqCst) || left.is_zero() {
+                break clock;
+            }
+            // Widens the window between the reads above and the park
+            // below, which `wait_stress_never_times_out` aims at.
+            #[cfg(test)]
+            std::thread::yield_now();
+            gate = watch
+                .moved
+                .wait_timeout(gate, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        };
+        drop(gate);
+        watch.waiters.fetch_sub(1, Ordering::SeqCst);
+        clock
+    }
+
+    /// Wakes every thread parked in
+    /// [`wait_clock_past`](Self::wait_clock_past) so it re-reads its
+    /// interrupt flag — raise the flag first.
+    pub fn wake_clock_waiters(&self) {
+        self.watch.notify();
     }
 
     /// [`materialize`](Self::materialize) plus the version the
@@ -552,6 +656,7 @@ impl Store {
                 wal: None,
                 partition: data.partition,
             }),
+            watch: ClockWatch::default(),
         })
     }
 
@@ -907,6 +1012,8 @@ impl Store {
         // not history, and the durable term file was never touched.
         fresh_inner.term = inner.term;
         *inner = fresh_inner;
+        drop(inner);
+        self.watch.notify();
         Ok(clock)
     }
 }
@@ -966,6 +1073,7 @@ impl wal::ReplayTarget for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use surrogate_core::feature::Features;
     use surrogate_core::marking::Marking;
 
@@ -1479,9 +1587,179 @@ mod tests {
         ));
     }
 
+    /// Parks a thread in `wait_clock_past(seen, ..)` with a timeout no
+    /// passing test reaches, and returns once it is a registered waiter:
+    /// what the caller does next races the park itself, which is the
+    /// window the wake protocol has to cover.
+    fn park(
+        store: &Arc<Store>,
+        seen: u64,
+        interrupt: &Arc<AtomicBool>,
+    ) -> std::thread::JoinHandle<(u64, Duration)> {
+        let (waiter, flag) = (store.clone(), interrupt.clone());
+        let handle = std::thread::spawn(move || {
+            let began = Instant::now();
+            let clock = waiter.wait_clock_past(seen, Duration::from_secs(20), &flag);
+            (clock, began.elapsed())
+        });
+        while store.watch.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        handle
+    }
+
+    /// Mutations caught: dropping `self.watch.notify()` from any append
+    /// path or from `install_snapshot` (the waiter sleeps out its 20s),
+    /// and dropping the waiter-count guard in `notify` (the quiet appends
+    /// would count).
+    #[test]
+    fn parked_waiters_return_on_every_clock_bump_and_quiet_appends_notify_nobody() {
+        let dir = temp_dir("watch-install");
+        let store = Arc::new(durable_sample(&dir));
+        let public = store.predicate("Public").unwrap();
+        let never = Arc::new(AtomicBool::new(false));
+        assert_eq!(store.watch.notifies.load(Ordering::Relaxed), 0);
+
+        type Bump = Box<dyn Fn(&Store)>;
+        let snapshot = {
+            let ahead = Store::from_bytes(&store.to_bytes()).unwrap();
+            for i in 0..8 {
+                ahead.append_node(
+                    format!("ahead-{i}"),
+                    NodeKind::Data,
+                    Features::new(),
+                    public,
+                );
+            }
+            ahead.to_bytes()
+        };
+        let bumps: [(&str, Bump); 4] = [
+            (
+                "append_node",
+                Box::new(move |s| {
+                    s.append_node("n", NodeKind::Data, Features::new(), public);
+                }),
+            ),
+            (
+                "append_edge",
+                Box::new(|s| {
+                    s.append_edge(RecordId(0), RecordId(2), EdgeKind::Related)
+                        .unwrap()
+                }),
+            ),
+            (
+                "apply_policy",
+                Box::new(|s| {
+                    s.apply_policy(PolicyStatement::MarkNode {
+                        node: RecordId(0),
+                        predicate: None,
+                        marking: Marking::Hide,
+                    })
+                    .unwrap()
+                }),
+            ),
+            (
+                "install_snapshot",
+                Box::new(move |s| {
+                    s.install_snapshot(&snapshot).unwrap();
+                }),
+            ),
+        ];
+        for (round, (name, bump)) in bumps.iter().enumerate() {
+            let seen = store.clock();
+            let waiter = park(&store, seen, &never);
+            bump(&store);
+            let (clock, waited) = waiter.join().unwrap();
+            assert_eq!(
+                clock,
+                store.clock(),
+                "{name}: the waiter read the new clock"
+            );
+            assert!(clock > seen, "{name}");
+            assert!(
+                waited < Duration::from_secs(10),
+                "{name}: woken, not timed out"
+            );
+            assert_eq!(
+                store.watch.notifies.load(Ordering::Relaxed),
+                round + 1,
+                "{name}: one notify per bump with a waiter parked, none without"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Mutations caught: a wait that ignores its deadline (hangs), one
+    /// that ignores `interrupt`, and a `wake_clock_waiters` that does
+    /// not reach a parked waiter.
+    #[test]
+    fn a_wait_ends_on_its_deadline_or_its_interrupt_with_the_clock_unchanged() {
+        let store = Arc::new(Store::public_only());
+        let never = AtomicBool::new(false);
+        assert_eq!(
+            store.wait_clock_past(0, Duration::from_millis(5), &never),
+            0,
+            "timeout: `seen` comes back unchanged"
+        );
+        assert_eq!(store.watch.waiters.load(Ordering::SeqCst), 0);
+
+        let interrupt = Arc::new(AtomicBool::new(false));
+        let waiter = park(&store, 0, &interrupt);
+        interrupt.store(true, Ordering::SeqCst);
+        store.wake_clock_waiters();
+        let (clock, waited) = waiter.join().unwrap();
+        assert_eq!(clock, 0);
+        assert!(
+            waited < Duration::from_secs(10),
+            "interrupted, not timed out"
+        );
+    }
+
+    /// The no-lost-wake-up argument on `ClockWatch`, under load: every
+    /// append lands while the waiter is somewhere between "acknowledged
+    /// the last one" and "parked for the next". Mutations caught:
+    /// reading the clock before incrementing `waiters`, or notifying
+    /// without passing through `gate` — with the `cfg(test)` yield in
+    /// `wait_clock_past` holding the window open, either loses a wake
+    /// within the first rounds and that round waits out its timeout.
+    #[test]
+    fn wait_stress_never_times_out() {
+        const ROUNDS: u64 = 100_000;
+        let store = Arc::new(Store::public_only());
+        let public = store.predicate("Public").unwrap();
+        let acked = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let waiter = {
+            let (store, acked) = (store.clone(), acked.clone());
+            std::thread::spawn(move || {
+                let never = AtomicBool::new(false);
+                for seen in 0..ROUNDS {
+                    let began = Instant::now();
+                    let clock = store.wait_clock_past(seen, Duration::from_secs(20), &never);
+                    assert_eq!(clock, seen + 1);
+                    // A lost wake still ends in the right clock — late.
+                    let waited = began.elapsed();
+                    assert!(waited < Duration::from_secs(5), "round {seen}: {waited:?}");
+                    acked.store(clock, Ordering::SeqCst);
+                }
+            })
+        };
+        for round in 0..ROUNDS {
+            // Even rounds race the waiter's registration, odd rounds the
+            // park that follows it.
+            while !waiter.is_finished()
+                && (acked.load(Ordering::SeqCst) < round
+                    || (round % 2 == 1 && store.watch.waiters.load(Ordering::SeqCst) == 0))
+            {
+                std::hint::spin_loop();
+            }
+            store.append_node("n", NodeKind::Data, Features::new(), public);
+        }
+        waiter.join().expect("no round waited out a lost wake");
+    }
+
     #[test]
     fn concurrent_appends_are_safe() {
-        let store = std::sync::Arc::new(Store::public_only());
+        let store = Arc::new(Store::public_only());
         let public = store.predicate("Public").unwrap();
         let mut handles = Vec::new();
         for t in 0..4 {

@@ -140,6 +140,7 @@
 mod admission;
 mod client;
 mod error;
+mod follower;
 mod frame;
 pub mod metrics;
 pub mod replica;

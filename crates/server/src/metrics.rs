@@ -35,6 +35,7 @@
 //! | `spgraph_bytes_{read,written}_total` | counter | query-socket traffic volume |
 //! | `spgraph_epoch` | gauge | the served store's current epoch |
 //! | `spgraph_snapshots_shipped_total` | counter | replica backfill snapshots |
+//! | `spgraph_feed_chunks_total{kind=…}` | counter | replication chunks shipped to subscribers (`frames`, `heartbeat`, `snapshot`) |
 //! | `spgraph_replication_term` | gauge | the fencing term this node has observed (promotion generation) |
 //! | `spgraph_replication_lag` | gauge | mutations behind the primary (0 on a primary; stale lower bound while disconnected) |
 //! | `spgraph_promotions_total` | counter | replica-to-primary promotions served by this process |
@@ -269,6 +270,32 @@ impl OverloadReason {
     }
 }
 
+/// What a replication chunk carried (the `kind` label of
+/// `spgraph_feed_chunks_total`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FeedChunkKind {
+    /// Sealed WAL frames: an append reached this subscriber.
+    Frames,
+    /// Nothing: the idle feeder's liveness beat.
+    Heartbeat,
+    /// A backfill snapshot.
+    Snapshot,
+}
+
+impl FeedChunkKind {
+    fn as_str(self) -> &'static str {
+        match self {
+            FeedChunkKind::Frames => "frames",
+            FeedChunkKind::Heartbeat => "heartbeat",
+            FeedChunkKind::Snapshot => "snapshot",
+        }
+    }
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Every instrument the serving edge maintains. One instance per
 /// [`Server`](crate::Server), shared by the accept thread, the event
 /// loop shards, the feeders, and the metrics endpoint.
@@ -285,6 +312,8 @@ pub struct ServerMetrics {
     pub subscriptions_total: Counter,
     /// Backfill snapshots shipped to subscribers, ever.
     pub snapshots_shipped: Counter,
+    /// Chunks shipped to subscribers, per [`FeedChunkKind`].
+    pub feed_chunks: [Counter; 3],
     /// Request frames answered, per [`RequestType`].
     pub requests: [Counter; REQUEST_TYPES.len()],
     /// Service time per [`RequestType`].
@@ -313,6 +342,11 @@ impl ServerMetrics {
     /// Records the service time of one request of `t`.
     pub fn observe_latency(&self, t: RequestType, elapsed: Duration) {
         self.latency[t.index()].observe(elapsed);
+    }
+
+    /// Counts one chunk of `kind` shipped to a subscriber.
+    pub fn count_feed_chunk(&self, kind: FeedChunkKind) {
+        self.feed_chunks[kind.index()].inc();
     }
 
     /// Counts one shed for `reason`.
@@ -447,6 +481,24 @@ impl ServerMetrics {
                 "spgraph_overload_drops_total{{reason=\"{}\"}} {}",
                 reason.as_str(),
                 self.overload_drops[reason.index()].get()
+            );
+        }
+
+        let _ = writeln!(
+            out,
+            "# HELP spgraph_feed_chunks_total Replication chunks shipped to subscribers, by kind."
+        );
+        let _ = writeln!(out, "# TYPE spgraph_feed_chunks_total counter");
+        for kind in [
+            FeedChunkKind::Frames,
+            FeedChunkKind::Heartbeat,
+            FeedChunkKind::Snapshot,
+        ] {
+            let _ = writeln!(
+                out,
+                "spgraph_feed_chunks_total{{kind=\"{}\"}} {}",
+                kind.as_str(),
+                self.feed_chunks[kind.index()].get()
             );
         }
 

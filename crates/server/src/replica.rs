@@ -32,7 +32,9 @@
 //!
 //! # Failure model
 //!
-//! The apply thread reconnects with backoff on any transport failure and
+//! The apply thread re-dials on any transport failure — at once after a
+//! stream that made progress, then backing off 1ms doubling up to
+//! [`ReplicaConfig::reconnect_backoff`] while dials keep failing — and
 //! resumes from the replica's local clock, so a primary restart (or a
 //! replica restart — the local WAL recovers first) costs only the frames
 //! appended while the link was down, never a full refetch. The feed
@@ -70,24 +72,19 @@
 //! degrades to the plain warm start, and the per-frame fencing above
 //! still guarantees no forked frame is ever *applied*.
 
-use std::net::{Shutdown, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use plus_store::codec::{self, FrameDecode};
 use plus_store::wal;
-use plus_store::wire::{
-    decode_response, encode_request, ReplicaRole, ReplicaStatus, Request, Response, WalChunk,
-    PROTOCOL_VERSION,
-};
+use plus_store::wire::{ReplicaRole, ReplicaStatus, Request, Response, WalChunk};
 use plus_store::{AccountService, DurabilityOptions, SegmentDigest, Store, StoreError};
 
 use crate::error::{ClientError, ReplicaError};
-use crate::frame::{read_frame, write_frame};
+use crate::follower::{FeedConn, FeedFollower, FeedLink, FeedSink, Source};
 
 /// Tuning knobs for [`Replica::start_with`].
 #[derive(Debug, Clone, Copy)]
@@ -98,10 +95,12 @@ pub struct ReplicaConfig {
     /// fsync off for apply throughput.
     pub durability: DurabilityOptions,
     /// Dial attempts during a **cold start** (the replica has no local
-    /// state and cannot serve anything until the primary answers), one
-    /// [`reconnect_backoff`](Self::reconnect_backoff) apart.
+    /// state and cannot serve anything until the primary answers), on
+    /// the same ramp as every later reconnect.
     pub connect_attempts: usize,
-    /// Sleep between reconnect attempts once running.
+    /// The longest wait between reconnect attempts. The first re-dial
+    /// after a stream that made progress is immediate; consecutive
+    /// failures then wait 1ms, 2ms, 4ms … up to this.
     pub reconnect_backoff: Duration,
     /// Read deadline on the feed socket. The primary heartbeats every
     /// 250ms, so the default (1s) tolerates a few lost beats; a socket
@@ -127,29 +126,24 @@ impl Default for ReplicaConfig {
 /// writes on the role recorded here).
 #[derive(Debug, Default)]
 pub struct ReplicationMonitor {
-    primary_epoch: AtomicU64,
-    connected: AtomicBool,
+    /// What the apply thread's follower reports: link health, the
+    /// primary's epoch, and the primary address this replica follows —
+    /// the re-resolution hint write clients read out of `ReplicaStatus`
+    /// after a failover.
+    link: Arc<FeedLink>,
     /// The fencing term as last observed from the feed (or set by a
     /// promotion) — mirrored here so status answers need not lock the
     /// store.
     term: AtomicU64,
     /// Raised by [`Replica::promote`]; never lowered. The apply thread
-    /// exits when it sees this, and `status` reports `Primary`.
+    /// is halted with it, and `status` reports `Primary`.
     promoted: AtomicBool,
-    /// The primary address this replica follows — the re-resolution hint
-    /// write clients read out of `ReplicaStatus` after a failover.
-    primary_addr: Mutex<String>,
-    last_error: Mutex<Option<String>>,
-    /// The live feed socket, cloned so `Replica::shutdown` can unblock a
-    /// read parked on it.
-    live: Mutex<Option<TcpStream>>,
 }
 
 impl ReplicationMonitor {
     /// The status this monitor describes, for a replica at `local_epoch`.
     pub fn status(&self, local_epoch: u64) -> ReplicaStatus {
         let promoted = self.promoted.load(Ordering::Relaxed);
-        let primary_addr = self.primary_addr.lock().clone();
         ReplicaStatus {
             role: if promoted {
                 ReplicaRole::Primary
@@ -162,26 +156,18 @@ impl ReplicationMonitor {
             primary_epoch: if promoted {
                 local_epoch
             } else {
-                self.primary_epoch.load(Ordering::Relaxed)
+                self.link.peer_epoch()
             },
             term: self.term.load(Ordering::Relaxed),
-            connected: if promoted {
-                true
-            } else {
-                self.connected.load(Ordering::Relaxed)
-            },
+            connected: promoted || self.link.connected(),
             last_error: if promoted {
                 None
             } else {
-                self.last_error.lock().clone()
+                self.link.last_error()
             },
             // A promoted node no longer follows anyone; the address it
             // would report is the deposed primary's.
-            primary_addr: if promoted || primary_addr.is_empty() {
-                None
-            } else {
-                Some(primary_addr)
-            },
+            primary_addr: if promoted { None } else { self.link.addr() },
         }
     }
 
@@ -216,28 +202,10 @@ impl ReplicationMonitor {
         Ok(term)
     }
 
-    fn record_error(&self, error: &ReplicaError) {
-        *self.last_error.lock() = Some(error.to_string());
-    }
-
-    fn clear_error(&self) {
-        *self.last_error.lock() = None;
-    }
-
-    fn set_live(&self, stream: Option<TcpStream>) {
-        *self.live.lock() = stream;
-    }
-
-    fn hang_up_live(&self) {
-        if let Some(stream) = self.live.lock().take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-
     fn note_promoted(&self, term: u64) {
         self.term.store(term, Ordering::Relaxed);
         self.promoted.store(true, Ordering::Relaxed);
-        self.hang_up_live();
+        self.link.halt();
     }
 }
 
@@ -252,7 +220,6 @@ pub struct Replica {
     service: Arc<AccountService>,
     store: Arc<Store>,
     monitor: Arc<ReplicationMonitor>,
-    stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -295,8 +262,10 @@ impl Replica {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| ReplicaError::Store(StoreError::io_at(&dir, e)))?;
-        let monitor = Arc::new(ReplicationMonitor::default());
-        *monitor.primary_addr.lock() = primary_addr.clone();
+        let monitor = Arc::new(ReplicationMonitor {
+            link: Arc::new(FeedLink::to(primary_addr.clone())),
+            ..ReplicationMonitor::default()
+        });
 
         let mut has_local_state = !wal::list_snapshots(&dir)
             .map_err(ReplicaError::Store)?
@@ -310,53 +279,55 @@ impl Replica {
             match repair_divergence(&primary_addr, &dir, &config) {
                 Ok(Repair::Clean) | Ok(Repair::Truncated) => {}
                 Ok(Repair::Wiped) => has_local_state = false,
-                Err(e) => monitor.record_error(&e),
+                Err(e) => monitor.link.record_error(&e),
             }
         }
-        let (store, pending) = if has_local_state {
+        let local = if has_local_state {
             // Warm start: the local WAL is the source of truth up to its
             // recovered clock; the primary only supplies what follows.
             let store = Store::open_with(&dir, config.durability).map_err(ReplicaError::Store)?;
             monitor
                 .term
                 .store(store.replication_term(), Ordering::Relaxed);
-            (Arc::new(store), None)
+            Some(Arc::new(store))
         } else {
+            None
+        };
+        let cold = local.is_none();
+        let mut follower = FeedFollower::new(
+            StoreSink {
+                store: local,
+                dir,
+                durability: config.durability,
+                monitor: monitor.clone(),
+            },
+            Source::Fixed(primary_addr),
+            monitor.link.clone(),
+            config.reconnect_backoff,
+            config.feed_read_timeout,
+        );
+        if cold {
             // Cold start: nothing local — block until the primary ships
             // the bootstrap snapshot, so the caller gets a servable
-            // replica or a clear error.
-            let (store, conn, primary_epoch) = bootstrap(&primary_addr, &dir, &config, &monitor)?;
-            // The bootstrap chunk already proved the link and told us
-            // the primary's epoch; without this, status would read
-            // connected-with-zero-lag off a stale (zero) primary epoch.
-            monitor
-                .primary_epoch
-                .store(primary_epoch, Ordering::Relaxed);
-            monitor
-                .term
-                .store(store.replication_term(), Ordering::Relaxed);
-            monitor.connected.store(true, Ordering::Relaxed);
-            (Arc::new(store), Some(conn))
-        };
+            // replica or a clear error. The apply thread continues on
+            // the same stream.
+            follower.establish(config.connect_attempts)?;
+        }
+        let store = follower
+            .sink()
+            .store
+            .clone()
+            .expect("warm, or just bootstrapped");
         let service = Arc::new(AccountService::new(store.clone()));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let thread = {
-            let store = store.clone();
-            let monitor = monitor.clone();
-            let stop = stop.clone();
-            let addr = primary_addr.clone();
-            std::thread::Builder::new()
-                .name("spgraph-replica".into())
-                .spawn(move || run(addr, store, monitor, stop, pending, config))
-                .expect("spawn replica apply thread")
-        };
+        let thread = std::thread::Builder::new()
+            .name("spgraph-replica".into())
+            .spawn(move || follower.run())
+            .expect("spawn replica apply thread");
 
         Ok(Replica {
             service,
             store,
             monitor,
-            stop,
             thread: Some(thread),
         })
     }
@@ -455,13 +426,9 @@ impl Replica {
     }
 
     fn stop_thread(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.monitor.hang_up_live();
+        self.monitor.link.halt();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
-        }
-        if !self.monitor.is_promoted() {
-            self.monitor.connected.store(false, Ordering::Relaxed);
         }
     }
 }
@@ -469,124 +436,6 @@ impl Replica {
 impl Drop for Replica {
     fn drop(&mut self) {
         self.stop_thread();
-    }
-}
-
-/// A subscribed replication connection: Hello handshake done, Subscribe
-/// sent, chunks ready to read. Shared with the scatter-gather runtime
-/// ([`crate::scatter`]), whose per-shard feeds are ordinary replication
-/// subscriptions.
-pub(crate) struct FeedConn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-}
-
-impl FeedConn {
-    /// Dials and handshakes, leaving the connection in request/response
-    /// mode (no subscription yet). The read deadline applies from the
-    /// first byte: a peer that accepts and goes silent fails the
-    /// handshake instead of hanging it.
-    pub(crate) fn connect(addr: &str, read_timeout: Duration) -> Result<FeedConn, ReplicaError> {
-        let stream = TcpStream::connect(addr).map_err(ClientError::Io)?;
-        stream.set_nodelay(true).map_err(ClientError::Io)?;
-        // The deadline that detects a half-open primary: a read that
-        // sees no bytes for this long fails, and the caller treats that
-        // exactly like a hangup (reconnect with backoff). Without it the
-        // apply thread parks forever on a dead socket while status keeps
-        // reporting connected.
-        stream
-            .set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))
-            .map_err(ClientError::Io)?;
-        let mut conn = FeedConn {
-            stream,
-            inbuf: Vec::with_capacity(4096),
-        };
-        let hello = Request::Hello {
-            version: PROTOCOL_VERSION,
-            consumer: "replica".to_string(),
-            claims: Vec::new(),
-        };
-        match conn.call(&hello)? {
-            Response::Hello(_) => {}
-            Response::Error(e) => return Err(ReplicaError::Client(ClientError::Remote(e))),
-            _ => return Err(ReplicaError::protocol("non-Hello answer to Hello")),
-        }
-        Ok(conn)
-    }
-
-    /// Dials, handshakes, and subscribes from `from_clock`.
-    pub(crate) fn open(
-        addr: &str,
-        from_clock: u64,
-        read_timeout: Duration,
-    ) -> Result<FeedConn, ReplicaError> {
-        let mut conn = Self::connect(addr, read_timeout)?;
-        conn.subscribe(from_clock)?;
-        Ok(conn)
-    }
-
-    /// Converts a handshaken connection into a one-way subscription
-    /// stream from `from_clock`. After this, only
-    /// [`next_chunk`](Self::next_chunk) is valid.
-    pub(crate) fn subscribe(&mut self, from_clock: u64) -> Result<(), ReplicaError> {
-        let mut outbuf = Vec::with_capacity(64);
-        let payload = encode_request(&Request::Subscribe { from_clock })
-            .map_err(|e| ReplicaError::Client(ClientError::Unencodable(e)))?;
-        write_frame(&mut self.stream, &payload, &mut outbuf).map_err(ClientError::Io)?;
-        Ok(())
-    }
-
-    /// Asks the peer for its replication status — role, fencing term,
-    /// and the primary-address breadcrumb a replica leaves. Valid only
-    /// before [`subscribe`](Self::subscribe); the scatter runtime uses
-    /// it to re-resolve a promoted shard primary.
-    pub(crate) fn role_status(&mut self) -> Result<ReplicaStatus, ReplicaError> {
-        match self.call(&Request::ReplicaStatus)? {
-            Response::ReplicaStatus(status) => Ok(status),
-            Response::Error(e) => Err(ReplicaError::Client(ClientError::Remote(e))),
-            _ => Err(ReplicaError::protocol(
-                "non-ReplicaStatus answer to ReplicaStatus",
-            )),
-        }
-    }
-
-    /// One strict request/response round trip (handshake and
-    /// anti-entropy only; after Subscribe the stream is one-way).
-    fn call(&mut self, request: &Request) -> Result<Response, ReplicaError> {
-        let mut outbuf = Vec::with_capacity(256);
-        let payload = encode_request(request)
-            .map_err(|e| ReplicaError::Client(ClientError::Unencodable(e)))?;
-        write_frame(&mut self.stream, &payload, &mut outbuf).map_err(ClientError::Io)?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> Result<Response, ReplicaError> {
-        match read_frame(&mut self.stream, &mut self.inbuf) {
-            Ok(Some(payload)) => decode_response(payload)
-                .map_err(|e| ReplicaError::Client(ClientError::Malformed(e))),
-            Ok(None) => Err(ReplicaError::Client(ClientError::Disconnected)),
-            Err(e) => Err(ReplicaError::Client(e.into())),
-        }
-    }
-
-    /// The underlying socket (so a shutdown path can unblock a parked
-    /// read by hanging the clone up).
-    pub(crate) fn try_clone_stream(&self) -> std::io::Result<TcpStream> {
-        self.stream.try_clone()
-    }
-
-    /// The next chunk of the subscription stream. A typed error frame
-    /// (the primary refusing or failing the feed) is terminal, and so is
-    /// a read-deadline expiry — the primary heartbeats far more often
-    /// than the deadline, so silence *is* a dead link.
-    pub(crate) fn next_chunk(&mut self) -> Result<WalChunk, ReplicaError> {
-        match self.read_response()? {
-            Response::WalChunk(chunk) => Ok(chunk),
-            Response::Error(e) => Err(ReplicaError::Client(ClientError::Remote(e))),
-            _ => Err(ReplicaError::protocol(
-                "non-WalChunk frame on a subscription",
-            )),
-        }
     }
 }
 
@@ -707,43 +556,41 @@ fn divergence_point(
     None
 }
 
-/// Cold start: dial until the primary ships the bootstrap snapshot,
-/// install it into `dir`, and hand back the opened store plus the live
-/// connection (already mid-stream) for the apply thread to continue on.
-fn bootstrap(
-    addr: &str,
-    dir: &Path,
-    config: &ReplicaConfig,
-    monitor: &ReplicationMonitor,
-) -> Result<(Store, FeedConn, u64), ReplicaError> {
-    let mut last: Option<ReplicaError> = None;
-    let attempts = config.connect_attempts.max(1);
-    for attempt in 0..attempts {
-        match try_bootstrap(addr, dir, config) {
-            Ok(done) => return Ok(done),
-            Err(e) => {
-                monitor.record_error(&e);
-                last = Some(e);
-                // Backoff *between* attempts only: the final failure
-                // returns immediately instead of sleeping into an error.
-                if attempt + 1 < attempts {
-                    std::thread::sleep(config.reconnect_backoff);
-                }
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| ReplicaError::protocol("no bootstrap attempt ran")))
+/// The replica's [`FeedSink`]: chunks go into the local durable store,
+/// which a cold start creates out of the first one.
+struct StoreSink {
+    /// `None` until a cold start's bootstrap chunk has been installed.
+    store: Option<Arc<Store>>,
+    dir: PathBuf,
+    durability: DurabilityOptions,
+    monitor: Arc<ReplicationMonitor>,
 }
 
-fn try_bootstrap(
-    addr: &str,
+impl FeedSink for StoreSink {
+    fn clock(&self) -> u64 {
+        self.store.as_ref().map_or(0, |store| store.version())
+    }
+
+    fn fold(&mut self, _addr: &str, chunk: WalChunk) -> Result<(), ReplicaError> {
+        match &self.store {
+            Some(store) => apply_chunk(store, &chunk)?,
+            None => self.store = Some(Arc::new(bootstrap(&self.dir, self.durability, &chunk)?)),
+        }
+        self.monitor.term.store(chunk.term, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// Cold start: installs the bootstrap snapshot the first chunk of a
+/// from-zero subscription carries into `dir`, and opens the store over
+/// it.
+fn bootstrap(
     dir: &Path,
-    config: &ReplicaConfig,
-) -> Result<(Store, FeedConn, u64), ReplicaError> {
-    let mut conn = FeedConn::open(addr, 0, config.feed_read_timeout)?;
-    // The first chunk of a from-zero subscription always carries the
-    // bootstrap snapshot (frames cannot rebuild the lattice).
-    let chunk = conn.next_chunk()?;
+    durability: DurabilityOptions,
+    chunk: &WalChunk,
+) -> Result<Store, ReplicaError> {
+    // Frames cannot rebuild the lattice, so a from-zero stream that
+    // opens without a snapshot is unusable.
     let Some(snapshot) = &chunk.snapshot else {
         return Err(ReplicaError::protocol(
             "primary opened a cold subscription without a snapshot",
@@ -759,96 +606,19 @@ fn try_bootstrap(
         )));
     }
     wal::write_atomic(&wal::snapshot_path(dir, clock), snapshot).map_err(ReplicaError::Store)?;
-    let store = Store::open_with(dir, config.durability).map_err(ReplicaError::Store)?;
+    let store = Store::open_with(dir, durability).map_err(ReplicaError::Store)?;
     // Adopt (and durably record) the primary's fencing term before the
     // first frame applies.
     store
         .observe_replication_term(chunk.term)
         .map_err(ReplicaError::Store)?;
     apply_frames(&store, chunk.start_clock, &chunk.frames, chunk.term)?;
-    Ok((store, conn, chunk.primary_epoch))
-}
-
-/// Sleeps `total` in small slices so a raised stop flag (or a
-/// promotion) interrupts it promptly. Returns `true` when interrupted.
-fn interruptible_sleep(stop: &AtomicBool, monitor: &ReplicationMonitor, total: Duration) -> bool {
-    let deadline = Instant::now() + total;
-    loop {
-        if stop.load(Ordering::SeqCst) || monitor.is_promoted() {
-            return true;
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return false;
-        }
-        std::thread::sleep(left.min(Duration::from_millis(10)));
-    }
-}
-
-/// The apply thread: stream chunks, reconnect with backoff, until
-/// stopped or promoted.
-fn run(
-    addr: String,
-    store: Arc<Store>,
-    monitor: Arc<ReplicationMonitor>,
-    stop: Arc<AtomicBool>,
-    mut pending: Option<FeedConn>,
-    config: ReplicaConfig,
-) {
-    while !stop.load(Ordering::SeqCst) && !monitor.is_promoted() {
-        let conn = match pending.take() {
-            Some(conn) => conn,
-            None => match FeedConn::open(&addr, store.version(), config.feed_read_timeout) {
-                Ok(conn) => conn,
-                Err(e) => {
-                    monitor.record_error(&e);
-                    monitor.connected.store(false, Ordering::Relaxed);
-                    interruptible_sleep(&stop, &monitor, config.reconnect_backoff);
-                    continue;
-                }
-            },
-        };
-        // Register the live socket so shutdown can unblock the read.
-        match conn.stream.try_clone() {
-            Ok(clone) => monitor.set_live(Some(clone)),
-            Err(_) => monitor.set_live(None),
-        }
-        let mut conn = conn;
-        loop {
-            if stop.load(Ordering::SeqCst) || monitor.is_promoted() {
-                monitor.set_live(None);
-                return;
-            }
-            let chunk = match conn.next_chunk() {
-                Ok(chunk) => chunk,
-                Err(e) => {
-                    monitor.record_error(&e);
-                    break;
-                }
-            };
-            if let Err(e) = apply_chunk(&store, chunk, &monitor) {
-                monitor.record_error(&e);
-                break;
-            }
-            // Connected only once a chunk lands: a reconnect must not
-            // report connected-with-zero-lag off a primary epoch that
-            // predates the disconnect (the first chunk refreshes it).
-            monitor.connected.store(true, Ordering::Relaxed);
-            monitor.clear_error();
-        }
-        monitor.connected.store(false, Ordering::Relaxed);
-        monitor.set_live(None);
-        interruptible_sleep(&stop, &monitor, config.reconnect_backoff);
-    }
+    Ok(store)
 }
 
 /// Applies one chunk: fencing check, optional snapshot fast-forward,
 /// then frames.
-fn apply_chunk(
-    store: &Store,
-    chunk: WalChunk,
-    monitor: &ReplicationMonitor,
-) -> Result<(), ReplicaError> {
+fn apply_chunk(store: &Store, chunk: &WalChunk) -> Result<(), ReplicaError> {
     // Fence before anything touches the store: a chunk from a deposed
     // primary must not even install its snapshot. (Every frame is
     // re-checked inside apply_replicated, so a promotion racing this
@@ -863,12 +633,7 @@ fn apply_chunk(
             .install_snapshot(snapshot)
             .map_err(ReplicaError::Store)?;
     }
-    apply_frames(store, chunk.start_clock, &chunk.frames, chunk.term)?;
-    monitor.term.store(chunk.term, Ordering::Relaxed);
-    monitor
-        .primary_epoch
-        .store(chunk.primary_epoch, Ordering::Relaxed);
-    Ok(())
+    apply_frames(store, chunk.start_clock, &chunk.frames, chunk.term)
 }
 
 /// Replays sealed frames (clock-contiguous from `start_clock`, stamped
@@ -932,6 +697,17 @@ mod tests {
             bytes,
             crc,
         }
+    }
+
+    /// Promotion ends the follower the way `stop` does: through the
+    /// link's halt, which no back-off wait outlasts.
+    #[test]
+    fn promotion_halts_the_follower() {
+        let monitor = ReplicationMonitor::default();
+        assert!(!monitor.link.pause(Duration::ZERO));
+        assert_eq!(monitor.promote(&Store::public_only()).unwrap(), 1);
+        assert!(monitor.is_promoted());
+        assert!(monitor.link.pause(Duration::from_secs(60)));
     }
 
     #[test]

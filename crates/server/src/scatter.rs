@@ -4,10 +4,11 @@
 //! # How a gather works
 //!
 //! A [`Gather`] follows every shard primary of a partitioned deployment
-//! the way a [`Replica`](crate::Replica) follows its primary: one
-//! background feed thread per shard dials the shard's server, performs
-//! the Hello handshake, and subscribes to its write-ahead-log stream
-//! from the merge's per-shard clock. Chunks are folded into a shared
+//! the way a [`Replica`](crate::Replica) follows its primary — with the
+//! same feed follower: one background feed thread per shard dials the
+//! shard's server, performs the Hello handshake, and subscribes to its
+//! write-ahead-log stream from the merge's per-shard clock. Chunks are
+//! folded into a shared
 //! [`ShardMerge`](plus_store::ShardMerge) — cold feeds bootstrap from
 //! the shard's snapshot (which carries its partition stamp, verified on
 //! ingest), warm feeds replay sealed frames — and the merged record
@@ -42,7 +43,9 @@
 //! candidates (last good address, configured primary, then replicas),
 //! ask each for its replication status, follow primary-address
 //! breadcrumbs, and subscribe only to a node that identifies as
-//! primary.
+//! primary. The first re-resolve after a stream that made progress (or
+//! after a failover repair) is immediate; while resolutions keep failing
+//! they back off 1ms doubling up to [`GatherConfig::reconnect_backoff`].
 //!
 //! Promotion is **fenced** per shard. Each feed tracks the highest
 //! fencing term it has folded a chunk under:
@@ -63,25 +66,26 @@
 //! fronting server refuse an answer that straddled a reset. Together:
 //! the epoch vector a consumer observes **never regresses**.
 
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use plus_store::codec;
-use plus_store::{AccountService, MergedSource, StoreError};
+use plus_store::{AccountService, MergedSource, StoreError, WalChunk};
 use surrogate_core::shard::{EpochVector, ShardMap};
 
 use crate::error::ReplicaError;
-use crate::replica::FeedConn;
-use crate::topology::{resolve_writable, Topology};
+use crate::follower::{FeedFollower, FeedLink, FeedSink, Source};
+use crate::topology::Topology;
 
 /// Tuning knobs for [`Gather::start_topology`].
 #[derive(Debug, Clone, Copy)]
 pub struct GatherConfig {
-    /// Sleep between reconnect attempts on a failed shard feed.
+    /// The longest wait between re-resolutions of a failed shard feed.
+    /// The first one after a stream that made progress is immediate;
+    /// consecutive failures then wait 1ms, 2ms, 4ms … up to this.
     pub reconnect_backoff: Duration,
     /// Read deadline on each feed socket (shard primaries heartbeat
     /// every 250ms; silence past this is treated as a dead link).
@@ -98,31 +102,17 @@ impl Default for GatherConfig {
 }
 
 /// Per-slot feed state shared with the fronting server.
+#[derive(Default)]
 struct FeedState {
-    connected: AtomicBool,
-    /// The shard's epoch as last observed from its chunks — what
-    /// [`Gather::synced`] compares the merge clock against.
-    shard_epoch: AtomicU64,
+    /// What the slot's follower reports: link health, the shard's epoch
+    /// as last observed from its chunks (what [`Gather::synced`] compares
+    /// the merge clock against), and the address it last subscribed to —
+    /// the slot's current writable primary as far as the gather knows,
+    /// and what [`Gather::peer_of`] redirects to.
+    link: Arc<FeedLink>,
     /// The highest fencing term folded for this slot, stored shifted by
     /// one (`0` = no chunk observed yet, `t + 1` = term `t`).
     term: AtomicU64,
-    /// The address the feed last subscribed to — the slot's current
-    /// writable primary as far as the gather knows. Tried first on the
-    /// next resolution, and what [`Gather::peer_of`] redirects to.
-    addr: Mutex<Option<String>>,
-    last_error: Mutex<Option<String>>,
-}
-
-impl Default for FeedState {
-    fn default() -> Self {
-        Self {
-            connected: AtomicBool::new(false),
-            shard_epoch: AtomicU64::new(0),
-            term: AtomicU64::new(0),
-            addr: Mutex::new(None),
-            last_error: Mutex::new(None),
-        }
-    }
 }
 
 /// A running gather: one feed thread per shard folding replication
@@ -140,10 +130,6 @@ pub struct Gather {
     /// Per-slot served high-water marks: a slot whose merge clock is
     /// below its floor (mid-repair) is not ready.
     floors: Arc<Mutex<EpochVector>>,
-    stop: Arc<AtomicBool>,
-    /// Clones of the live feed sockets so shutdown can unblock parked
-    /// reads.
-    live: Arc<Mutex<Vec<Option<TcpStream>>>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -178,22 +164,25 @@ impl Gather {
         let feeds: Vec<Arc<FeedState>> =
             (0..count).map(|_| Arc::new(FeedState::default())).collect();
         let floors = Arc::new(Mutex::new(EpochVector::new(count)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(Mutex::new((0..count).map(|_| None).collect::<Vec<_>>()));
         let mut threads = Vec::with_capacity(peers.len());
         for slot in 0..count {
-            let merged = merged.clone();
             let feed = feeds[slot as usize].clone();
-            let stop = stop.clone();
-            let live = live.clone();
-            let floors = floors.clone();
-            let candidates = topology.candidates(slot);
+            let follower = FeedFollower::new(
+                SlotSink {
+                    slot,
+                    merged: merged.clone(),
+                    feed: feed.clone(),
+                    floors: floors.clone(),
+                },
+                Source::Writable(topology.candidates(slot)),
+                feed.link.clone(),
+                config.reconnect_backoff,
+                config.feed_read_timeout,
+            );
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("spgraph-gather-{slot}"))
-                    .spawn(move || {
-                        run_feed(slot, candidates, merged, feed, stop, live, floors, config)
-                    })
+                    .spawn(move || follower.run())
                     .expect("spawn gather feed thread"),
             );
         }
@@ -204,8 +193,6 @@ impl Gather {
             peers,
             feeds,
             floors,
-            stop,
-            live,
             threads,
         })
     }
@@ -237,9 +224,8 @@ impl Gather {
     pub fn peer_of(&self, id: u32) -> String {
         let slot = self.merged.map().shard_of(id) as usize;
         self.feeds[slot]
-            .addr
-            .lock()
-            .clone()
+            .link
+            .addr()
             .unwrap_or_else(|| self.peers[slot].clone())
     }
 
@@ -272,7 +258,7 @@ impl Gather {
     pub fn connected(&self, slot: u32) -> bool {
         self.feeds
             .get(slot as usize)
-            .is_some_and(|f| f.connected.load(Ordering::Relaxed))
+            .is_some_and(|f| f.link.connected())
     }
 
     /// Whether `slot` is servable: its feed is connected **and** its
@@ -282,7 +268,7 @@ impl Gather {
         let Some(feed) = self.feeds.get(slot as usize) else {
             return false;
         };
-        feed.connected.load(Ordering::Relaxed)
+        feed.link.connected()
             && self.merged.clocks()[slot as usize] >= self.floors.lock().as_slice()[slot as usize]
     }
 
@@ -296,7 +282,7 @@ impl Gather {
             .iter()
             .enumerate()
             .position(|(slot, feed)| {
-                !feed.connected.load(Ordering::Relaxed) || clocks[slot] < floors.as_slice()[slot]
+                !feed.link.connected() || clocks[slot] < floors.as_slice()[slot]
             })
             .map(|slot| slot as u32)
     }
@@ -307,8 +293,8 @@ impl Gather {
         let clocks = self.merged.clocks();
         let floors = self.floors.lock();
         self.feeds.iter().enumerate().all(|(slot, feed)| {
-            feed.connected.load(Ordering::Relaxed)
-                && clocks[slot] >= feed.shard_epoch.load(Ordering::Relaxed)
+            feed.link.connected()
+                && clocks[slot] >= feed.link.peer_epoch()
                 && clocks[slot] >= floors.as_slice()[slot]
         })
     }
@@ -332,7 +318,7 @@ impl Gather {
     pub fn last_error(&self, slot: u32) -> Option<String> {
         self.feeds
             .get(slot as usize)
-            .and_then(|f| f.last_error.lock().clone())
+            .and_then(|f| f.link.last_error())
     }
 
     /// The fencing term the feed for `slot` last folded a chunk under,
@@ -352,17 +338,11 @@ impl Gather {
     }
 
     fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for stream in self.live.lock().iter_mut() {
-            if let Some(stream) = stream.take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+        for feed in &self.feeds {
+            feed.link.halt();
         }
         for thread in self.threads.drain(..) {
             let _ = thread.join();
-        }
-        for feed in &self.feeds {
-            feed.connected.store(false, Ordering::Relaxed);
         }
     }
 }
@@ -373,138 +353,59 @@ impl Drop for Gather {
     }
 }
 
-/// Sleeps `total` in small slices so a raised stop flag interrupts it
-/// promptly.
-fn backoff(stop: &AtomicBool, total: Duration) {
-    let deadline = Instant::now() + total;
-    while !stop.load(Ordering::SeqCst) {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return;
-        }
-        std::thread::sleep(left.min(Duration::from_millis(10)));
-    }
-}
-
-/// One shard's feed loop: resolve the slot's writable primary, fence by
-/// term (resetting the slot on a term bump — the failover repair),
-/// subscribe from the merge's clock, fold chunks in, reconnect with
-/// backoff on any failure.
-#[allow(clippy::too_many_arguments)]
-fn run_feed(
+/// One slot's [`FeedSink`]: fence by term (resetting the slot on a term
+/// bump — the failover repair), fold into the merge, raise the served
+/// floor.
+struct SlotSink {
     slot: u32,
-    candidates: Vec<String>,
     merged: Arc<MergedSource>,
     feed: Arc<FeedState>,
-    stop: Arc<AtomicBool>,
-    live: Arc<Mutex<Vec<Option<TcpStream>>>>,
     floors: Arc<Mutex<EpochVector>>,
-    config: GatherConfig,
-) {
-    let record = |message: String| *feed.last_error.lock() = Some(message);
-    while !stop.load(Ordering::SeqCst) {
-        let last_good = feed.addr.lock().clone();
-        let resolved = resolve_writable(last_good, &candidates, |addr| {
-            let mut conn =
-                FeedConn::connect(addr, config.feed_read_timeout).map_err(|e| e.to_string())?;
-            let status = conn.role_status().map_err(|e| e.to_string())?;
-            Ok((conn, status))
-        });
-        let (mut conn, addr, status) = match resolved {
-            Ok(resolved) => resolved,
-            Err(e) => {
-                record(e);
-                backoff(&stop, config.reconnect_backoff);
-                continue;
-            }
-        };
-        // Fencing at resolve time, mirroring the in-stream check below:
-        // refuse a deposed primary outright, repair on a term bump
-        // *before* subscribing so the subscription clock is already the
-        // post-reset one.
-        match fence(slot, &merged, &feed, status.term) {
+}
+
+impl FeedSink for SlotSink {
+    fn clock(&self) -> u64 {
+        self.merged.clocks()[self.slot as usize]
+    }
+
+    fn admit(&mut self, addr: &str, term: u64) -> Result<(), ReplicaError> {
+        match fence(self.slot, &self.merged, &self.feed, term) {
+            Fence::Fold | Fence::Repaired => Ok(()),
+            Fence::Deposed => Err(ReplicaError::Protocol(format!(
+                "{addr}: deposed shard primary (stale fencing term {term})"
+            ))),
+            Fence::Failed(e) => Err(ReplicaError::Store(e)),
+        }
+    }
+
+    fn fold(&mut self, addr: &str, chunk: WalChunk) -> Result<(), ReplicaError> {
+        // In-stream fencing: a promotion can race the resolve-time
+        // check (the chunk's term is authoritative — it is what the
+        // primary durably stamped).
+        match fence(self.slot, &self.merged, &self.feed, chunk.term) {
             Fence::Fold => {}
             Fence::Deposed => {
-                record(format!(
-                    "{addr}: deposed shard primary (stale fencing term {})",
-                    status.term
-                ));
-                backoff(&stop, config.reconnect_backoff);
-                continue;
+                return Err(ReplicaError::Protocol(format!(
+                    "{addr}: chunk from deposed primary (stale fencing term {})",
+                    chunk.term
+                )));
             }
-            Fence::Repaired => {}
-            Fence::Failed(e) => {
-                record(format!("{addr}: slot repair failed: {e}"));
-                backoff(&stop, config.reconnect_backoff);
-                continue;
+            // The chunk belongs to the new term's stream, which starts
+            // at the reset clock — resubscribe rather than guess at
+            // contiguity.
+            Fence::Repaired => {
+                return Err(ReplicaError::Protocol(format!(
+                    "{addr}: shard failed over to term {}; re-bootstrapping",
+                    chunk.term
+                )));
             }
+            Fence::Failed(e) => return Err(ReplicaError::Store(e)),
         }
-        let from_clock = merged.clocks()[slot as usize];
-        if let Err(e) = conn.subscribe(from_clock) {
-            record(format!("{addr}: {e}"));
-            backoff(&stop, config.reconnect_backoff);
-            continue;
-        }
-        *feed.addr.lock() = Some(addr.clone());
-        live.lock()[slot as usize] = conn.try_clone_stream().ok();
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                live.lock()[slot as usize] = None;
-                return;
-            }
-            let chunk = match conn.next_chunk() {
-                Ok(chunk) => chunk,
-                Err(e) => {
-                    record(e.to_string());
-                    break;
-                }
-            };
-            // In-stream fencing: a promotion can race the resolve-time
-            // check (the chunk's term is authoritative — it is what the
-            // primary durably stamped).
-            match fence(slot, &merged, &feed, chunk.term) {
-                Fence::Fold => {}
-                Fence::Deposed => {
-                    record(format!(
-                        "{addr}: chunk from deposed primary (stale fencing term {})",
-                        chunk.term
-                    ));
-                    break;
-                }
-                Fence::Repaired => {
-                    // The chunk belongs to the new term's stream, which
-                    // starts at the reset clock — resubscribe rather
-                    // than guess at contiguity.
-                    record(format!(
-                        "{addr}: shard failed over to term {}; re-bootstrapping",
-                        chunk.term
-                    ));
-                    break;
-                }
-                Fence::Failed(e) => {
-                    record(format!("{addr}: slot repair failed: {e}"));
-                    break;
-                }
-            }
-            if let Err(e) = fold_chunk(slot, &merged, &chunk) {
-                record(e.to_string());
-                break;
-            }
-            // The floor only ever rises: it is the serving layer's
-            // guarantee that a repair never rewinds what consumers see.
-            floors
-                .lock()
-                .raise_slot(slot, merged.clocks()[slot as usize]);
-            feed.shard_epoch
-                .store(chunk.primary_epoch, Ordering::Relaxed);
-            // Connected only once a chunk lands, so `synced` never
-            // reports a reconnect caught-up against a stale epoch.
-            feed.connected.store(true, Ordering::Relaxed);
-            *feed.last_error.lock() = None;
-        }
-        feed.connected.store(false, Ordering::Relaxed);
-        live.lock()[slot as usize] = None;
-        backoff(&stop, config.reconnect_backoff);
+        fold_chunk(self.slot, &self.merged, &chunk)?;
+        // The floor only ever rises: it is the serving layer's
+        // guarantee that a repair never rewinds what consumers see.
+        self.floors.lock().raise_slot(self.slot, self.clock());
+        Ok(())
     }
 }
 
@@ -542,7 +443,7 @@ fn fence(slot: u32, merged: &MergedSource, feed: &FeedState, offered: u64) -> Fe
         if let Err(e) = merged.reset_slot(slot) {
             return Fence::Failed(e);
         }
-        feed.connected.store(false, Ordering::Relaxed);
+        feed.link.mark_down();
         feed.term.store(shifted, Ordering::Relaxed);
         return Fence::Repaired;
     }
@@ -551,11 +452,7 @@ fn fence(slot: u32, merged: &MergedSource, feed: &FeedState, offered: u64) -> Fe
 
 /// Folds one chunk into the merge: snapshot bootstrap (stamped for this
 /// slot, verified by the merge), then frames.
-fn fold_chunk(
-    slot: u32,
-    merged: &MergedSource,
-    chunk: &plus_store::WalChunk,
-) -> Result<(), StoreError> {
+fn fold_chunk(slot: u32, merged: &MergedSource, chunk: &WalChunk) -> Result<(), StoreError> {
     if let Some(snapshot) = &chunk.snapshot {
         let data = codec::decode(snapshot)?;
         merged.update(|m| m.ingest_snapshot(slot, &data))?;

@@ -510,6 +510,55 @@ fn bootstrap_does_not_sleep_after_its_final_attempt() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Satellite regression: a cold start's dials ride the follower's ramp
+/// (0, 1ms, 2ms … up to `reconnect_backoff`), so a replica started a
+/// moment before its primary listens is up milliseconds after it does.
+/// The old bootstrap slept one full `reconnect_backoff` after its first
+/// failed dial: two seconds here.
+#[test]
+fn cold_start_retries_on_the_ramp_not_on_the_cap() {
+    let primary_dir = temp_dir("ramp-primary");
+    let replica_dir = temp_dir("ramp-replica");
+    // A stand-in on the primary's port proves the replica's first dial
+    // happened and failed: it accepts that dial and hangs up on it.
+    let standin = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = standin.local_addr().unwrap().to_string();
+    let config = ReplicaConfig {
+        connect_attempts: 100,
+        reconnect_backoff: Duration::from_secs(2),
+        durability: fast(),
+        ..ReplicaConfig::default()
+    };
+    let starter = {
+        let (addr, dir) = (addr.clone(), replica_dir.clone());
+        std::thread::spawn(move || Replica::start_with(&addr, &dir, config))
+    };
+    let store =
+        Arc::new(Store::create_durable_with(&primary_dir, LATTICE.0, LATTICE.1, fast()).unwrap());
+    for i in 0..5 {
+        apply_op(&store, i);
+    }
+    let service = Arc::new(AccountService::new(store.clone()));
+    // The ramp's next wait is never longer than all it has waited so
+    // far, so the port changes hands with as little in between as
+    // possible.
+    drop(standin.accept().unwrap());
+    drop(standin);
+    let server = Server::bind(service, addr.as_str(), &primary_config()).expect("bind primary");
+    let listening = Instant::now();
+    let replica = starter.join().unwrap().expect("the cold start succeeds");
+    let waited = listening.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "the replica came up {waited:?} after its primary did"
+    );
+    assert!(wait_until(CATCH_UP, || replica.epoch() == store.clock()));
+    replica.shutdown();
+    server.shutdown();
+    std::fs::remove_dir_all(&primary_dir).ok();
+    std::fs::remove_dir_all(&replica_dir).ok();
+}
+
 /// Satellite regression: a raised stop flag interrupts the reconnect
 /// backoff instead of sleeping through it.
 #[test]

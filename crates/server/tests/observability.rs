@@ -189,3 +189,107 @@ fn metrics_listener_is_optional_and_shut_down_cleanly() {
     assert_eq!(server.metrics_local_addr(), None);
     server.shutdown();
 }
+
+/// `spgraph_feed_chunks_total` says what the feed is doing: an idle
+/// feed ships heartbeats and nothing else, and one append is exactly
+/// one `frames` chunk per subscriber — not one per poll, and not one
+/// shared between them.
+#[test]
+fn feed_chunks_are_counted_by_kind() {
+    use plus_store::wire::{decode_response, encode_request, Request, Response};
+    use plus_store::DurabilityOptions;
+
+    let dir = std::env::temp_dir().join(format!("observability-feed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = DurabilityOptions {
+        fsync: false,
+        ..Default::default()
+    };
+    let store = Arc::new(Store::create_durable_with(&dir, &["Public"], &[], options).unwrap());
+    let public = store.predicate("Public").unwrap();
+    store.append_node("a", NodeKind::Data, Features::new(), public);
+    let server = Server::bind(
+        Arc::new(AccountService::new(store.clone())),
+        "127.0.0.1:0",
+        &ServerConfig {
+            threads: 1,
+            allow_replication: true,
+            metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let metrics_addr = server.metrics_local_addr().expect("metrics listener bound");
+    let chunks = |kind: &str| {
+        let (_, body) = scrape(metrics_addr, "/metrics");
+        sample(
+            &body,
+            &format!("spgraph_feed_chunks_total{{kind=\"{kind}\"}}"),
+        )
+    };
+
+    // Two subscribers, already caught up (a non-zero clock: no snapshot).
+    let mut feeds: Vec<(TcpStream, Vec<u8>)> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            let (mut inbuf, mut outbuf) = (Vec::new(), Vec::new());
+            let hello = Request::Hello {
+                version: plus_store::PROTOCOL_VERSION,
+                consumer: "feed".into(),
+                claims: vec![],
+            };
+            server::write_frame(&mut stream, &encode_request(&hello).unwrap(), &mut outbuf)
+                .unwrap();
+            server::read_frame(&mut stream, &mut inbuf)
+                .unwrap()
+                .unwrap();
+            let subscribe = Request::Subscribe {
+                from_clock: store.clock(),
+            };
+            server::write_frame(
+                &mut stream,
+                &encode_request(&subscribe).unwrap(),
+                &mut outbuf,
+            )
+            .unwrap();
+            (stream, inbuf)
+        })
+        .collect();
+    let mut next_chunk = |feed: usize| {
+        let (stream, inbuf) = &mut feeds[feed];
+        let payload = server::read_frame(stream, inbuf).unwrap().unwrap();
+        match decode_response(payload).unwrap() {
+            Response::WalChunk(chunk) => chunk,
+            other => panic!("a subscription carries chunks, got {other:?}"),
+        }
+    };
+
+    // An idle second: four heartbeats each, and nothing else.
+    for feed in 0..2 {
+        for _ in 0..4 {
+            assert!(next_chunk(feed).frames.is_empty());
+        }
+    }
+    assert!(chunks("heartbeat") >= 8.0);
+    assert_eq!(chunks("frames"), 0.0);
+    assert_eq!(chunks("snapshot"), 0.0);
+
+    // One append: one frames chunk on each feed…
+    store.append_node("b", NodeKind::Data, Features::new(), public);
+    for feed in 0..2 {
+        assert!(!next_chunk(feed).frames.is_empty());
+    }
+    // …and, once the next heartbeats show both feeders have moved on,
+    // still exactly two on the counter.
+    for feed in 0..2 {
+        assert!(next_chunk(feed).frames.is_empty());
+    }
+    assert_eq!(chunks("frames"), 2.0);
+    assert_eq!(chunks("snapshot"), 0.0);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -545,3 +545,144 @@ fn replicas_serve_queries_status_and_pooled_reads() {
     std::fs::remove_dir_all(&primary_dir).ok();
     std::fs::remove_dir_all(&replica_dir).ok();
 }
+
+/// A bare subscriber: Hello, Subscribe from `from_clock`, then chunks —
+/// what the feeder sees of any follower, with nothing applied.
+struct RawFeed {
+    stream: std::net::TcpStream,
+    inbuf: Vec<u8>,
+}
+
+impl RawFeed {
+    fn subscribe(server: &Server, from_clock: u64) -> RawFeed {
+        use plus_store::wire::{encode_request, Request};
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (mut inbuf, mut outbuf) = (Vec::new(), Vec::new());
+        let hello = Request::Hello {
+            version: plus_store::PROTOCOL_VERSION,
+            consumer: "raw-feed".into(),
+            claims: vec![],
+        };
+        server::write_frame(&mut stream, &encode_request(&hello).unwrap(), &mut outbuf).unwrap();
+        server::read_frame(&mut stream, &mut inbuf)
+            .unwrap()
+            .unwrap();
+        let subscribe = Request::Subscribe { from_clock };
+        server::write_frame(
+            &mut stream,
+            &encode_request(&subscribe).unwrap(),
+            &mut outbuf,
+        )
+        .unwrap();
+        RawFeed { stream, inbuf }
+    }
+
+    fn next_chunk(&mut self) -> plus_store::WalChunk {
+        use plus_store::wire::{decode_response, Response};
+        let payload = server::read_frame(&mut self.stream, &mut self.inbuf)
+            .expect("the feed stays readable")
+            .expect("the feed stays open");
+        match decode_response(payload).unwrap() {
+            Response::WalChunk(chunk) => chunk,
+            other => panic!("a subscription carries chunks, got {other:?}"),
+        }
+    }
+
+    /// Reads up to and including the next heartbeat (an empty chunk).
+    fn next_heartbeat(&mut self) -> plus_store::WalChunk {
+        loop {
+            let chunk = self.next_chunk();
+            if chunk.frames.is_empty() && chunk.snapshot.is_none() {
+                return chunk;
+            }
+        }
+    }
+}
+
+/// The feeder waits on the log: an append is on the wire as soon as it
+/// is in the log, both in a steady stream and after a quiet spell.
+/// Mutations caught: a feeder that finds appends on a timer (200 round
+/// trips at the old 10ms poll need 2s), and an append path that does
+/// not wake a parked feeder (the chunk leaves at the next heartbeat,
+/// up to 250ms late).
+#[test]
+fn appends_reach_a_subscriber_without_waiting_for_a_timer() {
+    const ROUNDS: u32 = 200;
+    let primary_dir = temp_dir("wake-primary");
+    let (store, _service, server) = boot_primary(&primary_dir);
+    for i in 0..10 {
+        apply_op(&store, i);
+    }
+    let public = store.predicate("Public").unwrap();
+    let mut feed = RawFeed::subscribe(&server, store.clock());
+    // A closed loop: each append waits for the chunk carrying the last.
+    let began = Instant::now();
+    for i in 0..ROUNDS {
+        store.append_node(
+            format!("steady-{i}"),
+            NodeKind::Data,
+            Features::new(),
+            public,
+        );
+        let clock = store.clock();
+        let chunk = feed.next_chunk();
+        assert!(!chunk.frames.is_empty(), "the append, not a heartbeat");
+        assert_eq!(chunk.start_clock, clock - 1, "one chunk per append");
+        assert_eq!(chunk.primary_epoch, clock);
+    }
+    let steady = began.elapsed();
+    assert!(
+        steady < Duration::from_secs(1),
+        "{ROUNDS} round trips took {steady:?}"
+    );
+
+    // A heartbeat means the feeder has sat idle for a quarter second:
+    // it is parked, and only a wake gets the next append out in time.
+    feed.next_heartbeat();
+    store.append_node("after-quiet", NodeKind::Data, Features::new(), public);
+    let began = Instant::now();
+    let chunk = feed.next_chunk();
+    let woken = began.elapsed();
+    assert!(!chunk.frames.is_empty());
+    assert!(
+        woken < Duration::from_millis(100),
+        "a parked feeder shipped {woken:?} after the append"
+    );
+
+    server.shutdown();
+    std::fs::remove_dir_all(&primary_dir).ok();
+}
+
+/// Shutdown does not wait for a heartbeat: feeders parked on the store's
+/// clock are woken explicitly. Mutation caught: removing the wake from
+/// `FeederSet::close_all` — both feeders then sleep until their next
+/// heartbeat is due, most of 250ms away.
+#[test]
+fn shutdown_with_parked_subscribers_is_prompt() {
+    let primary_dir = temp_dir("prompt-primary");
+    let (store, _service, server) = boot_primary(&primary_dir);
+    for i in 0..10 {
+        apply_op(&store, i);
+    }
+    let mut feeds = [
+        RawFeed::subscribe(&server, store.clock()),
+        RawFeed::subscribe(&server, store.clock()),
+    ];
+    // Each feeder has just sent a heartbeat and parked for the next.
+    for feed in &mut feeds {
+        feed.next_heartbeat();
+    }
+    assert_eq!(server.stats().subscriptions, 2);
+    let began = Instant::now();
+    server.shutdown();
+    let took = began.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "shutdown waited {took:?} on parked feeders"
+    );
+    std::fs::remove_dir_all(&primary_dir).ok();
+}
