@@ -1,10 +1,14 @@
 //! Criterion benches for the store substrate: snapshot encode/decode
 //! ("DB access") and materialization ("build graph") — Fig. 10's
-//! non-protection bars.
+//! non-protection bars — and what one epoch costs the serving layer,
+//! rebuilt from the whole log or extended from its predecessor.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use plus_store::Store;
+use plus_store::{AccountService, PolicyStatement, RecordId, Store};
 use surrogate_bench::experiments::fig10::{build_store, Fig10Config};
+use surrogate_core::marking::Marking;
 
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
@@ -37,5 +41,44 @@ fn bench_store(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_store);
+/// `snapshot/{rebuild,extend}/{1025n,4860n}`: `AccountService::snapshot`
+/// (materialization plus index build) on `spbench`'s G1k and G5k shapes.
+/// `rebuild` is a cold service's first epoch. `extend` is the epoch after
+/// a one-record write; the write re-marks node 0, so the graph stays the
+/// stated size however many iterations run.
+fn bench_snapshot(c: &mut Criterion) {
+    let mut group = c.benchmark_group("snapshot");
+    for &(stages, width) in &[(20usize, 25usize), (40, 60)] {
+        let store = Arc::new(build_store(Fig10Config {
+            stages,
+            width,
+            sensitive_fraction: 0.15,
+            iterations: 1,
+            seed: 11,
+            simulated_db_roundtrip_us: None,
+        }));
+        let size = format!("{}n", store.node_count());
+
+        group.bench_function(BenchmarkId::new("rebuild", &size), |b| {
+            b.iter(|| AccountService::new(store.clone()).snapshot());
+        });
+
+        let service = AccountService::new(store.clone());
+        service.snapshot();
+        let write = PolicyStatement::MarkNode {
+            node: RecordId(0),
+            predicate: None,
+            marking: Marking::Visible,
+        };
+        group.bench_function(BenchmarkId::new("extend", &size), |b| {
+            b.iter(|| {
+                store.apply_policy(write.clone()).expect("node 0 exists");
+                service.snapshot()
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_store, bench_snapshot);
 criterion_main!(benches);

@@ -344,12 +344,7 @@ fn build_node_layer(
         let n = NodeId(i as u32);
         match plan {
             NodePlan::Original => {
-                let node = original.node(n);
-                let id = graph.add_node_with_features(
-                    node.label.clone(),
-                    node.features.clone(),
-                    node.lowest,
-                );
+                let id = graph.add_shared_node(original.shared_node(n).clone());
                 to_account[i] = Some(id);
                 to_original.push(n);
                 correspondence.push(Correspondence::Original);

@@ -8,6 +8,7 @@
 //! walks edges both ways and the opacity measure needs in/out degrees.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::feature::Features;
@@ -52,9 +53,14 @@ pub struct Node {
 }
 
 /// A directed graph with privilege-annotated nodes.
+///
+/// Node payloads sit behind an [`Arc`]: a graph derived from another (a
+/// materialized epoch from the record log, a protected account from its
+/// source graph) shares the payloads it does not change instead of
+/// copying them, and cloning a graph copies no label or feature.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
-    nodes: Vec<Node>,
+    nodes: Vec<Arc<Node>>,
     out: Vec<Vec<NodeId>>,
     inn: Vec<Vec<NodeId>>,
     edge_index: FxHashMap<Edge, u32>,
@@ -90,12 +96,18 @@ impl Graph {
         features: Features,
         lowest: PrivilegeId,
     ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
+        self.add_shared_node(Arc::new(Node {
             label: label.into(),
             features,
             lowest,
-        });
+        }))
+    }
+
+    /// Adds a node whose payload is shared with whoever else holds
+    /// `node` — another graph, or the record log it was read from.
+    pub fn add_shared_node(&mut self, node: Arc<Node>) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(node);
         self.out.push(Vec::new());
         self.inn.push(Vec::new());
         id
@@ -152,10 +164,21 @@ impl Graph {
         &self.nodes[id.index()]
     }
 
-    /// Mutable payload of `id`.
+    /// The shared handle to `id`'s payload, for
+    /// [`add_shared_node`](Self::add_shared_node) on another graph.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a node of this graph.
+    #[inline]
+    pub fn shared_node(&self, id: NodeId) -> &Arc<Node> {
+        &self.nodes[id.index()]
+    }
+
+    /// Mutable payload of `id`. A payload shared with another holder is
+    /// copied first, so the change is visible through this graph only.
     #[inline]
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
+        Arc::make_mut(&mut self.nodes[id.index()])
     }
 
     /// `true` if `id` is a node of this graph.
@@ -609,5 +632,26 @@ mod tests {
         assert_eq!(g.node(a).label, "renamed");
         assert!(g.contains_node(a));
         assert!(!g.contains_node(NodeId(5)));
+    }
+
+    /// Catches `node_mut` writing through a shared payload (`Arc::get_mut`
+    /// plus an unchecked fallback, or interior mutation).
+    #[test]
+    fn node_mut_on_a_clone_leaves_the_sharers_payload_alone() {
+        let p = public();
+        let mut g = Graph::new();
+        let a = g.add_node_with_features("a", Features::new().with("k", 1i64), p);
+        let mut copy = g.clone();
+        let mut derived = Graph::new();
+        let a2 = derived.add_shared_node(g.shared_node(a).clone());
+        assert!(Arc::ptr_eq(g.shared_node(a), copy.shared_node(a)));
+        assert!(Arc::ptr_eq(g.shared_node(a), derived.shared_node(a2)));
+
+        copy.node_mut(a).label = "renamed".into();
+        assert_eq!(copy.node(a).label, "renamed");
+        assert_eq!(g.node(a).label, "a");
+        assert_eq!(derived.node(a2).label, "a");
+        assert!(!Arc::ptr_eq(g.shared_node(a), copy.shared_node(a)));
+        assert!(Arc::ptr_eq(g.shared_node(a), derived.shared_node(a2)));
     }
 }

@@ -8,7 +8,10 @@
 //! mirror that: a store is an append-only log of [`NodeRecord`]s,
 //! [`EdgeRecord`]s and [`PolicyStatement`]s.
 
+use std::sync::Arc;
+
 use surrogate_core::feature::Features;
+use surrogate_core::graph::Node;
 use surrogate_core::marking::Marking;
 use surrogate_core::privilege::PrivilegeId;
 
@@ -105,6 +108,18 @@ pub struct NodeRecord {
     pub lowest: PrivilegeId,
     /// Logical append timestamp assigned by the store.
     pub created_at: u64,
+}
+
+impl NodeRecord {
+    /// Moves the label, features and predicate behind the one `Arc` the
+    /// log, every materialization and every account then share.
+    pub(crate) fn into_payload(self) -> Arc<Node> {
+        Arc::new(Node {
+            label: self.label,
+            features: self.features,
+            lowest: self.lowest,
+        })
+    }
 }
 
 /// A stored edge.

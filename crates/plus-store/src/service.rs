@@ -332,6 +332,15 @@ pub struct AccountService {
     /// duration in nanoseconds.
     protects: AtomicU64,
     protect_nanos: AtomicU64,
+    builds: SnapshotBuilds,
+}
+
+/// Snapshot builds by kind, and their total duration in nanoseconds.
+#[derive(Default)]
+struct SnapshotBuilds {
+    extended: AtomicU64,
+    rebuilt: AtomicU64,
+    nanos: AtomicU64,
 }
 
 impl std::fmt::Debug for AccountService {
@@ -367,6 +376,7 @@ impl AccountService {
             frame_misses: AtomicU64::new(0),
             protects: AtomicU64::new(0),
             protect_nanos: AtomicU64::new(0),
+            builds: SnapshotBuilds::default(),
         }
     }
 
@@ -409,9 +419,13 @@ impl AccountService {
         }
     }
 
-    /// The current epoch-stamped materialization, rebuilt (and cached)
+    /// The current epoch-stamped materialization, built (and cached)
     /// whenever the source has moved past the cached epoch — or, on a
-    /// sharded source, whenever a slot reset bumped the generation.
+    /// sharded source, whenever a slot reset bumped the generation. Over
+    /// a live, unpartitioned store the build extends the snapshot it
+    /// retires with what the log gained since
+    /// ([`Store::delta_since`]); anything else is rebuilt from the whole
+    /// log. [`snapshot_stats`](Self::snapshot_stats) counts both.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         let (source_gen, source_epoch) = self.source_state();
         {
@@ -431,9 +445,29 @@ impl AccountService {
                 return snapshot.clone();
             }
         }
-        let snapshot = Arc::new(match &self.source {
+        let started = Instant::now();
+        let (snapshot, build) = match &self.source {
             Source::Live(store) => {
-                let (epoch, materialized) = store.materialize_versioned();
+                // Build on the snapshot being retired: take its
+                // materialization when this is the last pin, clone it
+                // (payloads are shared) while a reader still holds one.
+                let base = cached.take().map(|retired| match Arc::try_unwrap(retired) {
+                    Ok(snapshot) => snapshot.materialized,
+                    Err(pinned) => pinned.materialized.clone(),
+                });
+                let extended = base.and_then(|mut base| {
+                    let delta = store.delta_since(&base)?;
+                    let epoch = delta.clock();
+                    base.extend(delta);
+                    Some((epoch, base))
+                });
+                let (epoch, materialized, build) = match extended {
+                    Some((epoch, materialized)) => (epoch, materialized, &self.builds.extended),
+                    None => {
+                        let (epoch, materialized) = store.materialize_versioned();
+                        (epoch, materialized, &self.builds.rebuilt)
+                    }
+                };
                 // A shard server stamps its own slot of the epoch
                 // vector; zeros elsewhere are honest lower bounds on
                 // histories it does not follow.
@@ -445,26 +479,39 @@ impl AccountService {
                     }
                     None => Vec::new(),
                 };
-                Snapshot::stamped(0, epoch, shard_epochs, materialized)
+                (
+                    Snapshot::stamped(0, epoch, shard_epochs, materialized),
+                    build,
+                )
             }
             Source::Sharded(merged) => {
                 let (generation, epoch, clocks, materialized) = merged.materialize_stamped();
-                Snapshot::stamped(generation, epoch, clocks, materialized)
+                (
+                    Snapshot::stamped(generation, epoch, clocks, materialized),
+                    &self.builds.rebuilt,
+                )
             }
-        });
-        // Adopt the rebuild unless it would move a generation's epoch
-        // backward (it cannot: materialization reads the version and the
-        // log under one lock, and versions only grow). Across a slot
-        // reset the new materialization may sit at a *lower* epoch while
-        // the repaired slot re-bootstraps, and is adopted regardless.
+        };
+        let snapshot = Arc::new(snapshot);
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        build.fetch_add(1, Ordering::Relaxed);
+        self.builds.nanos.fetch_add(nanos, Ordering::Relaxed);
+        // Adopt the build unless it would move a generation's epoch
+        // backward (it cannot: a build reads the version and the log
+        // under one lock, and versions only grow — which is also why a
+        // live source's retired snapshot, taken above, never needs to be
+        // put back). Across a slot reset the new materialization may sit
+        // at a *lower* epoch while the repaired slot re-bootstraps, and
+        // is adopted regardless.
         let adopt = cached.as_ref().map_or(true, |old| {
             old.source_gen != snapshot.source_gen || old.epoch < snapshot.epoch
         });
         if adopt {
             // Swapping `current` is the whole invalidation: the retired
             // snapshot's accounts and frames go with its last pin. When
-            // that pin is this one it is freed here, still under the
-            // write lock: freeing a materialization while the other
+            // that pin is this one it is freed here (a live source's
+            // above, where its materialization was taken), still under
+            // the write lock: freeing a materialization while the other
             // readers, let in, allocate their next account contends on
             // the allocator (`churn` read 40 % slower fresh reads with
             // the drop moved past the unlock).
@@ -750,6 +797,20 @@ impl AccountService {
         (
             self.protects.load(Ordering::Relaxed),
             Duration::from_nanos(self.protect_nanos.load(Ordering::Relaxed)),
+        )
+    }
+
+    /// Lifetime snapshot-build cost: how many epochs were built by
+    /// extending their predecessor with the log's delta, how many were
+    /// rebuilt from the whole log (the first, a partitioned or gathered
+    /// source, a store whose history was swapped), and the total time
+    /// both kinds took, index build included — `(extended, rebuilt,
+    /// time)`. A read at the cached epoch moves none of them.
+    pub fn snapshot_stats(&self) -> (u64, u64, Duration) {
+        (
+            self.builds.extended.load(Ordering::Relaxed),
+            self.builds.rebuilt.load(Ordering::Relaxed),
+            Duration::from_nanos(self.builds.nanos.load(Ordering::Relaxed)),
         )
     }
 

@@ -40,7 +40,10 @@
 //! responses stamped by a gather carry the full vector, so a client can
 //! tell exactly how far into *each* shard's history an answer reflects.
 
+use std::sync::Arc;
+
 use parking_lot::RwLock;
+use surrogate_core::graph::Node;
 use surrogate_core::privilege::{PrivilegeId, PrivilegeLattice};
 use surrogate_core::shard::ShardMap;
 
@@ -48,13 +51,14 @@ use crate::codec::WalRecord;
 use crate::codec::{self, FrameDecode, SnapshotData};
 use crate::error::{Result, StoreError};
 use crate::record::{EdgeRecord, NodeRecord, PolicyStatement};
-use crate::store::Materialized;
+use crate::store::{global_bound, lay_out_global, LogDelta, Materialized};
 
 /// One shard's contribution to the merge: its records in append order
-/// and the clock they extend to.
+/// and the clock they extend to. A node is kept as the payload every
+/// materialization shares; its kind and timestamp are not served here.
 #[derive(Debug, Clone, Default)]
 struct ShardSlice {
-    nodes: Vec<NodeRecord>,
+    nodes: Vec<Arc<Node>>,
     edges: Vec<EdgeRecord>,
     policy: Vec<PolicyStatement>,
     clock: u64,
@@ -185,7 +189,12 @@ impl ShardMerge {
             // checkpoint) must not rewind history the merge already has.
             return Ok(());
         }
-        slice.nodes = data.nodes.clone();
+        slice.nodes = data
+            .nodes
+            .iter()
+            .cloned()
+            .map(NodeRecord::into_payload)
+            .collect();
         slice.edges = data.edges.clone();
         slice.policy = data.policy.clone();
         slice.clock = data.clock;
@@ -197,7 +206,7 @@ impl ShardMerge {
     pub fn apply_record(&mut self, slot: u32, record: WalRecord) -> Result<()> {
         let slice = self.slice_mut(slot)?;
         match record {
-            WalRecord::AppendNode(node) => slice.nodes.push(node),
+            WalRecord::AppendNode(node) => slice.nodes.push(node.into_payload()),
             WalRecord::AppendEdge(edge) => slice.edges.push(edge),
             WalRecord::ApplyPolicy(statement) => slice.policy.push(statement),
         }
@@ -269,119 +278,65 @@ impl ShardMerge {
     /// Materializes the merged graph — the order-canonical union of
     /// every ingested record (see the [module docs](self)).
     pub fn materialize(&self) -> Materialized {
-        use surrogate_core::graph::{Graph, NodeId};
-        use surrogate_core::marking::MarkingStore;
-        use surrogate_core::surrogate::{SurrogateCatalog, SurrogateDef};
+        let (lattice, log) = self.copy_log();
+        build_canonical(lattice, log)
+    }
 
+    /// The lattice and a copy of every slice's records — `Arc` bumps,
+    /// `Copy` edges, the policy statements — with nodes laid out at their
+    /// global ids and edges not yet in canonical order. This is all of
+    /// [`materialize`](Self::materialize) that reads the merge;
+    /// [`build_canonical`] does the rest without it.
+    fn copy_log(&self) -> (PrivilegeLattice, LogDelta) {
         let lattice = self.lattice();
-        let bottom = lattice.public();
-
+        let edges: Vec<EdgeRecord> = self
+            .slices
+            .iter()
+            .flat_map(|s| s.edges.iter().copied())
+            .collect();
         // The graph covers every id any shard has assigned or
         // referenced: global ids equal graph node ids, with
         // placeholders at unassigned gaps.
-        let mut bound: u32 = 0;
-        for (i, slice) in self.slices.iter().enumerate() {
-            let p = self
-                .map
-                .partition(i as u32)
-                .expect("slices are indexed by the map");
-            if let Some(n) = (slice.nodes.len() as u32).checked_sub(1) {
-                bound = bound.max(p.global(n).saturating_add(1));
-            }
-            for edge in &slice.edges {
-                bound = bound.max(edge.from.0.saturating_add(1));
-                bound = bound.max(edge.to.0.saturating_add(1));
-            }
-        }
-
-        let mut graph = Graph::with_capacity(
-            bound as usize,
-            self.slices.iter().map(|s| s.edges.len()).sum(),
-        );
-        for g in 0..bound {
+        let assigned = (self.slices.iter().zip(0u32..))
+            .filter_map(|(slice, i)| {
+                let last = (slice.nodes.len() as u32).checked_sub(1)?;
+                let p = self
+                    .map
+                    .partition(i)
+                    .expect("slices are indexed by the map");
+                Some(p.global(last).saturating_add(1))
+            })
+            .max()
+            .unwrap_or(0);
+        let nodes = lay_out_global(global_bound(assigned, &edges), lattice.public(), |g| {
             let p = self
                 .map
                 .partition(self.map.shard_of(g))
                 .expect("shard_of is in range");
-            let record = self.slices[p.index() as usize]
+            self.slices[p.index() as usize]
                 .nodes
-                .get(p.local(g) as usize);
-            match record {
-                Some(node) => graph.add_node_with_features(
-                    node.label.clone(),
-                    node.features.clone(),
-                    node.lowest,
-                ),
-                None => graph.add_node_with_features(
-                    String::new(),
-                    surrogate_core::feature::Features::new(),
-                    bottom,
-                ),
-            };
-        }
-
-        // Canonical edge order: sorted by (from, to). Each edge lives
-        // on its from-id's owner, so the sort has no duplicates.
-        let mut edges: Vec<&EdgeRecord> = self.slices.iter().flat_map(|s| &s.edges).collect();
-        edges.sort_unstable_by_key(|e| (e.from.0, e.to.0));
-        for edge in edges {
-            graph
-                .add_edge(NodeId(edge.from.0), NodeId(edge.to.0))
-                .expect("edge endpoints are covered by the placeholder bound");
-        }
-
-        let mut markings = MarkingStore::new();
-        let mut catalog = SurrogateCatalog::new();
-        for slice in &self.slices {
-            for statement in &slice.policy {
-                match statement {
-                    PolicyStatement::MarkIncidence {
-                        node,
-                        from,
-                        to,
-                        predicate,
-                        marking,
-                    } => {
-                        let edge = (NodeId(from.0), NodeId(to.0));
-                        match predicate {
-                            Some(p) => markings.set(NodeId(node.0), edge, *p, *marking),
-                            None => markings.set_all_predicates(NodeId(node.0), edge, *marking),
-                        }
-                    }
-                    PolicyStatement::MarkNode {
-                        node,
-                        predicate,
-                        marking,
-                    } => match predicate {
-                        Some(p) => markings.set_node(NodeId(node.0), *p, *marking),
-                        None => markings.set_node_all_predicates(NodeId(node.0), *marking),
-                    },
-                    PolicyStatement::AddSurrogate {
-                        node,
-                        label,
-                        features,
-                        lowest,
-                        info_score,
-                    } => catalog.add(
-                        NodeId(node.0),
-                        SurrogateDef {
-                            label: label.clone(),
-                            features: features.clone(),
-                            lowest: *lowest,
-                            info_score: *info_score,
-                        },
-                    ),
-                }
-            }
-        }
-
-        Materialized {
-            graph,
-            lattice,
-            markings,
-            catalog,
-        }
+                .get(p.local(g) as usize)
+        });
+        let policy = (self.slices.iter())
+            .flat_map(|s| s.policy.iter().cloned())
+            .collect();
+        let log = LogDelta {
+            since: Default::default(),
+            clock: self.version(),
+            nodes,
+            edges,
+            policy,
+        };
+        (lattice, log)
     }
+}
+
+/// Builds the merged materialization from a [`ShardMerge::copy_log`].
+/// Canonical edge order is sorted by `(from, to)`: each edge lives on its
+/// from-id's owner, so the sort has no duplicates to break ties between.
+fn build_canonical(lattice: PrivilegeLattice, mut log: LogDelta) -> Materialized {
+    log.edges.sort_unstable_by_key(|e| (e.from.0, e.to.0));
+    Materialized::build(lattice, log)
 }
 
 /// A thread-safe [`ShardMerge`] handle: feed threads write through
@@ -451,14 +406,16 @@ impl MergedSource {
 
     /// [`materialize_versioned`](Self::materialize_versioned) plus the
     /// reset generation, all of the same instant.
+    ///
+    /// Only the copy of the records happens under the merge's lock; the
+    /// graph is built after it is released, so a feed fold never queues
+    /// behind a materialization.
     pub fn materialize_stamped(&self) -> (u64, u64, Vec<u64>, Materialized) {
-        let merge = self.merge.read();
-        (
-            merge.generation(),
-            merge.version(),
-            merge.clocks(),
-            merge.materialize(),
-        )
+        let (generation, clocks, (lattice, log)) = {
+            let merge = self.merge.read();
+            (merge.generation(), merge.clocks(), merge.copy_log())
+        };
+        (generation, log.clock, clocks, build_canonical(lattice, log))
     }
 }
 

@@ -3,12 +3,16 @@
 //!
 //! A [`Materialized`] store is hash-map-shaped: adjacency behind
 //! `Graph`'s edge index, markings behind `MarkingStore` lookups. That is
-//! the right shape for ingest, but the protection algorithms (account
-//! generation, permitted-reach BFS, lineage traversal) touch every edge
-//! many times per request — at serving scale the hashing dominates. A
-//! [`SnapshotIndex`] is built **once per epoch** when the service
-//! materializes a [`Snapshot`](crate::Snapshot), and every protection
-//! against that epoch then runs over flat arrays:
+//! the shape that can be *extended*: one more edge is a push and an
+//! insert, so an epoch is built from its predecessor in time
+//! proportional to what the log gained
+//! ([`Materialized::extend`](crate::Materialized::extend)). The
+//! protection algorithms (account generation, permitted-reach BFS,
+//! lineage traversal) touch every edge many times per request — at
+//! serving scale the hashing dominates. A [`SnapshotIndex`] is built
+//! **once per epoch** when the service materializes a
+//! [`Snapshot`](crate::Snapshot), and every protection against that
+//! epoch then runs over flat arrays:
 //!
 //! * a compressed-sparse-row adjacency ([`Csr`]) with both edge
 //!   directions split into `offsets + targets + edge-id` arrays, so
@@ -21,7 +25,8 @@
 //! The index is immutable and cheap to share: the service stores it
 //! inside the epoch's `Snapshot`, and account generation borrows it via
 //! `ProtectionContext::with_csr`. An epoch bump simply builds a new
-//! index; nothing is patched in place.
+//! index, even where the materialization under it was extended; nothing
+//! is patched in place.
 //!
 //! [`node_lowest`]: SnapshotIndex::node_lowest
 

@@ -25,11 +25,12 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-use surrogate_core::graph::{Graph, NodeId};
+use surrogate_core::feature::Features;
+use surrogate_core::graph::{Graph, Node, NodeId};
 use surrogate_core::marking::MarkingStore;
 use surrogate_core::privilege::{PrivilegeId, PrivilegeLattice};
 use surrogate_core::shard::Partition;
@@ -42,6 +43,12 @@ use crate::wal::{self, DurabilityOptions, RecoveryReport, Wal, WalIo};
 
 /// Everything needed to run protection over a store's contents: the graph
 /// (node ids equal record indices), the lattice, and the replayed policy.
+///
+/// A materialization is built by [`extend`](Self::extend)ing an empty one
+/// with the whole log, and brought to a later clock by extending it with
+/// what the log gained since ([`Store::delta_since`]). Node payloads are
+/// the log's own (`Arc`-shared), so neither step copies a label or a
+/// feature map, and a clone copies only adjacency and policy.
 #[derive(Debug, Clone)]
 pub struct Materialized {
     /// The provenance graph; `NodeId(i)` is record `RecordId(i)`.
@@ -52,6 +59,39 @@ pub struct Materialized {
     pub markings: MarkingStore,
     /// Surrogate catalog replayed from the policy log.
     pub catalog: SurrogateCatalog,
+    /// How much of the log this reflects; where the next delta starts.
+    reflects: LogLengths,
+}
+
+/// Lengths of the three record lists of a log. A materialization records
+/// the lengths it reflects; a [`LogDelta`] records the lengths it starts
+/// from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct LogLengths {
+    nodes: usize,
+    edges: usize,
+    policy: usize,
+}
+
+/// What a record log gained past some point: the nodes, edges and policy
+/// statements appended since, each in log order, and the clock they bring
+/// a materialization to. Taken by [`Store::delta_since`], consumed by
+/// [`Materialized::extend`].
+#[derive(Debug)]
+pub struct LogDelta {
+    /// All zero for a whole log, read from its start.
+    pub(crate) since: LogLengths,
+    pub(crate) clock: u64,
+    pub(crate) nodes: Vec<Arc<Node>>,
+    pub(crate) edges: Vec<EdgeRecord>,
+    pub(crate) policy: Vec<PolicyStatement>,
+}
+
+impl LogDelta {
+    /// The store clock a materialization extended by this delta reflects.
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
 }
 
 impl Materialized {
@@ -64,6 +104,159 @@ impl Materialized {
             &self.catalog,
         )
     }
+
+    /// The materialization of a whole log — the one builder behind
+    /// [`Store::materialize`], a service's cold start and the gather's
+    /// merge.
+    pub(crate) fn build(lattice: PrivilegeLattice, log: LogDelta) -> Self {
+        let mut built = Self {
+            graph: Graph::with_capacity(log.nodes.len(), log.edges.len()),
+            lattice,
+            markings: MarkingStore::new(),
+            catalog: SurrogateCatalog::new(),
+            reflects: LogLengths::default(),
+        };
+        built.extend(log);
+        built
+    }
+
+    /// Applies what the log gained since this materialization was taken:
+    /// new nodes, then new edges, then new policy. The result equals a
+    /// rebuild at `delta.clock()` because everything a rebuild derives is
+    /// log-ordered per list — node ids, edge and adjacency order, marking
+    /// overwrites, surrogate order per node — and an edge or statement
+    /// only ever names nodes appended before it.
+    ///
+    /// # Panics
+    /// Panics if `delta` was not taken against this materialization (or
+    /// a clone of it).
+    pub fn extend(&mut self, delta: LogDelta) {
+        assert_eq!(
+            delta.since, self.reflects,
+            "delta does not start where this materialization ends"
+        );
+        self.reflects = LogLengths {
+            nodes: self.reflects.nodes + delta.nodes.len(),
+            edges: self.reflects.edges + delta.edges.len(),
+            policy: self.reflects.policy + delta.policy.len(),
+        };
+        for node in delta.nodes {
+            self.graph.add_shared_node(node);
+        }
+        for edge in delta.edges {
+            self.graph
+                .add_edge(NodeId(edge.from.0), NodeId(edge.to.0))
+                .expect("edges are validated on append and endpoints laid out before them");
+        }
+        for statement in delta.policy {
+            self.replay(statement);
+        }
+    }
+
+    /// Replays one policy statement into the markings or the catalog.
+    fn replay(&mut self, statement: PolicyStatement) {
+        match statement {
+            PolicyStatement::MarkIncidence {
+                node,
+                from,
+                to,
+                predicate,
+                marking,
+            } => {
+                let (node, edge) = (NodeId(node.0), (NodeId(from.0), NodeId(to.0)));
+                match predicate {
+                    Some(p) => self.markings.set(node, edge, p, marking),
+                    None => self.markings.set_all_predicates(node, edge, marking),
+                }
+            }
+            PolicyStatement::MarkNode {
+                node,
+                predicate,
+                marking,
+            } => match predicate {
+                Some(p) => self.markings.set_node(NodeId(node.0), p, marking),
+                None => self
+                    .markings
+                    .set_node_all_predicates(NodeId(node.0), marking),
+            },
+            PolicyStatement::AddSurrogate {
+                node,
+                label,
+                features,
+                lowest,
+                info_score,
+            } => self.catalog.add(
+                NodeId(node.0),
+                SurrogateDef {
+                    label,
+                    features,
+                    lowest,
+                    info_score,
+                },
+            ),
+        }
+    }
+}
+
+/// Lays payloads out at their **global** ids, `0..bound`: `owned(g)` where
+/// a record exists, and one shared inert placeholder (empty, visible at
+/// `bottom`) everywhere else — foreign ids on a partitioned store, ids no
+/// shard has assigned yet on a gather.
+pub(crate) fn lay_out_global<'a>(
+    bound: u32,
+    bottom: PrivilegeId,
+    owned: impl Fn(u32) -> Option<&'a Arc<Node>>,
+) -> Vec<Arc<Node>> {
+    let placeholder = Arc::new(Node {
+        label: String::new(),
+        features: Features::new(),
+        lowest: bottom,
+    });
+    (0..bound)
+        .map(|g| owned(g).unwrap_or(&placeholder).clone())
+        .collect()
+}
+
+/// One past the highest global id `edges` reference, or `floor` if that
+/// is higher: how far a placeholder layout must reach.
+pub(crate) fn global_bound(floor: u32, edges: &[EdgeRecord]) -> u32 {
+    edges.iter().fold(floor, |bound, edge| {
+        bound
+            .max(edge.from.0.saturating_add(1))
+            .max(edge.to.0.saturating_add(1))
+    })
+}
+
+/// A node of the in-memory log: the payload every materialization and
+/// account shares, plus what only the record level keeps.
+#[derive(Debug)]
+struct StoredNode {
+    node: Arc<Node>,
+    kind: NodeKind,
+    created_at: u64,
+}
+
+impl From<NodeRecord> for StoredNode {
+    fn from(record: NodeRecord) -> Self {
+        Self {
+            kind: record.kind,
+            created_at: record.created_at,
+            node: record.into_payload(),
+        }
+    }
+}
+
+impl StoredNode {
+    /// The public record form — the one place a stored payload is copied.
+    fn to_record(&self) -> NodeRecord {
+        NodeRecord {
+            label: self.node.label.clone(),
+            kind: self.kind,
+            features: self.node.features.clone(),
+            lowest: self.node.lowest,
+            created_at: self.created_at,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -71,7 +264,7 @@ struct Inner {
     lattice: PrivilegeLattice,
     lattice_names: Vec<String>,
     dominance: Vec<(PrivilegeId, PrivilegeId)>,
-    nodes: Vec<NodeRecord>,
+    nodes: Vec<StoredNode>,
     edges: Vec<EdgeRecord>,
     edge_set: std::collections::HashSet<(RecordId, RecordId)>,
     policy: Vec<PolicyStatement>,
@@ -229,7 +422,7 @@ impl Store {
         &self,
         label: impl Into<String>,
         kind: NodeKind,
-        features: surrogate_core::feature::Features,
+        features: Features,
         lowest: PrivilegeId,
     ) -> RecordId {
         self.try_append_node(label, kind, features, lowest)
@@ -243,7 +436,7 @@ impl Store {
         &self,
         label: impl Into<String>,
         kind: NodeKind,
-        features: surrogate_core::feature::Features,
+        features: Features,
         lowest: PrivilegeId,
     ) -> Result<RecordId> {
         let mut inner = self.inner.write();
@@ -268,7 +461,9 @@ impl Store {
             None => pos,
         });
         inner.clock += 1;
-        inner.nodes.push(record);
+        // The frame is encoded; the label and features move into the one
+        // payload every reader of this node will share.
+        inner.nodes.push(record.into());
         drop(inner);
         self.watch.notify();
         Ok(id)
@@ -464,11 +659,78 @@ impl Store {
     }
 
     /// [`materialize`](Self::materialize) plus the version the
-    /// materialization corresponds to, read under a single lock
-    /// acquisition so the pair is consistent even while writers race.
+    /// materialization corresponds to. The pair is consistent even while
+    /// writers race: the clock and the log are copied in one critical
+    /// section — `Arc` bumps and `Copy` records — and the graph is built
+    /// after the lock is released, so no append queues behind the build.
     pub fn materialize_versioned(&self) -> (u64, Materialized) {
+        let (lattice, partition, mut log) = {
+            let inner = self.inner.read();
+            let log = Self::copy_since(&inner, LogLengths::default());
+            (inner.lattice.clone(), inner.partition, log)
+        };
+        if let Some(p) = partition {
+            // Graph node ids must equal *global* record ids, so the
+            // owned residue class is laid out at its global positions
+            // with inert placeholders at foreign ids. The graph covers
+            // every id any local record references; a shard's partial
+            // view only answers point reads, and cross-shard traversal
+            // goes through the gather merge. An owned id beyond the
+            // local list can be pulled under the bound by an edge to a
+            // *higher* foreign id; it gets a placeholder like any
+            // foreign id.
+            let owned = std::mem::take(&mut log.nodes);
+            let assigned = match owned.len() as u32 {
+                0 => 0,
+                n => p.global(n - 1).saturating_add(1),
+            };
+            log.nodes = lay_out_global(global_bound(assigned, &log.edges), lattice.public(), |g| {
+                owned.get(p.local(g) as usize).filter(|_| p.owns(g))
+            });
+        }
+        (log.clock, Materialized::build(lattice, log))
+    }
+
+    /// Copies what the log holds past `since`, under the caller's lock.
+    fn copy_since(inner: &Inner, since: LogLengths) -> LogDelta {
+        LogDelta {
+            since,
+            clock: inner.clock,
+            nodes: inner.nodes[since.nodes..]
+                .iter()
+                .map(|stored| stored.node.clone())
+                .collect(),
+            edges: inner.edges[since.edges..].to_vec(),
+            policy: inner.policy[since.policy..].to_vec(),
+        }
+    }
+
+    /// What this store's log gained since `base` was materialized, copied
+    /// under the read lock in time proportional to the gain; apply it with
+    /// [`Materialized::extend`] to bring `base` to
+    /// [`clock`](LogDelta::clock).
+    ///
+    /// `None` when `base` cannot be extended and the caller must
+    /// [`materialize`](Self::materialize) afresh: `base` is empty or not a
+    /// prefix of this log (another store's, or this store's from before an
+    /// [`install_snapshot`](Self::install_snapshot) — told apart in O(1),
+    /// by the identity of the last payload `base` shares with the log), or
+    /// the store is partitioned (an id that is a placeholder at one clock
+    /// is a record at the next, which no append-only extension expresses).
+    pub fn delta_since(&self, base: &Materialized) -> Option<LogDelta> {
+        let since = base.reflects;
         let inner = self.inner.read();
-        (inner.clock, Self::materialize_inner(&inner))
+        let last = since.nodes.checked_sub(1)?;
+        let is_prefix = inner.partition.is_none()
+            // `graph` is a public field; a swapped one is no prefix.
+            && base.graph.node_count() == since.nodes
+            && base.graph.edge_count() == since.edges
+            && since.edges <= inner.edges.len()
+            && since.policy <= inner.policy.len()
+            && inner.nodes.get(last).is_some_and(|stored| {
+                Arc::ptr_eq(&stored.node, base.graph.shared_node(NodeId(last as u32)))
+            });
+        is_prefix.then(|| Self::copy_since(&inner, since))
     }
 
     /// The keyspace slice this store owns, when partitioned.
@@ -485,7 +747,7 @@ impl Store {
             Some(p) => p.local(id.0) as usize,
             None => id.index(),
         };
-        inner.nodes.get(pos).cloned()
+        inner.nodes.get(pos).map(StoredNode::to_record)
     }
 
     /// A copy of all edge records in append order. Edge kinds live only at
@@ -498,126 +760,14 @@ impl Store {
     /// Builds the graph, markings, and catalog from the record log — the
     /// paper's "build graph" stage.
     pub fn materialize(&self) -> Materialized {
-        Self::materialize_inner(&self.inner.read())
-    }
-
-    fn materialize_inner(inner: &Inner) -> Materialized {
-        let mut graph = Graph::with_capacity(inner.nodes.len(), inner.edges.len());
-        match inner.partition {
-            None => {
-                for record in &inner.nodes {
-                    graph.add_node_with_features(
-                        record.label.clone(),
-                        record.features.clone(),
-                        record.lowest,
-                    );
-                }
-                for edge in &inner.edges {
-                    graph
-                        .add_edge(NodeId(edge.from.0), NodeId(edge.to.0))
-                        .expect("store validated edges on append");
-                }
-            }
-            Some(p) => {
-                // Graph node ids must equal *global* record ids, so the
-                // owned residue class is laid out at its global
-                // positions with inert placeholders at foreign ids. The
-                // graph covers every id any local record references;
-                // edges to ids beyond the placeholder bound (foreign
-                // nodes nothing pins) are dropped — a shard's partial
-                // view only answers point reads, and cross-shard
-                // traversal goes through the gather merge.
-                let mut bound = match inner.nodes.len() as u32 {
-                    0 => 0,
-                    n => p.global(n - 1).saturating_add(1),
-                };
-                for edge in &inner.edges {
-                    bound = bound.max(edge.from.0.saturating_add(1));
-                    bound = bound.max(edge.to.0.saturating_add(1));
-                }
-                let bottom = inner.lattice.public();
-                for g in 0..bound {
-                    // An owned id beyond the local list can be pulled
-                    // under the bound by an edge to a *higher* foreign
-                    // id; it gets a placeholder like any foreign id.
-                    let local = inner.nodes.get(p.local(g) as usize).filter(|_| p.owns(g));
-                    match local {
-                        Some(record) => graph.add_node_with_features(
-                            record.label.clone(),
-                            record.features.clone(),
-                            record.lowest,
-                        ),
-                        None => graph.add_node_with_features(
-                            String::new(),
-                            surrogate_core::feature::Features::new(),
-                            bottom,
-                        ),
-                    };
-                }
-                for edge in &inner.edges {
-                    graph
-                        .add_edge(NodeId(edge.from.0), NodeId(edge.to.0))
-                        .expect("edge endpoints are covered by the placeholder bound");
-                }
-            }
-        }
-
-        let mut markings = MarkingStore::new();
-        let mut catalog = SurrogateCatalog::new();
-        for statement in &inner.policy {
-            match statement {
-                PolicyStatement::MarkIncidence {
-                    node,
-                    from,
-                    to,
-                    predicate,
-                    marking,
-                } => {
-                    let edge = (NodeId(from.0), NodeId(to.0));
-                    match predicate {
-                        Some(p) => markings.set(NodeId(node.0), edge, *p, *marking),
-                        None => markings.set_all_predicates(NodeId(node.0), edge, *marking),
-                    }
-                }
-                PolicyStatement::MarkNode {
-                    node,
-                    predicate,
-                    marking,
-                } => match predicate {
-                    Some(p) => markings.set_node(NodeId(node.0), *p, *marking),
-                    None => markings.set_node_all_predicates(NodeId(node.0), *marking),
-                },
-                PolicyStatement::AddSurrogate {
-                    node,
-                    label,
-                    features,
-                    lowest,
-                    info_score,
-                } => catalog.add(
-                    NodeId(node.0),
-                    SurrogateDef {
-                        label: label.clone(),
-                        features: features.clone(),
-                        lowest: *lowest,
-                        info_score: *info_score,
-                    },
-                ),
-            }
-        }
-
-        Materialized {
-            graph,
-            lattice: inner.lattice.clone(),
-            markings,
-            catalog,
-        }
+        self.materialize_versioned().1
     }
 
     fn snapshot_data(inner: &Inner) -> SnapshotData {
         SnapshotData {
             lattice_names: inner.lattice_names.clone(),
             dominance: inner.dominance.clone(),
-            nodes: inner.nodes.clone(),
+            nodes: inner.nodes.iter().map(StoredNode::to_record).collect(),
             edges: inner.edges.clone(),
             policy: inner.policy.clone(),
             clock: inner.clock,
@@ -647,7 +797,7 @@ impl Store {
                 lattice,
                 lattice_names: data.lattice_names,
                 dominance: data.dominance,
-                nodes: data.nodes,
+                nodes: data.nodes.into_iter().map(StoredNode::from).collect(),
                 edges: data.edges,
                 edge_set,
                 policy: data.policy,
@@ -1073,8 +1223,6 @@ impl wal::ReplayTarget for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use surrogate_core::feature::Features;
     use surrogate_core::marking::Marking;
 
     fn sample_store() -> (Store, RecordId, RecordId, RecordId) {

@@ -32,6 +32,8 @@
 //! | `spgraph_frame_cache_hit_rate` | gauge | hits / (hits + misses), for humans |
 //! | `spgraph_account_protects_total` | counter | account-cache misses that ran a protection strategy |
 //! | `spgraph_account_protect_seconds_total` | counter | total time those strategy runs took |
+//! | `spgraph_snapshot_builds_total{kind=…}` | counter | epochs materialized: `extended` from the retired snapshot by the log's delta, or `rebuilt` from the whole log |
+//! | `spgraph_snapshot_build_seconds_total` | counter | total time those builds took, index build included |
 //! | `spgraph_bytes_{read,written}_total` | counter | query-socket traffic volume |
 //! | `spgraph_epoch` | gauge | the served store's current epoch |
 //! | `spgraph_snapshots_shipped_total` | counter | replica backfill snapshots |
@@ -440,17 +442,36 @@ impl ServerMetrics {
             "Account-cache misses that ran a protection strategy.",
             protects,
         );
-        // A counter in seconds: fractional, so not through `counter`.
+        let (extended, rebuilt, build_time) = service.snapshot_stats();
+        // Counters in seconds: fractional, so not through `counter`.
+        for (name, help, time) in [
+            (
+                "spgraph_account_protect_seconds_total",
+                "Total time those strategy runs took.",
+                protect_time,
+            ),
+            (
+                "spgraph_snapshot_build_seconds_total",
+                "Total time snapshot builds took, index build included.",
+                build_time,
+            ),
+        ] {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "{name} {}", time.as_secs_f64());
+        }
+
         let _ = writeln!(
             out,
-            "# HELP spgraph_account_protect_seconds_total Total time those strategy runs took."
+            "# HELP spgraph_snapshot_builds_total Epochs materialized, by kind."
         );
-        let _ = writeln!(out, "# TYPE spgraph_account_protect_seconds_total counter");
-        let _ = writeln!(
-            out,
-            "spgraph_account_protect_seconds_total {}",
-            protect_time.as_secs_f64()
-        );
+        let _ = writeln!(out, "# TYPE spgraph_snapshot_builds_total counter");
+        for (kind, builds) in [("extended", extended), ("rebuilt", rebuilt)] {
+            let _ = writeln!(
+                out,
+                "spgraph_snapshot_builds_total{{kind=\"{kind}\"}} {builds}"
+            );
+        }
 
         let _ = writeln!(
             out,
@@ -711,6 +732,7 @@ mod tests {
             "spgraph_promotions_total 1",
             "spgraph_account_protects_total 0",
             "spgraph_account_protect_seconds_total 0",
+            "spgraph_snapshot_builds_total{kind=\"extended\"} 0",
             "spgraph_request_latency_seconds_bucket{type=\"query\",le=\"0.00005\"} 1",
             "spgraph_request_latency_seconds_count{type=\"query\"} 1",
             "# TYPE spgraph_request_latency_seconds histogram",

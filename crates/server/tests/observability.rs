@@ -130,6 +130,8 @@ fn metrics_endpoint_serves_consistent_prometheus_text() {
     server.shutdown();
 }
 
+/// What a fresh read pays beyond a cached one — a snapshot build and a
+/// protection — is on `/metrics`, and a cached read moves none of it.
 #[test]
 fn protect_cost_moves_on_a_fresh_read_only() {
     let (store, sink) = setup();
@@ -144,32 +146,48 @@ fn protect_cost_moves_on_a_fresh_read_only() {
     )
     .unwrap();
     let metrics_addr = server.metrics_local_addr().expect("metrics listener bound");
-    let protect_cost = || {
+    // (protects, their seconds, [extended, rebuilt] builds, their seconds)
+    let fresh_read_cost = || {
         let (_, body) = scrape(metrics_addr, "/metrics");
         (
             sample(&body, "spgraph_account_protects_total"),
             sample(&body, "spgraph_account_protect_seconds_total"),
+            ["extended", "rebuilt"].map(|kind| {
+                sample(
+                    &body,
+                    &format!("spgraph_snapshot_builds_total{{kind=\"{kind}\"}}"),
+                )
+            }),
+            sample(&body, "spgraph_snapshot_build_seconds_total"),
         )
     };
-
     let mut client = Client::connect(server.local_addr(), "reader", &[]).unwrap();
     let request = QueryRequest::new(sink, Direction::Backward, u32::MAX, Strategy::Surrogate);
     client.query(&request).unwrap();
-    let cold = protect_cost();
+    let cold = fresh_read_cost();
     assert_eq!(cold.0, 1.0, "the first read generates the account");
     assert!(cold.1 > 0.0);
+    assert_eq!(
+        cold.2,
+        [0.0, 1.0],
+        "the first epoch is rebuilt from the log"
+    );
+    assert!(cold.3 > 0.0);
 
-    // A cached read never reaches the strategy.
+    // A cached read never reaches the strategy or the store.
     client.query(&request).unwrap();
-    assert_eq!(protect_cost(), cold);
+    assert_eq!(fresh_read_cost(), cold);
 
-    // A write makes the next read fresh: one more generation.
+    // A write makes the next read fresh: one more generation, on an
+    // epoch extended from the one it retires.
     let public = store.predicate("Public").unwrap();
     store.append_node("c", NodeKind::Data, Features::new(), public);
     client.query(&request).unwrap();
-    let fresh = protect_cost();
+    let fresh = fresh_read_cost();
     assert_eq!(fresh.0, 2.0);
     assert!(fresh.1 > cold.1);
+    assert_eq!(fresh.2, [1.0, 1.0]);
+    assert!(fresh.3 > cold.3);
 
     server.shutdown();
 }
