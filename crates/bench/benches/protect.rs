@@ -2,14 +2,14 @@
 //! behind Fig. 10's "protect via hide / protect via surrogate" bars —
 //! swept over graph size and protection fraction.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use graphgen::workflow::{self, WorkflowConfig};
 use graphgen::{synthetic, EdgeProtection, SyntheticConfig};
 use surrogate_core::account::{
     generate_for_set, generate_hide_for_set, generate_with_options, GenerateOptions,
-    ProtectionContext,
+    ProtectionContext, Strategy,
 };
-use surrogate_core::graph::Csr;
+use surrogate_core::graph::{Csr, NodeId};
 use surrogate_core::surrogate::SurrogateCatalog;
 
 fn bench_protect(c: &mut Criterion) {
@@ -84,6 +84,42 @@ fn bench_protect(c: &mut Criterion) {
         );
         group.bench_function(BenchmarkId::new("surrogate", name), |b| {
             b.iter(|| generate_for_set(&ctx, &[wf.public]).expect("generates"));
+        });
+    }
+    group.finish();
+
+    // The same account after a one-node, one-edge append into the middle
+    // of the workflow, extended from the account before it (what a fresh
+    // read after a `churn` write pays) instead of generated: compare
+    // with `protect/workflow` at the same size. Each timed extension
+    // starts from a clone with no spare capacity, so it also regrows the
+    // account's per-node lists once, which a chain of extensions
+    // amortizes.
+    let mut group = c.benchmark_group("protect/extend");
+    for (stages, width) in [(20, 25), (40, 60)] {
+        let mut wf = workflow::generate(WorkflowConfig {
+            stages,
+            width,
+            max_fan_in: 3,
+            sensitive_fraction: 0.15,
+            seed: 4,
+        });
+        let name = format!("{}n", wf.graph.node_count());
+        let prev = ProtectionContext::new(&wf.graph, &wf.lattice, &wf.markings, &wf.catalog)
+            .protect(wf.public, Strategy::Surrogate)
+            .expect("generates");
+        let parent = NodeId(wf.graph.node_count() as u32 / 2);
+        let appended = wf.graph.add_node("appended", wf.public);
+        wf.graph.add_edge(parent, appended).expect("a new edge");
+        let csr = Csr::build(&wf.graph);
+        let ctx = ProtectionContext::new(&wf.graph, &wf.lattice, &wf.markings, &wf.catalog)
+            .with_csr(&csr);
+        group.bench_function(BenchmarkId::new("surrogate", name), |b| {
+            b.iter_batched(
+                || prev.clone(),
+                |prev| ctx.extend_account(prev).expect("extends"),
+                BatchSize::LargeInput,
+            );
         });
     }
     group.finish();

@@ -31,13 +31,16 @@
 //! `Visible`. [`permitted_pairs`] computes the induced pair relation and is
 //! the oracle used by `validate` and the property tests.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::error::Result;
-use crate::graph::{Csr, Edge, Graph, NodeId};
+use crate::graph::{Csr, Edge, Graph, Node, NodeId};
 use crate::marking::{Marking, MarkingStore};
 use crate::privilege::{PrivilegeId, PrivilegeLattice};
-use crate::surrogate::SurrogateCatalog;
+use crate::surrogate::{SurrogateCatalog, SurrogateDef};
 use crate::util::{BitSet, FxHashMap, FxHashSet};
 
 /// How an account node corresponds to its original (Def. 4).
@@ -163,6 +166,12 @@ impl<'a> ProtectionContext<'a> {
         self.csr
     }
 
+    /// The attached CSR index, or one built now.
+    fn index(&self) -> Cow<'a, Csr> {
+        self.csr
+            .map_or_else(|| Cow::Owned(Csr::build(self.graph)), Cow::Borrowed)
+    }
+
     /// Generates an account with the given strategy.
     pub fn protect(&self, p: PrivilegeId, strategy: Strategy) -> Result<ProtectedAccount> {
         self.protect_set(&[p], strategy)
@@ -181,6 +190,26 @@ impl<'a> ProtectionContext<'a> {
             Strategy::HideNodes => generate_naive_node_hide_for_set(self, preds),
         }
     }
+
+    /// Brings `prev`, an account of an earlier state of this context's
+    /// graph, up to the graph: the account
+    /// [`protect_set`](Self::protect_set) would generate now, equal to it
+    /// field for field, at the cost of what was appended and the
+    /// ancestors of the appended nodes instead of the whole graph.
+    ///
+    /// `None`, and the caller generates, unless every edge appended since
+    /// `prev` leads into a node appended since, and every marking or
+    /// surrogate registered since names such a node (docs/DESIGN.md §3.1
+    /// item 8), and few enough nodes were appended that extending is the
+    /// cheaper of the two. The check costs what was appended. Like
+    /// `Store::delta_since` it also refuses another graph: `prev`'s last
+    /// node must share this graph's payload at that position. The
+    /// lattice must be the one `prev` was generated under. An account
+    /// generated without the redundancy filter, or by
+    /// [`reference`](mod@reference), is never extended.
+    pub fn extend_account(&self, prev: ProtectedAccount) -> Option<ProtectedAccount> {
+        extend_counted(self, prev).map(|(account, _)| account)
+    }
 }
 
 /// A protected account `G' = (N', E')` with its correspondence back to `G`.
@@ -198,6 +227,44 @@ pub struct ProtectedAccount {
     /// Account edges that summarize multi-edge paths of `G` rather than
     /// corresponding to a single original edge.
     surrogate_edges: FxHashSet<Edge>,
+    /// What an extension needs of the `G` this reflects; `None` when the
+    /// account cannot be extended.
+    reflects: Option<Reflects>,
+}
+
+/// The state of `G` an account reflects, as
+/// [`ProtectionContext::extend_account`] needs it. `G`'s node count is
+/// the account's `to_account.len()`.
+#[derive(Debug, Clone)]
+struct Reflects {
+    /// `G`'s edge count.
+    edges: usize,
+    /// `G`'s last node payload: the prefix guard.
+    last: Arc<Node>,
+    /// Writes the markings and the catalog had taken.
+    markings: usize,
+    catalog: usize,
+    /// Account edges `..shown` are shown originals; the surrogate edges
+    /// follow in `(source, target)` order.
+    shown: usize,
+    /// Each edge's [`EdgeTables`] flag byte for `Strategy::Surrogate`;
+    /// empty for the other strategies.
+    flags: Vec<u8>,
+}
+
+impl Reflects {
+    /// What `ctx` is now; `None` for an empty graph.
+    fn of(ctx: &ProtectionContext<'_>, shown: usize, flags: Vec<u8>) -> Option<Reflects> {
+        let last = ctx.graph.node_count().checked_sub(1)?;
+        Some(Reflects {
+            edges: ctx.graph.edge_count(),
+            last: ctx.graph.shared_node(NodeId(last as u32)).clone(),
+            markings: ctx.markings.writes(),
+            catalog: ctx.catalog.writes(),
+            shown,
+            flags,
+        })
+    }
 }
 
 impl ProtectedAccount {
@@ -283,47 +350,42 @@ impl ProtectedAccount {
 }
 
 /// Per-node inclusion plan for the node layer of Algorithm 1.
-enum NodePlan {
+enum NodePlan<'c> {
     Original,
-    Surrogate {
-        label: String,
-        features: crate::feature::Features,
-        lowest: PrivilegeId,
-        info_score: f64,
-    },
+    Surrogate(&'c SurrogateDef),
     Absent,
 }
 
-/// Node layer shared by [`generate_for_set`] and
-/// [`generate_hide_for_set`]: originals when dominated (Def. 9.1),
-/// otherwise the most dominant visible surrogate (Def. 9.2), otherwise
-/// absent.
-fn plan_nodes(
-    ctx: &ProtectionContext<'_>,
+/// Node `n`'s plan: the original when dominated (Def. 9.1), otherwise,
+/// with `use_catalog`, the most dominant visible surrogate (Def. 9.2),
+/// otherwise absent.
+fn node_plan<'c>(
+    ctx: &ProtectionContext<'c>,
+    preds: &[PrivilegeId],
+    n: NodeId,
+    use_catalog: bool,
+) -> NodePlan<'c> {
+    if ctx.lattice.set_dominates(preds, ctx.graph.node(n).lowest) {
+        return NodePlan::Original;
+    }
+    let def = use_catalog
+        .then(|| {
+            ctx.catalog
+                .most_dominant_visible_for_set(ctx.lattice, n, preds)
+        })
+        .flatten();
+    def.map_or(NodePlan::Absent, NodePlan::Surrogate)
+}
+
+/// Every node's [`node_plan`], in id order.
+fn plan_nodes<'c>(
+    ctx: &ProtectionContext<'c>,
     preds: &[PrivilegeId],
     use_catalog: bool,
-) -> Vec<NodePlan> {
+) -> Vec<NodePlan<'c>> {
     ctx.graph
         .node_ids()
-        .map(|n| {
-            if ctx.lattice.set_dominates(preds, ctx.graph.node(n).lowest) {
-                return NodePlan::Original;
-            }
-            if use_catalog {
-                if let Some(def) = ctx
-                    .catalog
-                    .most_dominant_visible_for_set(ctx.lattice, n, preds)
-                {
-                    return NodePlan::Surrogate {
-                        label: def.label.clone(),
-                        features: def.features.clone(),
-                        lowest: def.lowest,
-                        info_score: def.info_score,
-                    };
-                }
-            }
-            NodePlan::Absent
-        })
+        .map(|n| node_plan(ctx, preds, n, use_catalog))
         .collect()
 }
 
@@ -332,46 +394,51 @@ fn build_node_layer(
     ctx: &ProtectionContext<'_>,
     preds: &[PrivilegeId],
     strategy: Strategy,
-    plans: Vec<NodePlan>,
+    plans: Vec<NodePlan<'_>>,
 ) -> ProtectedAccount {
     let original = ctx.graph;
-    let mut graph = Graph::with_capacity(original.node_count(), original.edge_count());
-    let mut to_account = vec![None; original.node_count()];
-    let mut to_original = Vec::new();
-    let mut correspondence = Vec::new();
-
-    for (i, plan) in plans.into_iter().enumerate() {
-        let n = NodeId(i as u32);
-        match plan {
-            NodePlan::Original => {
-                let id = graph.add_shared_node(original.shared_node(n).clone());
-                to_account[i] = Some(id);
-                to_original.push(n);
-                correspondence.push(Correspondence::Original);
-            }
-            NodePlan::Surrogate {
-                label,
-                features,
-                lowest,
-                info_score,
-            } => {
-                let id = graph.add_node_with_features(label, features, lowest);
-                to_account[i] = Some(id);
-                to_original.push(n);
-                correspondence.push(Correspondence::Surrogate { info_score });
-            }
-            NodePlan::Absent => {}
-        }
-    }
-
-    ProtectedAccount {
-        graph,
+    let mut account = ProtectedAccount {
+        graph: Graph::with_capacity(original.node_count(), original.edge_count()),
         hw: preds.to_vec(),
         strategy,
-        to_account,
-        to_original,
-        correspondence,
+        to_account: Vec::with_capacity(original.node_count()),
+        to_original: Vec::new(),
+        correspondence: Vec::new(),
         surrogate_edges: FxHashSet::default(),
+        reflects: None,
+    };
+    for (n, plan) in original.node_ids().zip(plans) {
+        account.push_node(original, n, plan);
+    }
+    account
+}
+
+impl ProtectedAccount {
+    /// Appends original `n`, the next node of `original`, under `plan`.
+    fn push_node(&mut self, original: &Graph, n: NodeId, plan: NodePlan<'_>) {
+        let (id, correspondence) = match plan {
+            NodePlan::Original => (
+                self.graph.add_shared_node(original.shared_node(n).clone()),
+                Correspondence::Original,
+            ),
+            NodePlan::Surrogate(def) => (
+                self.graph.add_node_with_features(
+                    def.label.clone(),
+                    def.features.clone(),
+                    def.lowest,
+                ),
+                Correspondence::Surrogate {
+                    info_score: def.info_score,
+                },
+            ),
+            NodePlan::Absent => {
+                self.to_account.push(None);
+                return;
+            }
+        };
+        self.to_account.push(Some(id));
+        self.to_original.push(n);
+        self.correspondence.push(correspondence);
     }
 }
 
@@ -483,39 +550,47 @@ impl EdgeTables {
     /// Both incidences resolve `Visible` — directly showable.
     const VISIBLE: u8 = 1 << 3;
 
+    /// The flag byte of an edge whose source and destination incidences
+    /// resolve to `src` and `dst`.
+    fn flags(src: Marking, dst: Marking) -> u8 {
+        let mut f = 0u8;
+        if src == Marking::Visible {
+            f |= Self::SRC_VISIBLE;
+        }
+        if dst == Marking::Visible {
+            f |= Self::DST_VISIBLE;
+        }
+        if src == Marking::Hide || dst == Marking::Hide {
+            f |= Self::HIDDEN;
+        }
+        if src == Marking::Visible && dst == Marking::Visible {
+            f |= Self::VISIBLE;
+        }
+        f
+    }
+
+    /// The flag byte of `edge` for `preds`: the one definition the tables,
+    /// the walks and an extension read.
+    fn of(m: &MarkingStore, edge: Edge, preds: &[PrivilegeId]) -> u8 {
+        Self::flags(
+            m.mark_for_set(edge.0, edge, preds),
+            m.mark_for_set(edge.1, edge, preds),
+        )
+    }
+
     fn resolve(ctx: &ProtectionContext<'_>, preds: &[PrivilegeId], csr: &Csr) -> EdgeTables {
         let e = csr.edge_count();
         let m = ctx.markings;
-        let flags_for = |src: Marking, dst: Marking| {
-            let mut f = 0u8;
-            if src == Marking::Visible {
-                f |= Self::SRC_VISIBLE;
-            }
-            if dst == Marking::Visible {
-                f |= Self::DST_VISIBLE;
-            }
-            if src == Marking::Hide || dst == Marking::Hide {
-                f |= Self::HIDDEN;
-            }
-            if src == Marking::Visible && dst == Marking::Visible {
-                f |= Self::VISIBLE;
-            }
-            f
-        };
         // Uniform store: every incidence resolves to the default marking.
         if m.rule_count() == 0 {
             let d = m.default_marking();
             return EdgeTables {
-                flags: vec![flags_for(d, d); e],
+                flags: vec![Self::flags(d, d); e],
             };
         }
-        let mut flags = vec![0u8; e];
-        for (id, slot) in flags.iter_mut().enumerate() {
-            let edge = csr.endpoints(id);
-            let src = m.mark_for_set(edge.0, edge, preds);
-            let dst = m.mark_for_set(edge.1, edge, preds);
-            *slot = flags_for(src, dst);
-        }
+        let flags = (0..e)
+            .map(|id| Self::of(m, csr.endpoints(id), preds))
+            .collect();
         EdgeTables { flags }
     }
 
@@ -625,14 +700,7 @@ fn generate_counted(
     let plans = plan_nodes(ctx, &preds, true);
     let mut account = build_node_layer(ctx, &preds, Strategy::Surrogate, plans);
 
-    let owned_csr;
-    let csr = match ctx.csr {
-        Some(csr) => csr,
-        None => {
-            owned_csr = Csr::build(ctx.graph);
-            &owned_csr
-        }
-    };
+    let csr = &*ctx.index();
     let tables = EdgeTables::resolve(ctx, &preds, csr);
     let n = csr.node_count();
 
@@ -650,6 +718,7 @@ fn generate_counted(
                 .expect("original edges are unique and loop-free");
         }
     }
+    let shown = account.graph.edge_count();
 
     let present: Vec<bool> = (0..n).map(|i| account.to_account[i].is_some()).collect();
     let mut walker = Walker::new(csr, &tables, &present, options.redundancy_filter);
@@ -725,7 +794,11 @@ fn generate_counted(
             account.surrogate_edges.insert((u_acct, v_acct));
         }
     }
-    Ok((account, walker.counts))
+    let counts = walker.counts;
+    if options.redundancy_filter {
+        account.reflects = Reflects::of(ctx, shown, tables.flags);
+    }
+    Ok((account, counts))
 }
 
 /// Per-node scratch of one walk, stamped instead of cleared so that
@@ -1037,6 +1110,328 @@ impl<'a> Walker<'a> {
     }
 }
 
+/// [`ProtectionContext::extend_account`] with the number of edges its
+/// column searches examined, which repeats exactly as [`WalkCounts`] do.
+fn extend_counted(
+    ctx: &ProtectionContext<'_>,
+    mut account: ProtectedAccount,
+) -> Option<(ProtectedAccount, u64)> {
+    let reflects = account.reflects.take()?;
+    let g = ctx.graph;
+    let (n0, n, e) = (account.to_account.len(), g.node_count(), g.edge_count());
+    let use_catalog = account.strategy != Strategy::HideNodes;
+    // The prefix guard, then the class: every new edge leads into a new
+    // node, and no write since names an old one.
+    let in_class = n0 <= n
+        && reflects.edges <= e
+        && Arc::ptr_eq(g.shared_node(NodeId(n0 as u32 - 1)), &reflects.last)
+        && (reflects.edges..e).all(|id| g.edge_at(id).1.index() >= n0)
+        && (ctx.markings.named_since(reflects.markings))
+            .is_some_and(|named| named.iter().all(|v| v.index() >= n0))
+        && (ctx.catalog.named_since(reflects.catalog)).is_some_and(|named| {
+            named.iter().all(|&v| {
+                v.index() >= n0
+                    && (!use_catalog || ctx.catalog.validate_node(g, ctx.lattice, v).is_ok())
+            })
+        });
+    if !in_class {
+        return None;
+    }
+
+    let preds = account.hw.clone();
+    for v in (n0..n).map(|v| NodeId(v as u32)) {
+        account.push_node(g, v, node_plan(ctx, &preds, v, use_catalog));
+    }
+    let surrogate = account.strategy == Strategy::Surrogate;
+    let mut flags = reflects.flags;
+    let mut shown = Vec::new();
+    for id in reflects.edges..e {
+        let (a, b) = g.edge_at(id);
+        let f = EdgeTables::of(ctx.markings, (a, b), &preds);
+        if surrogate {
+            flags.push(f);
+        }
+        if f & EdgeTables::VISIBLE != 0 {
+            if let (Some(u), Some(v)) = (account.account_node(a), account.account_node(b)) {
+                shown.push((u, v));
+            }
+        }
+    }
+    // Old pairs keep their rows, depths and witnesses; every new pair has
+    // a new target. So the new surrogate edges are the columns of the
+    // new present nodes.
+    let (mut bridged, mut examined) = (Vec::new(), 0);
+    if surrogate {
+        let csr = &*ctx.index();
+        let targets: Vec<usize> = (n0..n)
+            .filter(|&x| account.to_account[x].is_some())
+            .collect();
+        let budget = COLUMN_BUDGET * e as u64;
+        let within_budget = COLUMNS.with(|columns| {
+            let mut columns = columns.borrow_mut();
+            columns.prepare(n);
+            for (done, &x) in targets.iter().enumerate() {
+                // The columns so far, projected over all of them.
+                if columns.examined * targets.len() as u64 > budget * done as u64 {
+                    return false;
+                }
+                columns.bridge(csr, &flags, &account.to_account, x as u32, &mut bridged);
+            }
+            examined = columns.examined;
+            true
+        });
+        if !within_budget {
+            return None;
+        }
+        bridged.sort_unstable();
+        account.surrogate_edges.extend(bridged.iter().copied());
+    }
+    account.graph.splice_edges(reflects.shown, &shown, &bridged);
+    account.reflects = Reflects::of(ctx, reflects.shown + shown.len(), flags);
+    Some((account, examined))
+}
+
+/// Edges the column searches of one extension may examine per edge of
+/// the graph; an extension gives up, and the caller generates, once the
+/// columns it has searched, projected over every appended node, would
+/// examine more. Each appended node costs a search of its ancestor
+/// region, so a burst of appends can cost more than a generation, which
+/// is worth about this many examinations per edge (200–225 ns per edge
+/// of a 1 025- and a 4 860-node workflow, against 6–7 ns per examined
+/// edge).
+const COLUMN_BUDGET: u64 = 32;
+
+/// `Cell::r` of a pair Def. 8 cond. 2 forbids.
+const FORBIDDEN: u32 = u32::MAX;
+
+/// Per-node scratch of the [`Columns`] searches, stamped so that a
+/// search costs what it visits, not `O(V)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    /// Stamp of the column `j` and `r` belong to.
+    column: u32,
+    /// `J(v)`: the length of the shortest non-hidden walk from `v` into
+    /// the target whose last edge is `DST_VISIBLE`; 0 when there is none.
+    j: u32,
+    /// `r(v, target)` for a present `v`: 0 while unknown, or
+    /// [`FORBIDDEN`].
+    r: u32,
+    /// Stamp of the forward search that visited `v`.
+    seen: u32,
+    /// Stamp of the forward search whose source has a direct edge to
+    /// `v`, with id `direct_id`.
+    direct: u32,
+    direct_id: u32,
+}
+
+/// The surrogate edges into appended targets, one target's column at a
+/// time (docs/DESIGN.md §3.1 item 8). One per thread, grown to the
+/// largest graph it has served, so an extension allocates and clears
+/// nothing proportional to the graph.
+#[derive(Debug, Default)]
+struct Columns {
+    cells: Vec<Cell>,
+    column: u32,
+    search: u32,
+    level: Vec<u32>,
+    next: Vec<u32>,
+    candidates: Vec<u32>,
+    /// Edges examined since [`prepare`](Self::prepare).
+    examined: u64,
+}
+
+thread_local! {
+    static COLUMNS: RefCell<Columns> = RefCell::default();
+}
+
+impl Columns {
+    fn prepare(&mut self, nodes: usize) {
+        // A stamp per column and per candidate: start over long before
+        // either wraps.
+        if self.column.max(self.search) > u32::MAX / 2 {
+            *self = Columns::default();
+        }
+        if self.cells.len() < nodes {
+            self.cells.resize(nodes, Cell::default());
+        }
+        self.examined = 0;
+    }
+
+    /// `v`'s cell, for the current column.
+    fn cell(&mut self, v: u32) -> &mut Cell {
+        let column = self.column;
+        let cell = &mut self.cells[v as usize];
+        if cell.column != column {
+            *cell = Cell {
+                column,
+                j: 0,
+                r: 0,
+                ..*cell
+            };
+        }
+        cell
+    }
+
+    /// Appends to `bridged` the surrogate edge `(u, x)` of every present
+    /// `u` whose pair the redundancy rule keeps.
+    ///
+    /// A reverse search from `x` over non-hidden in-edges finds `J` for
+    /// `x`'s whole ancestor region; `r(u, x)` is then 1 over a direct
+    /// Visible–Visible edge, else `1 + J(y)` minimized over `u`'s `SEED`
+    /// edges `u → y`. Nothing stops the search early: a node whose walk
+    /// into `x` is a Visible–Visible edge still leaves `r(w, x)` to be
+    /// found for the nodes behind it, any of which may be the witness
+    /// of a longer pair (`extension_keeps_the_whole_ancestor_region`).
+    fn bridge(
+        &mut self,
+        csr: &Csr,
+        flags: &[u8],
+        to_account: &[Option<NodeId>],
+        x: u32,
+        bridged: &mut Vec<Edge>,
+    ) {
+        self.column += 1;
+        self.candidates.clear();
+        // Def. 8 cond. 2: a direct edge into `x` that is not
+        // Visible–Visible forbids its pair.
+        let (sources, ids) = csr.inn(NodeId(x));
+        for (&y, &id) in sources.iter().zip(ids) {
+            if flags[id as usize] & EdgeTables::VISIBLE == 0 {
+                self.cell(y).r = FORBIDDEN;
+            }
+        }
+        // Level 1 enters `x` over a Visible incidence; `x` expands like
+        // any other node once a walk re-enters it.
+        self.next.clear();
+        self.examined += sources.len() as u64;
+        for (&y, &id) in sources.iter().zip(ids) {
+            let f = flags[id as usize];
+            if f & (EdgeTables::HIDDEN | EdgeTables::DST_VISIBLE) == EdgeTables::DST_VISIBLE {
+                self.reach(y, f, 1, x, to_account);
+            }
+        }
+        let mut depth = 1;
+        while !self.next.is_empty() {
+            std::mem::swap(&mut self.level, &mut self.next);
+            self.next.clear();
+            for i in 0..self.level.len() {
+                let (sources, ids) = csr.inn(NodeId(self.level[i]));
+                self.examined += sources.len() as u64;
+                for (&y, &id) in sources.iter().zip(ids) {
+                    let f = flags[id as usize];
+                    if f & EdgeTables::HIDDEN == 0 {
+                        self.reach(y, f, depth + 1, x, to_account);
+                    }
+                }
+            }
+            depth += 1;
+        }
+
+        let candidates = std::mem::take(&mut self.candidates);
+        let account_node = |v: u32| to_account[v as usize].expect("present");
+        for &u in &candidates {
+            let d = self.cells[u as usize].r;
+            if !self.decomposable(csr, flags, u, x, d) {
+                bridged.push((account_node(u), account_node(x)));
+            }
+        }
+        self.candidates = candidates;
+    }
+
+    /// Examines the non-hidden edge `y → z` (flags `f`), where `z`'s
+    /// shortest walk into `x` makes `depth` from `y`. The first
+    /// examination of `y` is its `J`, the first over a `SEED` edge its
+    /// `r`, because depths arrive in nondecreasing order. A depth-1 pair
+    /// is a direct Visible–Visible edge, shown and never a candidate.
+    fn reach(&mut self, y: u32, f: u8, depth: u32, x: u32, to_account: &[Option<NodeId>]) {
+        let cell = self.cell(y);
+        let first = cell.j == 0;
+        if first {
+            cell.j = depth;
+        }
+        let row = f & EdgeTables::SRC_VISIBLE != 0
+            && cell.r == 0
+            && y != x
+            && to_account[y as usize].is_some();
+        if row {
+            cell.r = depth;
+        }
+        if first {
+            self.next.push(y);
+        }
+        if row && depth > 1 {
+            self.candidates.push(y);
+        }
+    }
+
+    /// Redundancy rule 3(b) for candidate `(u, x)` at depth `d`: whether
+    /// some present `w ≠ x` has `r(u, w) < d` and `r(w, x) < d`. A
+    /// level-synchronous search from `u` to depth `d − 1` that records as
+    /// the `Walker` does. Every node of a walk from `u` to such a `w`
+    /// reaches `x` through `w`, so the search does not leave the region
+    /// of the column.
+    fn decomposable(&mut self, csr: &Csr, flags: &[u8], u: u32, x: u32, d: u32) -> bool {
+        self.search += 1;
+        let (column, search) = (self.column, self.search);
+        let (targets, ids) = csr.out(NodeId(u));
+        for (&t, &id) in targets.iter().zip(ids) {
+            let cell = &mut self.cells[t as usize];
+            cell.direct = search;
+            cell.direct_id = id;
+        }
+        // Examines the non-hidden edge into `t`, at a depth under `d`:
+        // `t` is a witness when it is recorded (Def. 8 cond. 1 and 2, as
+        // in `Walker::walk`) and its own row to `x` is shorter than `d`.
+        // A row implies a present node.
+        let examine = |cells: &mut [Cell], next: &mut Vec<u32>, t: u32, f: u8| {
+            let cell = &mut cells[t as usize];
+            if cell.column != column || cell.j == 0 {
+                return false;
+            }
+            if cell.seen != search {
+                cell.seen = search;
+                next.push(t);
+            }
+            f & EdgeTables::DST_VISIBLE != 0
+                && t != u
+                && t != x
+                && (1..d).contains(&cell.r)
+                && (cell.direct != search
+                    || flags[cell.direct_id as usize] & EdgeTables::VISIBLE != 0)
+        };
+        self.next.clear();
+        self.examined += targets.len() as u64;
+        for (&t, &id) in targets.iter().zip(ids) {
+            let f = flags[id as usize];
+            if f & (EdgeTables::HIDDEN | EdgeTables::SRC_VISIBLE) == EdgeTables::SRC_VISIBLE
+                && examine(&mut self.cells, &mut self.next, t, f)
+            {
+                return true;
+            }
+        }
+        // `next` holds the nodes first visited at `depth`; their edges
+        // enter at `depth + 1`.
+        let mut depth = 1;
+        while depth + 1 < d && !self.next.is_empty() {
+            std::mem::swap(&mut self.level, &mut self.next);
+            self.next.clear();
+            for &w in &self.level {
+                let (targets, ids) = csr.out(NodeId(w));
+                self.examined += targets.len() as u64;
+                for (&t, &id) in targets.iter().zip(ids) {
+                    let f = flags[id as usize];
+                    if f & EdgeTables::HIDDEN == 0 && examine(&mut self.cells, &mut self.next, t, f)
+                    {
+                        return true;
+                    }
+                }
+            }
+            depth += 1;
+        }
+        false
+    }
+}
+
 /// The "binary show/hide" edge baseline (§6): same node layer as the
 /// surrogate algorithm, but protected incidences simply drop their edges —
 /// no surrogate edges are synthesized.
@@ -1050,6 +1445,7 @@ pub fn generate_hide_for_set(
     let plans = plan_nodes(ctx, &preds, true);
     let mut account = build_node_layer(ctx, &preds, Strategy::HideEdges, plans);
     add_shown_edges(ctx, &preds, &mut account);
+    account.reflects = Reflects::of(ctx, account.graph.edge_count(), Vec::new());
     Ok(account)
 }
 
@@ -1065,6 +1461,7 @@ pub fn generate_naive_node_hide_for_set(
     let plans = plan_nodes(ctx, &preds, false);
     let mut account = build_node_layer(ctx, &preds, Strategy::HideNodes, plans);
     add_shown_edges(ctx, &preds, &mut account);
+    account.reflects = Reflects::of(ctx, account.graph.edge_count(), Vec::new());
     Ok(account)
 }
 
@@ -1836,6 +2233,274 @@ mod tests {
                 "{nodes} nodes, {edges} edges: {counts:?}"
             );
             assert!(counts.rewalks <= nodes as u64 / 10, "{counts:?}");
+        }
+    }
+
+    /// Asserts `got` is `want` in every field, in order.
+    fn assert_same(got: &ProtectedAccount, want: &ProtectedAccount) {
+        let edges: Vec<Edge> = want.graph.edges().collect();
+        assert_eq!(got.graph.edges().collect::<Vec<_>>(), edges, "edge order");
+        for (i, &edge) in edges.iter().enumerate() {
+            assert_eq!(got.graph.edge_index(edge), Some(i));
+        }
+        for n in want.graph.node_ids() {
+            assert_eq!(got.graph.out_neighbors(n), want.graph.out_neighbors(n));
+            assert_eq!(got.graph.in_neighbors(n), want.graph.in_neighbors(n));
+            assert_eq!(got.graph.node(n), want.graph.node(n));
+        }
+        assert_eq!(got.to_account, want.to_account);
+        assert_eq!(got.to_original, want.to_original);
+        assert_eq!(got.correspondence, want.correspondence);
+        assert_eq!(got.surrogate_edges, want.surrogate_edges);
+    }
+
+    /// The Public account of `fx`, before the test appends to it.
+    fn public_account(fx: &Fixture) -> ProtectedAccount {
+        generate_for_set(&fx.ctx(), &[fx.lattice.public()]).unwrap()
+    }
+
+    /// Extends `prev` to `fx`'s graph and checks the result against a
+    /// generation and the reference.
+    fn extend_checked(fx: &Fixture, prev: ProtectedAccount) -> ProtectedAccount {
+        let ctx = fx.ctx();
+        let public = fx.lattice.public();
+        let extended = ctx.extend_account(prev).expect("an append into new nodes");
+        assert_same(&extended, &generate_for_set(&ctx, &[public]).unwrap());
+        assert_same(
+            &extended,
+            &reference::generate_for_set(&ctx, &[public]).unwrap(),
+        );
+        extended
+    }
+
+    /// A Public-and-High fixture over `edges`; the nodes in `high` need
+    /// High and have no surrogate, so they are absent and, with every
+    /// incidence Visible, pass walks through.
+    fn absent_fixture(nodes: usize, edges: &[(usize, usize)], high: &[usize]) -> Fixture {
+        let (lattice, preds) = PrivilegeLattice::flat(&["High"]).unwrap();
+        let mut graph = Graph::new();
+        let ids: Vec<NodeId> = (0..nodes)
+            .map(|i| {
+                let lowest = if high.contains(&i) {
+                    preds[0]
+                } else {
+                    lattice.public()
+                };
+                graph.add_node(format!("n{i}"), lowest)
+            })
+            .collect();
+        for &(a, b) in edges {
+            graph.add_edge(ids[a], ids[b]).unwrap();
+        }
+        Fixture {
+            graph,
+            lattice,
+            markings: MarkingStore::new(),
+            catalog: SurrogateCatalog::new(),
+            ids,
+        }
+    }
+
+    /// Appends a Public node with edges into it from `from`.
+    fn append_public(fx: &mut Fixture, from: &[usize]) -> NodeId {
+        let x = fx.graph.add_node("x", fx.lattice.public());
+        for &a in from {
+            fx.graph.add_edge(fx.ids[a], x).unwrap();
+        }
+        fx.ids.push(x);
+        x
+    }
+
+    #[test]
+    fn extension_keeps_the_whole_ancestor_region() {
+        // u→s→w, w→y1→y→x and u→p→q→r→x with s, y1, p, q, r absent:
+        // d(u, x) = 4 over p, and w drops the pair (d(u, w) = 2,
+        // d(w, x) = 3). y is no witness (d(u, y) = 4), but a search into
+        // x that stopped at y — whose one in-edge is Visible–Visible —
+        // would never find d(w, x), and emit u→x.
+        let (u, s, w, y1, y, p, q, r) = (0, 1, 2, 3, 4, 5, 6, 7);
+        let mut fx = absent_fixture(
+            8,
+            &[(u, s), (s, w), (w, y1), (y1, y), (u, p), (p, q), (q, r)],
+            &[s, y1, p, q, r],
+        );
+        let prev = public_account(&fx);
+        let x = append_public(&mut fx, &[y, r]);
+        let account = extend_checked(&fx, prev);
+        let node = |n: NodeId| account.account_node(n).unwrap();
+        assert!(
+            !account.graph.has_edge(node(fx.ids[u]), node(x)),
+            "w splits it"
+        );
+        assert!(account.is_surrogate_edge((node(fx.ids[u]), node(fx.ids[w]))));
+        assert!(account.is_surrogate_edge((node(fx.ids[w]), node(fx.ids[y]))));
+    }
+
+    #[test]
+    fn extension_forbids_a_pair_over_a_protected_direct_edge() {
+        // u→a→x with a absent would bridge u→x, but the direct u→x is
+        // Surrogate-marked at x: Def. 8 cond. 2 forbids the pair.
+        let (u, a) = (0, 1);
+        let mut fx = absent_fixture(2, &[(u, a)], &[a]);
+        let prev = public_account(&fx);
+        let x = append_public(&mut fx, &[a, u]);
+        let public = fx.lattice.public();
+        fx.markings
+            .set(x, (fx.ids[u], x), public, Marking::Surrogate);
+        let account = extend_checked(&fx, prev);
+        let (u2, x2) = (
+            account.account_node(fx.ids[u]).unwrap(),
+            account.account_node(x).unwrap(),
+        );
+        assert!(!account.graph.has_edge(u2, x2));
+        assert_eq!(account.graph.edge_count(), 0);
+    }
+
+    #[test]
+    fn extension_bridges_through_a_node_shown_as_its_surrogate() {
+        // a→b with b shown as b' and its role Surrogate-marked: the new
+        // b→c makes the pair (a, c), bridged past b', which stays
+        // isolated (Fig. 2(d)).
+        let mut fx = chain_fixture(true);
+        let c = fx.ids[2];
+        fx.graph = Graph::new();
+        let public = fx.lattice.public();
+        let high = fx.lattice.by_name("High").unwrap();
+        let (a, b) = (fx.graph.add_node("a", public), fx.graph.add_node("b", high));
+        fx.graph.add_edge(a, b).unwrap();
+        let prev = public_account(&fx);
+        assert_eq!(fx.graph.add_node("c", public), c);
+        fx.graph.add_edge(b, c).unwrap();
+        let account = extend_checked(&fx, prev);
+        let node = |n: NodeId| account.account_node(n).unwrap();
+        assert!(account.is_surrogate_edge((node(a), node(c))));
+        assert_eq!(account.graph.degree(node(b)), 0, "b' isolated");
+    }
+
+    #[test]
+    fn extension_walks_a_cycle_among_new_nodes() {
+        // u→x→y→z→x, all new but u, with x's role Surrogate-marked: u and
+        // z reach y past x, y→z is shown, and (u, z) splits at y.
+        let mut fx = pass_through_fixture(1, &[], &[]);
+        let prev = public_account(&fx);
+        let public = fx.lattice.public();
+        let [x, y, z] = ["x", "y", "z"].map(|label| fx.graph.add_node(label, public));
+        for (a, b) in [(fx.ids[0], x), (x, y), (y, z), (z, x)] {
+            fx.graph.add_edge(a, b).unwrap();
+        }
+        fx.markings.set_node(x, public, Marking::Surrogate);
+        let account = extend_checked(&fx, prev);
+        let node = |n: NodeId| account.account_node(n).unwrap();
+        let u = fx.ids[0];
+        for (a, b) in [(u, y), (z, y)] {
+            assert!(account.is_surrogate_edge((node(a), node(b))));
+        }
+        assert!(account.graph.has_edge(node(y), node(z)));
+        assert!(!account.graph.has_edge(node(u), node(z)));
+    }
+
+    #[test]
+    fn extension_splices_a_shown_edge_ahead_of_surrogate_edges() {
+        // u→b→c with b absent gives u the surrogate edge u→c; a new
+        // shown u→x joins the shown block, ahead of it, in u's
+        // out-list as in the edge list.
+        let (u, b, c) = (0, 1, 2);
+        let mut fx = absent_fixture(3, &[(u, b), (b, c)], &[b]);
+        let prev = public_account(&fx);
+        let x = append_public(&mut fx, &[u]);
+        let account = extend_checked(&fx, prev);
+        let node = |n: NodeId| account.account_node(n).unwrap();
+        let (u2, c2, x2) = (node(fx.ids[u]), node(fx.ids[c]), node(x));
+        assert_eq!(account.graph.out_neighbors(u2), &[x2, c2]);
+        assert_eq!(
+            account.graph.edges().collect::<Vec<_>>(),
+            vec![(u2, x2), (u2, c2)]
+        );
+        assert!(account.is_surrogate_edge((u2, c2)));
+    }
+
+    #[test]
+    fn extension_refuses_writes_about_old_nodes() {
+        let (u, b) = (0, 1);
+        let fresh = || absent_fixture(2, &[(u, b)], &[b]);
+        let refused = |fx: &Fixture, prev: ProtectedAccount| {
+            assert!(fx.ctx().extend_account(prev).is_none());
+        };
+        let public = fresh().lattice.public();
+
+        // A marking of an old node, beside an append.
+        let mut fx = fresh();
+        let prev = public_account(&fx);
+        append_public(&mut fx, &[b]);
+        fx.markings.set_node(fx.ids[u], public, Marking::Surrogate);
+        refused(&fx, prev);
+
+        // A surrogate for an old node.
+        let mut fx = fresh();
+        let prev = public_account(&fx);
+        fx.catalog.add(fx.ids[b], SurrogateDef::null(&fx.lattice));
+        refused(&fx, prev);
+
+        // An edge into an old node.
+        let mut fx = fresh();
+        let prev = public_account(&fx);
+        let x = append_public(&mut fx, &[]);
+        fx.graph.add_edge(x, fx.ids[u]).unwrap();
+        refused(&fx, prev);
+
+        // Another graph of the same shape, and an unfiltered account.
+        let fx = fresh();
+        refused(&fx, public_account(&fresh()));
+        let unfiltered = GenerateOptions {
+            redundancy_filter: false,
+        };
+        refused(
+            &fx,
+            generate_with_options(&fx.ctx(), &[public], unfiltered).unwrap(),
+        );
+    }
+
+    #[test]
+    fn extension_work_is_local_to_the_append() {
+        // Counted, as `walk_work_is_linear_in_the_graph`: a sink under a
+        // first-layer node has no ancestor past its parent, whatever the
+        // graph's size; a sink under the last layer has most of the graph
+        // above it.
+        let mut first_layer = Vec::new();
+        for nodes in [2_000usize, 8_000] {
+            for parent in [1, nodes - 2] {
+                let mut fx = layered_fixture(nodes);
+                let prev = public_account(&fx);
+                append_public(&mut fx, &[parent]);
+                let (account, examined) = extend_counted(&fx.ctx(), prev).unwrap();
+                assert_same(&account, &public_account(&fx));
+                if parent == 1 {
+                    first_layer.push(examined);
+                } else {
+                    println!("{nodes} nodes, sink under the last layer: {examined} edges");
+                }
+            }
+        }
+        assert_eq!(first_layer[0], first_layer[1], "{first_layer:?}");
+    }
+
+    #[test]
+    fn a_burst_of_appends_is_left_to_a_generation() {
+        // Catches: the column budget unchecked. A sink under the last
+        // layer searches most of the graph, so a few of them extend and
+        // a few hundred cost more than generating.
+        let nodes = 2_000;
+        for (sinks, extends) in [(4, true), (400, false)] {
+            let mut fx = layered_fixture(nodes);
+            let prev = public_account(&fx);
+            for i in 0..sinks {
+                append_public(&mut fx, &[nodes - 1 - i % 8]);
+            }
+            let extended = extend_counted(&fx.ctx(), prev);
+            assert_eq!(extended.is_some(), extends, "{sinks} sinks");
+            if let Some((account, _)) = extended {
+                assert_same(&account, &public_account(&fx));
+            }
         }
     }
 

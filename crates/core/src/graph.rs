@@ -137,6 +137,69 @@ impl Graph {
         Ok(())
     }
 
+    /// Inserts the new edges `shown`, in order, at position `at` of the
+    /// edge list, and merges the new edges `sorted` into the edges after
+    /// them; those and `sorted` must both be in `(from, to)` order. Every
+    /// adjacency list stays in edge-list order, and the positions of the
+    /// edges that moved are rewritten in one pass.
+    pub(crate) fn splice_edges(&mut self, at: usize, shown: &[Edge], sorted: &[Edge]) {
+        if shown.is_empty() && sorted.is_empty() {
+            return;
+        }
+        let Self {
+            out,
+            inn,
+            edge_index,
+            edge_list,
+            ..
+        } = self;
+        // An edge keeps its place in a list ahead of every edge that
+        // lands after it. New edges are not indexed yet, and precede
+        // whatever the next one is inserted ahead of.
+        let ahead = |edge: Edge, key: bool| {
+            edge_index
+                .get(&edge)
+                .map_or(true, |&i| (i as usize) < at || key)
+        };
+        for &(a, b) in shown {
+            debug_assert!(a != b && !edge_index.contains_key(&(a, b)));
+            let list = &mut out[a.index()];
+            list.insert(list.partition_point(|&t| ahead((a, t), false)), b);
+            let list = &mut inn[b.index()];
+            list.insert(list.partition_point(|&s| ahead((s, b), false)), a);
+        }
+        for &(a, b) in sorted {
+            debug_assert!(a != b && !edge_index.contains_key(&(a, b)));
+            let list = &mut out[a.index()];
+            list.insert(list.partition_point(|&t| ahead((a, t), t < b)), b);
+            let list = &mut inn[b.index()];
+            list.insert(list.partition_point(|&s| ahead((s, b), s < a)), a);
+        }
+
+        let block = edge_list.split_off(at);
+        edge_list.extend_from_slice(shown);
+        let mut new = sorted.iter().copied().peekable();
+        for &edge in &block {
+            while let Some(n) = new.next_if(|&n| n < edge) {
+                edge_list.push(n);
+            }
+            edge_list.push(edge);
+        }
+        edge_list.extend(new);
+        // Only positions from the first insertion on change.
+        let first = at
+            + if shown.is_empty() {
+                sorted
+                    .first()
+                    .map_or(block.len(), |&s| block.partition_point(|&e| e < s))
+            } else {
+                0
+            };
+        for (i, &edge) in edge_list.iter().enumerate().skip(first) {
+            edge_index.insert(edge, i as u32);
+        }
+    }
+
     /// Adds `a → b` and `b → a` (bi-directional relationship, §2).
     pub fn add_bidirectional(&mut self, a: NodeId, b: NodeId) -> Result<()> {
         self.add_edge(a, b)?;

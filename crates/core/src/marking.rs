@@ -48,6 +48,9 @@ pub struct MarkingStore {
     per_node_pred: FxHashMap<(NodeId, PrivilegeId), Marking>,
     per_incidence: FxHashMap<(NodeId, Edge), Marking>,
     per_incidence_pred: FxHashMap<(NodeId, Edge, PrivilegeId), Marking>,
+    /// The node each write marked, in write order: how an account
+    /// extension tells whether a later write touched a node it reflects.
+    named: Vec<NodeId>,
 }
 
 impl Default for MarkingStore {
@@ -65,36 +68,55 @@ impl MarkingStore {
             per_node_pred: FxHashMap::default(),
             per_incidence: FxHashMap::default(),
             per_incidence_pred: FxHashMap::default(),
+            named: Vec::new(),
         }
     }
 
     /// Changes the global default marking.
     pub fn with_default(mut self, marking: Marking) -> Self {
         self.default = marking;
+        // Every incidence changes: logged as a write to the first node,
+        // which every non-empty graph reflects.
+        self.named.push(NodeId(0));
         self
     }
 
     /// Marks one incidence for one predicate (layer 1).
     pub fn set(&mut self, node: NodeId, edge: Edge, p: PrivilegeId, marking: Marking) {
         debug_assert!(node == edge.0 || node == edge.1, "node must be incident");
+        self.named.push(node);
         self.per_incidence_pred.insert((node, edge, p), marking);
     }
 
     /// Marks one incidence for every predicate (layer 2).
     pub fn set_all_predicates(&mut self, node: NodeId, edge: Edge, marking: Marking) {
         debug_assert!(node == edge.0 || node == edge.1, "node must be incident");
+        self.named.push(node);
         self.per_incidence.insert((node, edge), marking);
     }
 
     /// Marks all of a node's incidences for one predicate (layer 3). This
     /// is the "hide/surrogate the role of a node" idiom of Fig. 2.
     pub fn set_node(&mut self, node: NodeId, p: PrivilegeId, marking: Marking) {
+        self.named.push(node);
         self.per_node_pred.insert((node, p), marking);
     }
 
     /// Marks all of a node's incidences for every predicate (layer 4).
     pub fn set_node_all_predicates(&mut self, node: NodeId, marking: Marking) {
+        self.named.push(node);
         self.per_node.insert(node, marking);
+    }
+
+    /// Writes taken so far; see [`named_since`](Self::named_since).
+    pub(crate) fn writes(&self) -> usize {
+        self.named.len()
+    }
+
+    /// The node each write after the first `since` marked, in write
+    /// order; `None` if the store has taken fewer writes.
+    pub(crate) fn named_since(&self, since: usize) -> Option<&[NodeId]> {
+        self.named.get(since..)
     }
 
     /// Convenience: marks *both* incidences of an edge for predicate `p`.

@@ -51,6 +51,9 @@ impl SurrogateDef {
 #[derive(Debug, Clone, Default)]
 pub struct SurrogateCatalog {
     by_node: FxHashMap<NodeId, Vec<SurrogateDef>>,
+    /// The node each registration named, in order (as
+    /// `MarkingStore` keeps for its writes).
+    named: Vec<NodeId>,
 }
 
 impl SurrogateCatalog {
@@ -64,7 +67,19 @@ impl SurrogateCatalog {
     /// by [`validate`](Self::validate) (so catalogs can be built before the
     /// graph is final) and eagerly by the account generator.
     pub fn add(&mut self, node: NodeId, def: SurrogateDef) {
+        self.named.push(node);
         self.by_node.entry(node).or_default().push(def);
+    }
+
+    /// Registrations taken so far; see [`named_since`](Self::named_since).
+    pub(crate) fn writes(&self) -> usize {
+        self.named.len()
+    }
+
+    /// The node each registration after the first `since` named, in
+    /// order; `None` if the catalog has taken fewer.
+    pub(crate) fn named_since(&self, since: usize) -> Option<&[NodeId]> {
+        self.named.get(since..)
     }
 
     /// Registers a `<null>` surrogate for `node`.
@@ -160,32 +175,43 @@ impl SurrogateCatalog {
     /// Checks every definition against the provider requirements listed in
     /// the module docs.
     pub fn validate(&self, graph: &Graph, lattice: &PrivilegeLattice) -> Result<()> {
-        for (&node, defs) in &self.by_node {
-            if !graph.contains_node(node) {
-                return Err(Error::UnknownNode(node));
+        self.by_node
+            .keys()
+            .try_for_each(|&node| self.validate_node(graph, lattice, node))
+    }
+
+    /// [`validate`](Self::validate) for the definitions of one node.
+    pub(crate) fn validate_node(
+        &self,
+        graph: &Graph,
+        lattice: &PrivilegeLattice,
+        node: NodeId,
+    ) -> Result<()> {
+        if !graph.contains_node(node) {
+            return Err(Error::UnknownNode(node));
+        }
+        let defs = self.for_node(node);
+        let node_lowest = graph.node(node).lowest;
+        for def in defs {
+            if !(0.0..=1.0).contains(&def.info_score) {
+                return Err(Error::InfoScoreOutOfRange {
+                    node,
+                    score: def.info_score,
+                });
             }
-            let node_lowest = graph.node(node).lowest;
-            for def in defs {
-                if !(0.0..=1.0).contains(&def.info_score) {
-                    return Err(Error::InfoScoreOutOfRange {
-                        node,
-                        score: def.info_score,
-                    });
-                }
-                if lattice.dominates(def.lowest, node_lowest) {
-                    return Err(Error::SurrogateTooPrivileged {
-                        node,
-                        surrogate_lowest: def.lowest,
-                        node_lowest,
-                    });
-                }
+            if lattice.dominates(def.lowest, node_lowest) {
+                return Err(Error::SurrogateTooPrivileged {
+                    node,
+                    surrogate_lowest: def.lowest,
+                    node_lowest,
+                });
             }
-            // §4.1 monotonicity across every ordered pair of surrogates.
-            for a in defs {
-                for b in defs {
-                    if lattice.dominates(a.lowest, b.lowest) && a.info_score < b.info_score {
-                        return Err(Error::InfoScoreNotMonotone { node });
-                    }
+        }
+        // §4.1 monotonicity across every ordered pair of surrogates.
+        for a in defs {
+            for b in defs {
+                if lattice.dominates(a.lowest, b.lowest) && a.info_score < b.info_score {
+                    return Err(Error::InfoScoreNotMonotone { node });
                 }
             }
         }

@@ -9,13 +9,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use std::sync::Arc;
+
 use surrogate_core::account::{
     self, generate_for_set, generate_hide_for_set, generate_naive_node_hide_for_set,
-    generate_with_options, GenerateOptions, ProtectionContext, Strategy,
+    generate_with_options, Correspondence, GenerateOptions, ProtectedAccount, ProtectionContext,
+    Strategy,
 };
 use surrogate_core::feature::Features;
-use surrogate_core::graph::Graph;
 use surrogate_core::graph::NodeId;
+use surrogate_core::graph::{Csr, Graph};
 use surrogate_core::hw::{high_water_set, is_high_water_set};
 use surrogate_core::marking::{Marking, MarkingStore};
 use surrogate_core::measures::{
@@ -256,6 +259,253 @@ fn assert_matches_reference(scenario: &Scenario) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Every field an account exposes, in order: edges and their positions,
+/// each adjacency list, payloads (an original's shared with `original`),
+/// both directions of the node correspondence and the surrogate
+/// classification.
+fn assert_same_account(
+    got: &ProtectedAccount,
+    want: &ProtectedAccount,
+    original: &Graph,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.high_water(), want.high_water());
+    prop_assert_eq!(got.strategy(), want.strategy());
+    let (g, w) = (got.graph(), want.graph());
+    prop_assert_eq!(g.node_count(), w.node_count());
+    let edges: Vec<_> = w.edges().collect();
+    prop_assert_eq!(&g.edges().collect::<Vec<_>>(), &edges);
+    for (i, &e) in edges.iter().enumerate() {
+        prop_assert_eq!(g.edge_index(e), Some(i));
+        prop_assert_eq!(
+            got.is_surrogate_edge(e),
+            want.is_surrogate_edge(e),
+            "{:?}",
+            e
+        );
+    }
+    prop_assert_eq!(got.surrogate_edge_count(), want.surrogate_edge_count());
+    for n in w.node_ids() {
+        prop_assert_eq!(g.out_neighbors(n), w.out_neighbors(n), "out of {}", n);
+        prop_assert_eq!(g.in_neighbors(n), w.in_neighbors(n), "in of {}", n);
+        prop_assert_eq!(g.node(n), w.node(n));
+        prop_assert_eq!(got.original_node(n), want.original_node(n));
+        prop_assert_eq!(got.correspondence(n), want.correspondence(n));
+        if *got.correspondence(n) == Correspondence::Original {
+            let shared = original.shared_node(got.original_node(n));
+            prop_assert!(Arc::ptr_eq(g.shared_node(n), shared), "payload of {}", n);
+        }
+    }
+    for n in original.node_ids() {
+        prop_assert_eq!(got.account_node(n), want.account_node(n));
+    }
+    Ok(())
+}
+
+fn random_marking(rng: &mut StdRng) -> Marking {
+    [Marking::Visible, Marking::Hide, Marking::Surrogate][rng.gen_range(0..3usize)]
+}
+
+fn random_node(scenario: &Scenario, rng: &mut StdRng) -> NodeId {
+    NodeId(rng.gen_range(0..scenario.graph.node_count() as u32))
+}
+
+/// Appends a node at a random level. A sensitive one may be given a
+/// surrogate and a marking in the same write.
+fn append_node(scenario: &mut Scenario, levels: [PrivilegeId; 3], rng: &mut StdRng) -> NodeId {
+    let lowest = levels[rng.gen_range(0..3usize)];
+    let n = scenario.graph.node_count();
+    let id = scenario.graph.add_node(format!("m{n}"), lowest);
+    if lowest != levels[0] {
+        if rng.gen_bool(0.5) {
+            add_surrogate(scenario, id, levels[0]);
+        }
+        if rng.gen_bool(0.5) {
+            let level = levels[rng.gen_range(0..3usize)];
+            scenario.markings.set_node(id, level, random_marking(rng));
+        }
+    }
+    id
+}
+
+/// A Public surrogate for `n`, scored like the ones it has, so the
+/// catalog stays valid.
+fn add_surrogate(scenario: &mut Scenario, n: NodeId, public: PrivilegeId) {
+    let info_score = scenario
+        .catalog
+        .for_node(n)
+        .first()
+        .map_or(0.5, |def| def.info_score);
+    scenario.catalog.add(
+        n,
+        SurrogateDef {
+            label: format!("{n}'"),
+            features: Features::new(),
+            lowest: public,
+            info_score,
+        },
+    );
+}
+
+/// Adds `from → to`, sometimes marking the head's incidence.
+fn append_edge(
+    scenario: &mut Scenario,
+    (from, to): (NodeId, NodeId),
+    levels: [PrivilegeId; 3],
+    rng: &mut StdRng,
+) {
+    if scenario.graph.add_edge(from, to).is_ok() && rng.gen_bool(0.3) {
+        let level = levels[rng.gen_range(0..3usize)];
+        let marking = random_marking(rng);
+        scenario.markings.set(to, (from, to), level, marking);
+    }
+}
+
+/// A marking or a surrogate about `n`.
+fn statement(scenario: &mut Scenario, n: NodeId, levels: [PrivilegeId; 3], rng: &mut StdRng) {
+    let level = levels[rng.gen_range(0..3usize)];
+    let incident: Vec<_> = (scenario.graph.out_neighbors(n).iter().map(|&t| (n, t)))
+        .chain(scenario.graph.in_neighbors(n).iter().map(|&s| (s, n)))
+        .collect();
+    match rng.gen_range(0..4) {
+        0 => scenario.markings.set_node(n, level, random_marking(rng)),
+        1 => scenario
+            .markings
+            .set_node_all_predicates(n, random_marking(rng)),
+        2 if !incident.is_empty() => {
+            let edge = incident[rng.gen_range(0..incident.len())];
+            scenario.markings.set(n, edge, level, random_marking(rng));
+        }
+        _ if scenario.graph.node(n).lowest != levels[0] => add_surrogate(scenario, n, levels[0]),
+        _ => scenario
+            .markings
+            .set_node_all_predicates(n, random_marking(rng)),
+    }
+}
+
+/// One write of the kinds a store takes, mostly appends into new nodes:
+/// sinks with one to three in-edges, chains and cycles of new nodes
+/// hanging off an existing one, statements about recent nodes; and now
+/// and then an edge between existing nodes or a statement about any
+/// node. Returns the nodes it names as an edge head or as the subject
+/// of a statement: an account reflecting `n0` nodes may be extended
+/// past it iff none is below `n0`.
+fn random_write(scenario: &mut Scenario, rng: &mut StdRng) -> Vec<NodeId> {
+    let levels = ["Public", "L1", "L2"].map(|n| scenario.lattice.by_name(n).unwrap());
+    match rng.gen_range(0..10) {
+        0..=2 => {
+            let x = append_node(scenario, levels, rng);
+            for _ in 0..rng.gen_range(1..=3) {
+                let from = random_node(scenario, rng);
+                if from != x {
+                    append_edge(scenario, (from, x), levels, rng);
+                }
+            }
+            vec![x]
+        }
+        3 | 4 => {
+            let from = random_node(scenario, rng);
+            let new: Vec<NodeId> = (0..rng.gen_range(1..=3))
+                .map(|_| append_node(scenario, levels, rng))
+                .collect();
+            append_edge(scenario, (from, new[0]), levels, rng);
+            for pair in new.windows(2) {
+                append_edge(scenario, (pair[0], pair[1]), levels, rng);
+            }
+            if new.len() > 1 && rng.gen_bool(0.5) {
+                append_edge(scenario, (new[new.len() - 1], new[0]), levels, rng);
+            }
+            new
+        }
+        5 => vec![append_node(scenario, levels, rng)],
+        6 | 7 => {
+            let n = scenario.graph.node_count();
+            let recent = NodeId((n - 1 - rng.gen_range(0..n.min(3))) as u32);
+            statement(scenario, recent, levels, rng);
+            vec![recent]
+        }
+        8 => {
+            let (from, to) = (random_node(scenario, rng), random_node(scenario, rng));
+            if scenario.graph.add_edge(from, to).is_ok() {
+                vec![to]
+            } else {
+                vec![]
+            }
+        }
+        _ => {
+            let any = random_node(scenario, rng);
+            statement(scenario, any, levels, rng);
+            vec![any]
+        }
+    }
+}
+
+/// Extends an account of every key across random writes, reading 70 %
+/// of the epochs so one extension can span several, and holds every
+/// extension to a generation at the same state — and, for
+/// `Strategy::Surrogate`, to the reference — in every field. A write
+/// outside the class must make the extension refuse.
+fn assert_extensions_equal_generation(
+    mut scenario: Scenario,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0e47_e4d5);
+    let [public, l1, l2] = ["Public", "L1", "L2"].map(|n| scenario.lattice.by_name(n).unwrap());
+    let keys: Vec<(Vec<PrivilegeId>, Strategy)> = [vec![public], vec![l1], vec![l2], vec![l1, l2]]
+        .into_iter()
+        .flat_map(|preds| Strategy::ALL.iter().map(move |&s| (preds.clone(), s)))
+        .collect();
+    // Per key: the account, the nodes it reflects, and whether a write
+    // since names one of them.
+    let mut accounts: Vec<(ProtectedAccount, usize, bool)> = keys
+        .iter()
+        .map(|(preds, strategy)| {
+            let account = scenario.ctx().protect_set(preds, *strategy).unwrap();
+            (account, scenario.graph.node_count(), false)
+        })
+        .collect();
+    for _ in 0..12 {
+        let named = random_write(&mut scenario, &mut rng);
+        for (_, n0, stale) in &mut accounts {
+            *stale |= named.iter().any(|v| v.index() < *n0);
+        }
+        let csr = Csr::build(&scenario.graph);
+        let ctx = if rng.gen_bool(0.5) {
+            scenario.ctx().with_csr(&csr)
+        } else {
+            scenario.ctx()
+        };
+        for ((preds, strategy), (account, n0, stale)) in keys.iter().zip(&mut accounts) {
+            if rng.gen_bool(0.3) {
+                continue;
+            }
+            let want = ctx.protect_set(preds, *strategy).unwrap();
+            // The next extension starts from this one, as a service's does.
+            let next = match ctx.extend_account(account.clone()) {
+                Some(got) => {
+                    prop_assert!(
+                        !*stale,
+                        "{:?} {:?}: extended across an old node",
+                        preds,
+                        strategy
+                    );
+                    assert_same_account(&got, &want, &scenario.graph)?;
+                    if *strategy == Strategy::Surrogate {
+                        let spec = account::reference::generate_for_set(&ctx, preds).unwrap();
+                        assert_same_account(&got, &spec, &scenario.graph)?;
+                    }
+                    got
+                }
+                None => {
+                    prop_assert!(*stale, "{:?} {:?}: refused an append", preds, strategy);
+                    want
+                }
+            };
+            (*account, *n0, *stale) = (next, scenario.graph.node_count(), false);
+        }
+    }
+    Ok(())
+}
+
 /// Reference BFS: collects `(node, depth)` into `Vec`s the naive way —
 /// no `BitSet`, no borrowed iterators — as an oracle for the
 /// allocation-free `Traversal::iter()` / `nodes()` accessors.
@@ -290,6 +540,27 @@ fn naive_traverse(
         frontier = next;
     }
     visited
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Catches, in `ProtectionContext::extend_account`: a column search
+    /// pruned early, a witness test that skips new intermediates, cond. 2
+    /// unchecked on the new pair's direct edge, a shown edge appended
+    /// after the surrogate block, surrogate edges appended unsorted, a
+    /// stale flag byte, and a refusal test that ignores the policy
+    /// written since. Dense cyclic and sparse deep graphs, every key.
+    #[test]
+    fn extended_account_equals_generation(
+        nodes in 1usize..12,
+        sparse_nodes in 2usize..48,
+        cyclic in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        assert_extensions_equal_generation(build_scenario(nodes, seed), seed)?;
+        assert_extensions_equal_generation(build_sparse_scenario(sparse_nodes, cyclic, seed), seed)?;
+    }
 }
 
 proptest! {

@@ -174,6 +174,18 @@ pub enum PolicyStatement {
     },
 }
 
+impl PolicyStatement {
+    /// The node the statement governs: whose incidence or incidences it
+    /// marks, or whose surrogate it registers.
+    pub(crate) fn node(&self) -> RecordId {
+        match self {
+            PolicyStatement::MarkIncidence { node, .. }
+            | PolicyStatement::MarkNode { node, .. }
+            | PolicyStatement::AddSurrogate { node, .. } => *node,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,8 +17,10 @@
 //!    `(high-water set, strategy)`, and the sealed response frames
 //!    below. No key carries an epoch — a mutation makes the service
 //!    build a new snapshot, and the old one's caches are freed with its
-//!    last pin. A reader holding an old snapshot keeps hitting that
-//!    snapshot's own caches.
+//!    last pin, except that accounts an unpinned snapshot held across
+//!    appends into new nodes move to its successor, to be extended
+//!    rather than generated again. A reader holding an old snapshot
+//!    keeps hitting that snapshot's own caches.
 //!
 //! Lineage queries go through the typed batch API: a [`QueryRequest`]
 //! names a root, a direction, a depth bound, and a strategy;
@@ -103,8 +105,10 @@ const FRAME_SHARD_CAP: usize = 4096;
 /// An epoch-stamped materialization: the consistent view of the store all
 /// accounts and query answers of that epoch are derived from — and the
 /// owner of those accounts and sealed answers. Its caches are reachable
-/// only through it, so they can never answer for another epoch and are
-/// freed when the last `Arc` pinning it is dropped.
+/// only through it, so they can never answer for another epoch. When the
+/// service retires it unpinned, across writes that only append into new
+/// nodes, its accounts move to its successor as seeds to extend
+/// (docs/DESIGN.md §4.4); otherwise they are freed with its last `Arc`.
 ///
 /// Dereferences to [`Materialized`], so `snapshot.graph`,
 /// `snapshot.lattice`, and `snapshot.context()` work directly.
@@ -125,9 +129,15 @@ pub struct Snapshot {
     /// One single-flight slot per requested account. Live keys are
     /// consumer classes × strategies — a handful — so one map, not shards.
     accounts: Mutex<HashMap<CacheKey, Arc<AccountSlot>>>,
+    /// Accounts of earlier epochs, for the first miss of their key to
+    /// extend instead of generating.
+    seeds: Mutex<Seeds>,
     /// Pre-sealed response frames; see [`FrameKey`].
     frames: Vec<Mutex<HashMap<FrameKey, Bytes>>>,
 }
+
+/// Accounts by key, handed from a retired snapshot to its successor.
+type Seeds = HashMap<CacheKey, Arc<ProtectedAccount>>;
 
 impl Snapshot {
     fn stamped(
@@ -135,6 +145,7 @@ impl Snapshot {
         epoch: u64,
         shard_epochs: Vec<u64>,
         materialized: Materialized,
+        seeds: Seeds,
     ) -> Self {
         // Build the CSR index once per epoch, here, so every protection
         // and every sealed frame of the epoch runs hash-free.
@@ -146,10 +157,23 @@ impl Snapshot {
             materialized,
             index,
             accounts: Mutex::new(HashMap::new()),
+            seeds: Mutex::new(seeds),
             frames: (0..FRAME_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
         }
+    }
+
+    /// Takes the retired snapshot apart: its materialization, and the
+    /// seeds it did not consume, overwritten by every account it holds.
+    fn retire(self) -> (Materialized, Seeds) {
+        let mut seeds = self.seeds.into_inner();
+        for (key, slot) in self.accounts.into_inner() {
+            if let Some(account) = slot.lock().unwrap_or_else(PoisonError::into_inner).take() {
+                seeds.insert(key, account);
+            }
+        }
+        (self.materialized, seeds)
     }
 
     /// The store version this materialization corresponds to.
@@ -328,19 +352,41 @@ pub struct AccountService {
     current: RwLock<Option<Arc<Snapshot>>>,
     frame_hits: AtomicU64,
     frame_misses: AtomicU64,
-    /// Strategy invocations on the account-miss path, and their total
-    /// duration in nanoseconds.
-    protects: AtomicU64,
-    protect_nanos: AtomicU64,
-    builds: SnapshotBuilds,
+    /// Accounts made on the account-miss path: extended or generated.
+    protects: Builds,
+    /// Snapshots made: extended or rebuilt.
+    builds: Builds,
 }
 
-/// Snapshot builds by kind, and their total duration in nanoseconds.
+/// Lifetime counts of one kind of build — from the predecessor, or
+/// from scratch — and the total time both took.
 #[derive(Default)]
-struct SnapshotBuilds {
+struct Builds {
     extended: AtomicU64,
-    rebuilt: AtomicU64,
+    scratch: AtomicU64,
     nanos: AtomicU64,
+}
+
+impl Builds {
+    fn record(&self, extended: bool, started: Instant) {
+        let kind = if extended {
+            &self.extended
+        } else {
+            &self.scratch
+        };
+        kind.fetch_add(1, Ordering::Relaxed);
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.nanos.fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    /// `(extended, from scratch, total time)`.
+    fn read(&self) -> (u64, u64, Duration) {
+        (
+            self.extended.load(Ordering::Relaxed),
+            self.scratch.load(Ordering::Relaxed),
+            Duration::from_nanos(self.nanos.load(Ordering::Relaxed)),
+        )
+    }
 }
 
 impl std::fmt::Debug for AccountService {
@@ -374,9 +420,8 @@ impl AccountService {
             current: RwLock::new(None),
             frame_hits: AtomicU64::new(0),
             frame_misses: AtomicU64::new(0),
-            protects: AtomicU64::new(0),
-            protect_nanos: AtomicU64::new(0),
-            builds: SnapshotBuilds::default(),
+            protects: Builds::default(),
+            builds: Builds::default(),
         }
     }
 
@@ -426,6 +471,11 @@ impl AccountService {
     /// retires with what the log gained since
     /// ([`Store::delta_since`]); anything else is rebuilt from the whole
     /// log. [`snapshot_stats`](Self::snapshot_stats) counts both.
+    ///
+    /// When no reader pins the retired snapshot and the log gained only
+    /// appends into new nodes, its accounts are not freed: they move to
+    /// the new snapshot, and the first miss of each key extends its
+    /// account instead of generating one (docs/DESIGN.md §4.4).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         let (source_gen, source_epoch) = self.source_state();
         {
@@ -446,26 +496,37 @@ impl AccountService {
             }
         }
         let started = Instant::now();
-        let (snapshot, build) = match &self.source {
+        let (snapshot, extended) = match &self.source {
             Source::Live(store) => {
-                // Build on the snapshot being retired: take its
-                // materialization when this is the last pin, clone it
+                // Build on the snapshot being retired: take it apart when
+                // this is the last pin, clone its materialization
                 // (payloads are shared) while a reader still holds one.
-                let base = cached.take().map(|retired| match Arc::try_unwrap(retired) {
-                    Ok(snapshot) => snapshot.materialized,
-                    Err(pinned) => pinned.materialized.clone(),
-                });
+                let (base, seeds) = match cached.take().map(Arc::try_unwrap) {
+                    Some(Ok(retired)) => {
+                        let (materialized, seeds) = retired.retire();
+                        (Some(materialized), seeds)
+                    }
+                    Some(Err(pinned)) => (Some(pinned.materialized.clone()), Seeds::new()),
+                    None => (None, Seeds::new()),
+                };
                 let extended = base.and_then(|mut base| {
                     let delta = store.delta_since(&base)?;
+                    // Seeds outlive only the writes an account extends
+                    // across.
+                    let seeds = if delta.appends_into_new_nodes() {
+                        seeds
+                    } else {
+                        Seeds::new()
+                    };
                     let epoch = delta.clock();
                     base.extend(delta);
-                    Some((epoch, base))
+                    Some((epoch, base, seeds))
                 });
-                let (epoch, materialized, build) = match extended {
-                    Some((epoch, materialized)) => (epoch, materialized, &self.builds.extended),
+                let (epoch, materialized, seeds, extended) = match extended {
+                    Some((epoch, materialized, seeds)) => (epoch, materialized, seeds, true),
                     None => {
                         let (epoch, materialized) = store.materialize_versioned();
-                        (epoch, materialized, &self.builds.rebuilt)
+                        (epoch, materialized, Seeds::new(), false)
                     }
                 };
                 // A shard server stamps its own slot of the epoch
@@ -480,22 +541,20 @@ impl AccountService {
                     None => Vec::new(),
                 };
                 (
-                    Snapshot::stamped(0, epoch, shard_epochs, materialized),
-                    build,
+                    Snapshot::stamped(0, epoch, shard_epochs, materialized, seeds),
+                    extended,
                 )
             }
             Source::Sharded(merged) => {
                 let (generation, epoch, clocks, materialized) = merged.materialize_stamped();
                 (
-                    Snapshot::stamped(generation, epoch, clocks, materialized),
-                    &self.builds.rebuilt,
+                    Snapshot::stamped(generation, epoch, clocks, materialized, Seeds::new()),
+                    false,
                 )
             }
         };
         let snapshot = Arc::new(snapshot);
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        build.fetch_add(1, Ordering::Relaxed);
-        self.builds.nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.builds.record(extended, started);
         // Adopt the build unless it would move a generation's epoch
         // backward (it cannot: a build reads the version and the log
         // under one lock, and versions only grow — which is also why a
@@ -508,13 +567,14 @@ impl AccountService {
         });
         if adopt {
             // Swapping `current` is the whole invalidation: the retired
-            // snapshot's accounts and frames go with its last pin. When
-            // that pin is this one it is freed here (a live source's
-            // above, where its materialization was taken), still under
-            // the write lock: freeing a materialization while the other
-            // readers, let in, allocate their next account contends on
-            // the allocator (`churn` read 40 % slower fresh reads with
-            // the drop moved past the unlock).
+            // snapshot's frames, and its accounts unless they became
+            // seeds, go with its last pin. When that pin is this one it
+            // is freed here (a live source's above, where it was taken
+            // apart), still under the write lock: freeing a
+            // materialization while the other readers, let in, allocate
+            // their next account contends on the allocator (`churn` read
+            // 40 % slower fresh reads with the drop moved past the
+            // unlock).
             *cached = Some(snapshot.clone());
         }
         snapshot
@@ -572,15 +632,20 @@ impl AccountService {
             }
         };
         // The map lock is released: generation is the expensive step and
-        // serializes only requests for this one key.
+        // serializes only requests for this one key. The key's seed is
+        // extended if nothing else holds it; a refused extension
+        // generates.
         fill_slot(&slot, || {
             let ctx = snapshot.context().with_csr(snapshot.index.csr());
             let started = Instant::now();
-            let generated = ctx.protect_set(&key.preds, key.strategy);
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.protects.fetch_add(1, Ordering::Relaxed);
-            self.protect_nanos.fetch_add(nanos, Ordering::Relaxed);
-            generated.map_err(StoreError::from)
+            let seed = snapshot.seeds.lock().remove(&key);
+            let extended = seed
+                .and_then(|seed| Arc::try_unwrap(seed).ok())
+                .and_then(|seed| ctx.extend_account(seed));
+            let built = extended.is_some();
+            let account = extended.map_or_else(|| ctx.protect_set(&key.preds, key.strategy), Ok);
+            self.protects.record(built, started);
+            account.map_err(StoreError::from)
         })
     }
 
@@ -790,14 +855,14 @@ impl AccountService {
         )
     }
 
-    /// Lifetime account-generation cost: how many times a cache miss ran
-    /// a protection strategy, and the total time those runs took — what a
-    /// fresh read pays beyond a cached one.
-    pub fn protect_stats(&self) -> (u64, Duration) {
-        (
-            self.protects.load(Ordering::Relaxed),
-            Duration::from_nanos(self.protect_nanos.load(Ordering::Relaxed)),
-        )
+    /// Lifetime account cost on the cache-miss path: how many accounts
+    /// were extended from a seed an earlier epoch left, how many were
+    /// generated by a protection strategy, and the total time both took
+    /// (a refused extension counts with the generation it falls back
+    /// to) — `(extended, generated, time)`, what a fresh read pays
+    /// beyond a cached one. A cached read moves none of them.
+    pub fn protect_stats(&self) -> (u64, u64, Duration) {
+        self.protects.read()
     }
 
     /// Lifetime snapshot-build cost: how many epochs were built by
@@ -807,11 +872,7 @@ impl AccountService {
     /// both kinds took, index build included — `(extended, rebuilt,
     /// time)`. A read at the cached epoch moves none of them.
     pub fn snapshot_stats(&self) -> (u64, u64, Duration) {
-        (
-            self.builds.extended.load(Ordering::Relaxed),
-            self.builds.rebuilt.load(Ordering::Relaxed),
-            Duration::from_nanos(self.builds.nanos.load(Ordering::Relaxed)),
-        )
+        self.builds.read()
     }
 
     /// Sealed frames cached for the snapshot the service currently
@@ -872,6 +933,7 @@ mod tests {
     use super::*;
     use crate::record::{EdgeKind, NodeKind, PolicyStatement};
     use surrogate_core::feature::Features;
+    use surrogate_core::privilege::PrivilegeLattice;
 
     /// source(High) → mid(Public) → sink(Public), with a Public surrogate
     /// for the source.
@@ -1180,7 +1242,11 @@ mod tests {
         // The live snapshot starts cold; the pin's caches are not counted…
         assert_eq!((service.cached_accounts(), service.cached_frames()), (0, 0));
         // …but still answer the pin, at its own epoch, from one entry.
-        let (protects, _) = service.protect_stats();
+        let protects = || {
+            let (extended, generated, _) = service.protect_stats();
+            extended + generated
+        };
+        let before = protects();
         let old = service
             .protect_at(&pinned, &[public], &Strategy::Surrogate)
             .unwrap();
@@ -1189,11 +1255,7 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&old, &again));
         assert_eq!(old.graph().node_count(), 3);
-        assert_eq!(
-            service.protect_stats().0,
-            protects,
-            "the pin's account was a hit"
-        );
+        assert_eq!(protects(), before, "the pin's account was a hit");
         assert_eq!(
             service.cached_accounts(),
             0,
@@ -1208,6 +1270,152 @@ mod tests {
         let weak = Arc::downgrade(&pinned);
         drop(pinned);
         assert!(weak.upgrade().is_none());
+    }
+
+    /// `(extended, generated)` so far.
+    fn protects(service: &AccountService) -> (u64, u64) {
+        let (extended, generated, _) = service.protect_stats();
+        (extended, generated)
+    }
+
+    /// Appends a Public node with an edge into it from `from`.
+    fn append_under(store: &Store, from: RecordId) -> RecordId {
+        let public = store.predicate("Public").unwrap();
+        let id = store.append_node("new", NodeKind::Data, Features::new(), public);
+        store.append_edge(from, id, EdgeKind::InputTo).unwrap();
+        id
+    }
+
+    /// The Public `Surrogate` account, checked against a generation from
+    /// the same snapshot.
+    fn public_account(service: &AccountService) -> Arc<ProtectedAccount> {
+        let snapshot = service.snapshot();
+        let public = snapshot.lattice.public();
+        let account = service.protect(&[public], &Strategy::Surrogate).unwrap();
+        let generated = snapshot
+            .context()
+            .protect(public, Strategy::Surrogate)
+            .unwrap();
+        let edges = |a: &ProtectedAccount| a.graph().edges().collect::<Vec<_>>();
+        assert_eq!(edges(&account), edges(&generated));
+        assert_eq!(account.graph().node_count(), generated.graph().node_count());
+        account
+    }
+
+    /// Catches: seeds dropped by a snapshot that was never read, instead
+    /// of carried to its successor.
+    #[test]
+    fn a_seed_carried_across_two_unread_epochs_extends() {
+        let (store, ids) = setup();
+        let service = AccountService::new(store.clone());
+        public_account(&service);
+        assert_eq!(protects(&service), (0, 1));
+        for _ in 0..2 {
+            append_under(&store, ids[2]);
+            service.snapshot();
+        }
+        append_under(&store, ids[2]);
+        let account = public_account(&service);
+        assert_eq!(account.graph().node_count(), 6);
+        assert_eq!(protects(&service), (1, 1), "extended across three epochs");
+    }
+
+    /// Catches: a pinned snapshot's accounts taken as seeds (the pin
+    /// would lose them) or a seed handed on across a pin.
+    #[test]
+    fn a_pinned_predecessor_hands_on_no_seed() {
+        let (store, ids) = setup();
+        let service = AccountService::new(store.clone());
+        let public = store.predicate("Public").unwrap();
+        let first = public_account(&service);
+        let pinned = service.snapshot();
+        append_under(&store, ids[2]);
+        public_account(&service);
+        assert_eq!(protects(&service), (0, 2), "the successor generates");
+        let kept = service
+            .protect_at(&pinned, &[public], &Strategy::Surrogate)
+            .unwrap();
+        assert!(Arc::ptr_eq(&kept, &first), "the pin keeps its account");
+
+        drop((pinned, kept, first));
+        append_under(&store, ids[2]);
+        public_account(&service);
+        assert_eq!(protects(&service), (1, 2), "unpinned, it extends again");
+    }
+
+    /// Catches: a seed extended in place while a reader still holds it.
+    #[test]
+    fn an_account_held_across_the_write_is_generated_afresh() {
+        let (store, ids) = setup();
+        let service = AccountService::new(store.clone());
+        let held = public_account(&service);
+        append_under(&store, ids[2]);
+        let next = public_account(&service);
+        assert_eq!(protects(&service), (0, 2));
+        assert_eq!(
+            (held.graph().node_count(), next.graph().node_count()),
+            (3, 4)
+        );
+    }
+
+    /// The [`fill_slot`] contract holds for an extension: a refused one
+    /// generates, and one that unwinds leaves the slot empty, its seed
+    /// spent, and the next reader to generate.
+    #[test]
+    fn an_extension_that_fails_or_unwinds_leaves_the_slot_to_a_generation() {
+        let (store, ids) = setup();
+        let service = AccountService::new(store.clone());
+        let public = store.predicate("Public").unwrap();
+        let key = CacheKey {
+            preds: vec![public],
+            strategy: Strategy::Surrogate,
+        };
+        let seed = |snapshot: &Snapshot, account: ProtectedAccount| {
+            snapshot.seeds.lock().insert(key.clone(), Arc::new(account));
+        };
+
+        // Another store's account is refused, and the miss generates.
+        let (other, _) = setup();
+        let foreign = AccountService::new(other).snapshot();
+        append_under(&store, ids[2]);
+        seed(
+            &service.snapshot(),
+            foreign
+                .context()
+                .protect(public, Strategy::Surrogate)
+                .unwrap(),
+        );
+        public_account(&service);
+        assert_eq!(protects(&service), (0, 1));
+
+        // A seed generated under a larger lattice names a predicate this
+        // one lacks: its extension panics on the first new node.
+        let before = service.snapshot();
+        let (lattice, preds) = PrivilegeLattice::flat(&["High", "Other", "More"]).unwrap();
+        let alien = surrogate_core::account::ProtectionContext::new(
+            &before.graph,
+            &lattice,
+            &before.markings,
+            &before.catalog,
+        )
+        .protect(preds[2], Strategy::Surrogate)
+        .unwrap();
+        append_under(&store, ids[2]);
+        let snapshot = service.snapshot();
+        seed(&snapshot, alien);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.protect_at(&snapshot, &[public], &Strategy::Surrogate)
+        }));
+        assert!(unwound.is_err());
+        let slot = snapshot.accounts.lock()[&key].clone();
+        assert!(slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_none());
+        assert!(snapshot.seeds.lock().is_empty(), "the seed is spent");
+        drop(snapshot);
+        public_account(&service);
+        assert_eq!(protects(&service), (0, 2));
     }
 
     /// The failing-leader contract of [`fill_slot`]: a generator that

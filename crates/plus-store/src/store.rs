@@ -92,6 +92,15 @@ impl LogDelta {
     pub fn clock(&self) -> u64 {
         self.clock
     }
+
+    /// Whether every edge of the delta leads into a node it appends, and
+    /// every statement governs one: the writes a protected account is
+    /// extended across (`ProtectionContext::extend_account`).
+    pub(crate) fn appends_into_new_nodes(&self) -> bool {
+        let new = |id: RecordId| id.index() >= self.since.nodes;
+        self.edges.iter().all(|edge| new(edge.to))
+            && self.policy.iter().all(|statement| new(statement.node()))
+    }
 }
 
 impl Materialized {
@@ -519,11 +528,7 @@ impl Store {
     pub fn apply_policy(&self, statement: PolicyStatement) -> Result<()> {
         let mut inner = self.inner.write();
         if let Some(p) = inner.partition {
-            let target = match &statement {
-                PolicyStatement::MarkIncidence { node, .. }
-                | PolicyStatement::MarkNode { node, .. }
-                | PolicyStatement::AddSurrogate { node, .. } => *node,
-            };
+            let target = statement.node();
             if !p.owns(target.0) {
                 return Err(StoreError::WrongShard {
                     id: target,

@@ -387,11 +387,7 @@ impl WriteOp {
         match self {
             WriteOp::AppendNode { .. } => None,
             WriteOp::AppendEdge { from, .. } => Some(*from),
-            WriteOp::ApplyPolicy(statement) => Some(match statement {
-                PolicyStatement::MarkIncidence { node, .. }
-                | PolicyStatement::MarkNode { node, .. }
-                | PolicyStatement::AddSurrogate { node, .. } => *node,
-            }),
+            WriteOp::ApplyPolicy(statement) => Some(statement.node()),
         }
     }
 }

@@ -251,7 +251,7 @@ fn cold_cache_misses_build_exactly_once_per_key() {
     let service = AccountService::new(Arc::new(store));
     let snapshot = service.snapshot();
     let consumer = Consumer::public(&snapshot.lattice);
-    let (protects_before, _) = service.protect_stats();
+    let (_, protects_before, _) = service.protect_stats();
 
     let barrier = std::sync::Barrier::new(HERD);
     let accounts: Vec<_> = std::thread::scope(|scope| {
@@ -269,7 +269,7 @@ fn cold_cache_misses_build_exactly_once_per_key() {
     });
 
     assert_eq!(
-        service.protect_stats().0 - protects_before,
+        service.protect_stats().1 - protects_before,
         1,
         "thundering herd on one cold key must collapse to a single build"
     );

@@ -30,8 +30,8 @@
 //! | `spgraph_hangups_total` | counter | protocol-violation hangups |
 //! | `spgraph_frame_cache_{hits,misses}_total` | counter | sealed-frame cache traffic |
 //! | `spgraph_frame_cache_hit_rate` | gauge | hits / (hits + misses), for humans |
-//! | `spgraph_account_protects_total` | counter | account-cache misses that ran a protection strategy |
-//! | `spgraph_account_protect_seconds_total` | counter | total time those strategy runs took |
+//! | `spgraph_account_protects_total{kind=…}` | counter | account-cache misses: `extended` from the account an earlier epoch left, or `generated` by a protection strategy |
+//! | `spgraph_account_protect_seconds_total` | counter | total time those misses took to make their accounts |
 //! | `spgraph_snapshot_builds_total{kind=…}` | counter | epochs materialized: `extended` from the retired snapshot by the log's delta, or `rebuilt` from the whole log |
 //! | `spgraph_snapshot_build_seconds_total` | counter | total time those builds took, index build included |
 //! | `spgraph_bytes_{read,written}_total` | counter | query-socket traffic volume |
@@ -436,18 +436,13 @@ impl ServerMetrics {
             "Replica-to-primary promotions served by this process.",
             self.promotions.get(),
         );
-        let (protects, protect_time) = service.protect_stats();
-        counter(
-            "spgraph_account_protects_total",
-            "Account-cache misses that ran a protection strategy.",
-            protects,
-        );
+        let (extended_accounts, generated, protect_time) = service.protect_stats();
         let (extended, rebuilt, build_time) = service.snapshot_stats();
         // Counters in seconds: fractional, so not through `counter`.
         for (name, help, time) in [
             (
                 "spgraph_account_protect_seconds_total",
-                "Total time those strategy runs took.",
+                "Total time account-cache misses took to make their accounts.",
                 protect_time,
             ),
             (
@@ -461,16 +456,23 @@ impl ServerMetrics {
             let _ = writeln!(out, "{name} {}", time.as_secs_f64());
         }
 
-        let _ = writeln!(
-            out,
-            "# HELP spgraph_snapshot_builds_total Epochs materialized, by kind."
-        );
-        let _ = writeln!(out, "# TYPE spgraph_snapshot_builds_total counter");
-        for (kind, builds) in [("extended", extended), ("rebuilt", rebuilt)] {
-            let _ = writeln!(
-                out,
-                "spgraph_snapshot_builds_total{{kind=\"{kind}\"}} {builds}"
-            );
+        for (name, help, kinds) in [
+            (
+                "spgraph_account_protects_total",
+                "Account-cache misses, by how the account was made.",
+                [("extended", extended_accounts), ("generated", generated)],
+            ),
+            (
+                "spgraph_snapshot_builds_total",
+                "Epochs materialized, by kind.",
+                [("extended", extended), ("rebuilt", rebuilt)],
+            ),
+        ] {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for (kind, count) in kinds {
+                let _ = writeln!(out, "{name}{{kind=\"{kind}\"}} {count}");
+            }
         }
 
         let _ = writeln!(
@@ -730,7 +732,8 @@ mod tests {
             "spgraph_replication_term 0",
             "spgraph_replication_lag 0",
             "spgraph_promotions_total 1",
-            "spgraph_account_protects_total 0",
+            "spgraph_account_protects_total{kind=\"extended\"} 0",
+            "spgraph_account_protects_total{kind=\"generated\"} 0",
             "spgraph_account_protect_seconds_total 0",
             "spgraph_snapshot_builds_total{kind=\"extended\"} 0",
             "spgraph_request_latency_seconds_bucket{type=\"query\",le=\"0.00005\"} 1",

@@ -150,7 +150,10 @@ fn protect_cost_moves_on_a_fresh_read_only() {
     let fresh_read_cost = || {
         let (_, body) = scrape(metrics_addr, "/metrics");
         (
-            sample(&body, "spgraph_account_protects_total"),
+            ["extended", "generated"]
+                .map(|kind| protects(&body, kind))
+                .iter()
+                .sum::<f64>(),
             sample(&body, "spgraph_account_protect_seconds_total"),
             ["extended", "rebuilt"].map(|kind| {
                 sample(
@@ -165,7 +168,7 @@ fn protect_cost_moves_on_a_fresh_read_only() {
     let request = QueryRequest::new(sink, Direction::Backward, u32::MAX, Strategy::Surrogate);
     client.query(&request).unwrap();
     let cold = fresh_read_cost();
-    assert_eq!(cold.0, 1.0, "the first read generates the account");
+    assert_eq!(cold.0, 1.0, "the first read makes the account");
     assert!(cold.1 > 0.0);
     assert_eq!(
         cold.2,
@@ -178,8 +181,8 @@ fn protect_cost_moves_on_a_fresh_read_only() {
     client.query(&request).unwrap();
     assert_eq!(fresh_read_cost(), cold);
 
-    // A write makes the next read fresh: one more generation, on an
-    // epoch extended from the one it retires.
+    // A write makes the next read fresh: one more account, on an epoch
+    // extended from the one it retires.
     let public = store.predicate("Public").unwrap();
     store.append_node("c", NodeKind::Data, Features::new(), public);
     client.query(&request).unwrap();
@@ -188,6 +191,72 @@ fn protect_cost_moves_on_a_fresh_read_only() {
     assert!(fresh.1 > cold.1);
     assert_eq!(fresh.2, [1.0, 1.0]);
     assert!(fresh.3 > cold.3);
+
+    server.shutdown();
+}
+
+/// `spgraph_account_protects_total{kind}` from one scrape.
+fn protects(body: &str, kind: &str) -> f64 {
+    sample(
+        body,
+        &format!("spgraph_account_protects_total{{kind=\"{kind}\"}}"),
+    )
+}
+
+/// Which fresh reads extend the account the last epoch left, and which
+/// generate: appends into new nodes extend, a statement about an old
+/// node generates, and a cached read moves neither.
+#[test]
+fn account_protects_are_counted_by_kind() {
+    let (store, sink) = setup();
+    let server = Server::bind(
+        Arc::new(AccountService::new(store.clone())),
+        "127.0.0.1:0",
+        &ServerConfig {
+            threads: 1,
+            metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let metrics_addr = server.metrics_local_addr().expect("metrics listener bound");
+    let kinds = || {
+        let (_, body) = scrape(metrics_addr, "/metrics");
+        ["extended", "generated"].map(|kind| protects(&body, kind))
+    };
+    let mut client = Client::connect(server.local_addr(), "reader", &[]).unwrap();
+    let requests = [Strategy::Surrogate, Strategy::HideEdges]
+        .map(|strategy| QueryRequest::new(sink, Direction::Backward, u32::MAX, strategy));
+    let mut read_both = || {
+        for request in &requests {
+            client.query(request).unwrap();
+        }
+    };
+
+    read_both();
+    assert_eq!(kinds(), [0.0, 2.0], "a first read generates, once per key");
+    read_both();
+    assert_eq!(kinds(), [0.0, 2.0], "a cached read moves neither");
+
+    let public = store.predicate("Public").unwrap();
+    let c = store.append_node("c", NodeKind::Data, Features::new(), public);
+    store.append_edge(sink, c, EdgeKind::InputTo).unwrap();
+    read_both();
+    assert_eq!(kinds(), [2.0, 2.0], "a node and an edge into it extend");
+
+    store
+        .apply_policy(plus_store::PolicyStatement::MarkNode {
+            node: sink,
+            predicate: None,
+            marking: surrogate_core::marking::Marking::Surrogate,
+        })
+        .unwrap();
+    read_both();
+    assert_eq!(
+        kinds(),
+        [2.0, 4.0],
+        "a statement about an old node generates"
+    );
 
     server.shutdown();
 }
