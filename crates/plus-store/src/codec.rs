@@ -236,14 +236,19 @@ fn marking_from_tag(tag: u8) -> Result<Marking, CodecError> {
     }
 }
 
-fn put_opt_predicate(buf: &mut BytesMut, p: Option<PrivilegeId>) {
-    match p {
-        Some(p) => {
+/// An optional field: tag `0` when absent, `1` then `put`'s bytes.
+pub(crate) fn put_opt<T>(buf: &mut BytesMut, value: Option<T>, put: impl FnOnce(&mut BytesMut, T)) {
+    match value {
+        Some(value) => {
             buf.put_u8(1);
-            buf.put_u16_le(p.0);
+            put(buf, value);
         }
         None => buf.put_u8(0),
     }
+}
+
+pub(crate) fn put_opt_predicate(buf: &mut BytesMut, p: Option<PrivilegeId>) {
+    put_opt(buf, p, |buf, p| buf.put_u16_le(p.0));
 }
 
 fn put_node(buf: &mut BytesMut, node: &NodeRecord) {
@@ -428,14 +433,48 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn opt_predicate(&mut self) -> Result<Option<PrivilegeId>, CodecError> {
+        self.opt("optional predicate", |r| Ok(PrivilegeId(r.u16()?)))
+    }
+
+    /// An optional field written by [`put_opt`]; `what` names it in the
+    /// error for a tag other than `0` or `1`.
+    pub(crate) fn opt<T>(
+        &mut self,
+        what: &'static str,
+        read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Option<T>, CodecError> {
         match self.u8()? {
             0 => Ok(None),
-            1 => Ok(Some(PrivilegeId(self.u16()?))),
-            tag => Err(CodecError::InvalidTag {
-                what: "optional predicate",
-                tag,
-            }),
+            1 => read(self).map(Some),
+            tag => Err(CodecError::InvalidTag { what, tag }),
         }
+    }
+
+    /// A `0 | 1` boolean byte.
+    pub(crate) fn flag(&mut self, what: &'static str) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(CodecError::InvalidTag { what, tag }),
+        }
+    }
+
+    /// A `u32`-counted list of `read`'s items. A count beyond `max` is
+    /// refused before anything is allocated.
+    pub(crate) fn list<T>(
+        &mut self,
+        max: u32,
+        mut read: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let count = self.u32()?;
+        if count > max {
+            return Err(CodecError::FrameTooLarge(count));
+        }
+        let mut items = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            items.push(read(self)?);
+        }
+        Ok(items)
     }
 
     pub(crate) fn node_record(&mut self) -> Result<NodeRecord, CodecError> {

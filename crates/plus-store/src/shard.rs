@@ -396,16 +396,9 @@ impl MergedSource {
         self.merge.write().reset_slot(slot)
     }
 
-    /// One consistent read: the scalar epoch, the clock vector, and the
-    /// materialization, all of the same instant (no ingestion can slip
-    /// between them).
-    pub fn materialize_versioned(&self) -> (u64, Vec<u64>, Materialized) {
-        let (_, epoch, clocks, materialized) = self.materialize_stamped();
-        (epoch, clocks, materialized)
-    }
-
-    /// [`materialize_versioned`](Self::materialize_versioned) plus the
-    /// reset generation, all of the same instant.
+    /// One consistent read: the reset generation, the scalar epoch, the
+    /// clock vector, and the materialization, all of the same instant
+    /// (no ingestion can slip between them).
     ///
     /// Only the copy of the records happens under the merge's lock; the
     /// graph is built after it is released, so a feed fold never queues

@@ -35,18 +35,13 @@
 //!                    3 Epoch         { }
 //!                    4 Checkpoint    { }
 //!                    5 Subscribe     { from_clock u64 }
-//!                    6 ReplicaStatus { }
+//!                    6 Status        { }
 //!                    7 LogDigests    { }
 //!                    8 Promote       { }
 //!                    9 Write         { write-op }
-//!                   10 ShardStatus   { }
 //!
 //! response: tag u8 — 0 Hello         { version u16, epoch u64, nodes u64,
-//!                                      shard_count u32,
-//!                                      shard_index (0 | 1 u32),
-//!                                      u16 n { pred-name str }×n,
-//!                                      u32 p (≤ MAX_SHARDS)
-//!                                      { peer-addr str }×p }
+//!                                      u16 n { pred-name str }×n }
 //!                    1 Query         { query-response }
 //!                    2 Batch         { u32 n, query-response ×n }
 //!                    3 Epoch         { epoch u64 }
@@ -57,19 +52,21 @@
 //!                                      term u64,
 //!                                      snapshot (0 | 1 u32-len bytes),
 //!                                      frames u32-len bytes (≤ MAX_WAL_CHUNK) }
-//!                    7 ReplicaStatus { role u8, local_epoch u64,
+//!                    7 Status        { role u8, local_epoch u64,
 //!                                      primary_epoch u64, term u64,
 //!                                      connected u8, error (0 | 1 str),
-//!                                      primary_addr (0 | 1 str) }
+//!                                      primary_addr (0 | 1 str),
+//!                                      count u32, index (0 | 1 u32),
+//!                                      u32 n (≤ MAX_SHARDS) { epoch u64 }×n,
+//!                                      u32 p (≤ MAX_SHARDS)
+//!                                      { primary-addr str }×p,
+//!                                      u32 s (≤ MAX_SHARDS)
+//!                                      { u32 r (≤ MAX_REPLICAS)
+//!                                        { replica-addr str }×r }×s }
 //!                    8 LogDigests    { term u64, u32 n (≤ MAX_SEGMENT_DIGESTS)
 //!                                      { start_clock u64, bytes u64, crc u32 }×n }
 //!                    9 Promoted      { term u64 }
 //!                   10 Written       { clock u64, id (0 | 1 u32) }
-//!                   11 ShardStatus   { count u32, index (0 | 1 u32),
-//!                                      u32 n (≤ MAX_SHARDS) { epoch u64 }×n,
-//!                                      u32 s (≤ MAX_SHARDS)
-//!                                      { u32 r (≤ MAX_REPLICAS)
-//!                                        { replica-addr str }×r }×s }
 //!
 //! query-request:  root u32 | direction u8 (0 back, 1 fwd, 2 both) |
 //!                 max_depth u32 | strategy u8 (0 surrogate, 1 hide,
@@ -113,9 +110,10 @@
 //! belong inside the owner's trust domain, next to the store, never on
 //! a consumer-facing socket.
 //!
-//! [`Request::ReplicaStatus`] is consumer-safe: it reports only epochs
-//! and connectivity ([`ReplicaStatus`]), letting clients and operators
-//! measure a replica's lag without seeing any data.
+//! [`Request::Status`] is consumer-safe: it reports only epochs,
+//! connectivity and addresses ([`ReplicaStatus`] and
+//! [`ShardStatusInfo`]), letting clients and operators measure a
+//! replica's lag without seeing any data.
 //!
 //! # Fencing
 //!
@@ -138,9 +136,10 @@
 //! a [`WriteOp`] — to the shard that owns its routing id; a mis-routed
 //! write is refused with [`WireErrorKind::WrongShard`], whose message is
 //! the owning shard's address when known (a redirect, like
-//! [`NotWritable`](WireErrorKind::NotWritable)). [`Request::ShardStatus`]
-//! asks any server where it sits in the topology and how much of each
-//! shard's history it reflects; consumer-safe, like `ReplicaStatus`.
+//! [`NotWritable`](WireErrorKind::NotWritable)). The second half of a
+//! [`Response::Status`] says where the answering server sits in the
+//! topology, which addresses serve each shard, and how much of each
+//! shard's history it reflects.
 //!
 //! Every [`QueryResponse`] carries a per-shard **epoch vector** next to
 //! its scalar epoch: empty from an unsharded server; one live slot from
@@ -155,7 +154,7 @@ use surrogate_core::feature::Features;
 use surrogate_core::privilege::PrivilegeId;
 use surrogate_core::query::Direction;
 
-use crate::codec::{put_features, put_policy, put_str, Reader};
+use crate::codec::{put_features, put_opt, put_opt_predicate, put_policy, put_str, Reader};
 use crate::error::CodecError;
 use crate::record::{EdgeKind, NodeKind, PolicyStatement, RecordId};
 use crate::service::{ProtectedLineageRow, QueryRequest, QueryResponse};
@@ -167,9 +166,9 @@ use crate::wal::SegmentDigest;
 /// and hangs up.
 ///
 /// Version 2 added the replication messages ([`Request::Subscribe`],
-/// [`Response::WalChunk`], [`Request::ReplicaStatus`]); version-1 peers
-/// would treat their tags as malformed frames, so the bump keeps the
-/// failure a clean handshake refusal instead of a mid-stream hangup.
+/// [`Response::WalChunk`], and a `ReplicaStatus` request); version-1
+/// peers would treat their tags as malformed frames, so the bump keeps
+/// the failure a clean handshake refusal instead of a mid-stream hangup.
 ///
 /// Version 3 added [`WireErrorKind::Overloaded`] — the admission-control
 /// refusal a server sheds load with. Error-kind tags are part of the
@@ -186,22 +185,26 @@ use crate::wal::SegmentDigest;
 /// primary's address so clients can fail over without restart.
 ///
 /// Version 5 added sharding: [`Request::Write`] / [`Response::Written`]
-/// (single-record remote mutation, routed by ownership),
-/// [`Request::ShardStatus`] / [`Response::ShardStatus`] (topology and
-/// the per-shard epoch vector), shard fields in the server Hello, the
-/// shard-epoch vector appended to every query response, and the
+/// (single-record remote mutation, routed by ownership), a
+/// `ShardStatus` request and response (topology and the per-shard epoch
+/// vector), shard fields in the server Hello, the shard-epoch vector
+/// appended to every query response, and the
 /// [`WireErrorKind::WrongShard`] / [`WireErrorKind::ShardUnavailable`]
 /// refusals.
 ///
 /// Version 6 added replicated-shard topology discovery: the server
-/// Hello now carries the shard primaries' addresses in shard order
-/// (`peers`, empty when the server does not know its deployment's
-/// topology), and [`Response::ShardStatus`] carries each shard's
-/// configured replica addresses (`replicas`, bounded per shard by
-/// [`MAX_REPLICAS`]) — together, everything a client or gather needs to
-/// re-resolve a promoted shard primary after a failover without an
-/// out-of-band directory.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// Hello carried the shard primaries' addresses in shard order, and the
+/// `ShardStatus` answer carried each shard's configured replica
+/// addresses (bounded per shard by [`MAX_REPLICAS`]).
+///
+/// Version 7 folded the three status surfaces into one:
+/// [`Request::Status`] / [`Response::Status`] (tags 6 and 7) answer with
+/// the replication status and then the shard status, whose
+/// [`primaries`](ShardStatusInfo::primaries) list is the peer list the
+/// Hello used to carry. The Hello lost its shard count, shard index and
+/// peer list, and the `ShardStatus` tags (request 10, response 11) were
+/// retired. Every other message kept its tag and its bytes.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Sanity bound on requests per [`Request::Batch`] frame; larger batches
 /// are rejected at decode time so a hostile frame cannot force an
@@ -220,14 +223,14 @@ pub const MAX_WAL_CHUNK: u32 = 1 << 22;
 /// rejected at decode time before any allocation.
 pub const MAX_SEGMENT_DIGESTS: u32 = 1 << 20;
 
-/// Sanity bound on the shard-epoch vectors in query responses and
-/// [`Response::ShardStatus`]: no real cluster approaches a thousand
-/// shards, and a hostile count beyond it is rejected at decode time
-/// before any allocation.
+/// Sanity bound on the shard-epoch vectors in query responses and on
+/// each list in a [`Response::Status`]'s shard half: no real cluster
+/// approaches a thousand shards, and a hostile count beyond it is
+/// rejected at decode time before any allocation.
 pub const MAX_SHARDS: u32 = 1 << 10;
 
-/// Sanity bound on the replica addresses listed *per shard* in
-/// [`Response::ShardStatus`]: no shard runs hundreds of replicas, and a
+/// Sanity bound on the replica addresses listed *per shard* in a
+/// [`Response::Status`]: no shard runs hundreds of replicas, and a
 /// hostile count beyond it is rejected at decode time before any
 /// allocation (the whole replica table is further bounded by
 /// [`MAX_SHARDS`] shards).
@@ -235,23 +238,22 @@ pub const MAX_REPLICAS: u32 = 1 << 8;
 
 /// Every [`Request`] variant name, in tag order — the normative list
 /// the wire-spec conformance test checks `docs/WIRE.md` against.
-pub const REQUEST_VARIANTS: [&str; 11] = [
+pub const REQUEST_VARIANTS: [&str; 10] = [
     "Hello",
     "Query",
     "Batch",
     "Epoch",
     "Checkpoint",
     "Subscribe",
-    "ReplicaStatus",
+    "Status",
     "LogDigests",
     "Promote",
     "Write",
-    "ShardStatus",
 ];
 
 /// Every [`Response`] variant name, in tag order (see
 /// [`REQUEST_VARIANTS`]).
-pub const RESPONSE_VARIANTS: [&str; 12] = [
+pub const RESPONSE_VARIANTS: [&str; 11] = [
     "Hello",
     "Query",
     "Batch",
@@ -259,11 +261,10 @@ pub const RESPONSE_VARIANTS: [&str; 12] = [
     "Checkpoint",
     "Error",
     "WalChunk",
-    "ReplicaStatus",
+    "Status",
     "LogDigests",
     "Promoted",
     "Written",
-    "ShardStatus",
 ];
 
 /// Every [`WireErrorKind`] name, in tag order (see
@@ -314,9 +315,11 @@ pub enum Request {
         /// The subscriber's local clock — the first frame it needs.
         from_clock: u64,
     },
-    /// Asks for the server's replication status ([`ReplicaStatus`]).
-    /// Safe for any consumer: it reveals epochs and connectivity only.
-    ReplicaStatus,
+    /// Asks for the server's status ([`Response::Status`]): its
+    /// replication role and link, then its place in the shard topology.
+    /// Safe for any consumer: it reveals epochs, connectivity and
+    /// addresses only.
+    Status,
     /// Asks for the server's per-segment WAL digests
     /// ([`Response::LogDigests`]) — the anti-entropy exchange a rejoining
     /// peer uses to find where its log diverged from the primary's.
@@ -340,11 +343,6 @@ pub enum Request {
         /// The mutation to apply.
         op: WriteOp,
     },
-    /// Asks where this server sits in the shard topology and how much
-    /// of each shard's history it reflects ([`Response::ShardStatus`]).
-    /// Safe for any consumer: epochs and indices only, like
-    /// [`Request::ReplicaStatus`].
-    ShardStatus,
 }
 
 /// One mutation crossing the wire — the payload of [`Request::Write`].
@@ -410,8 +408,14 @@ pub enum Response {
     Error(WireError),
     /// One replication chunk, streamed after [`Request::Subscribe`].
     WalChunk(WalChunk),
-    /// Answer to [`Request::ReplicaStatus`].
-    ReplicaStatus(ReplicaStatus),
+    /// Answer to [`Request::Status`]. Contains no graph data.
+    Status {
+        /// Role, epochs, fencing term and feed-link health.
+        replica: ReplicaStatus,
+        /// Place in the shard topology, its addresses, and the
+        /// per-shard epochs.
+        shards: ShardStatusInfo,
+    },
     /// Answer to [`Request::LogDigests`]: the server's fencing term and
     /// one digest per retained WAL segment, ascending by start clock.
     LogDigests {
@@ -436,8 +440,6 @@ pub enum Response {
         /// for edges and policy.
         id: Option<RecordId>,
     },
-    /// Answer to [`Request::ShardStatus`].
-    ShardStatus(ShardStatusInfo),
 }
 
 /// A server's place in the shard topology and its view of each shard's
@@ -455,6 +457,11 @@ pub struct ShardStatusInfo {
     /// a scatter-gather server; a single element (the store version) on
     /// an unsharded server.
     pub epochs: Vec<u64>,
+    /// The shard primaries' addresses in shard order (`primaries[i]` is
+    /// shard `i`'s), when the answering server knows its deployment's
+    /// topology; empty otherwise (including every unsharded server).
+    /// Bounded by [`MAX_SHARDS`].
+    pub primaries: Vec<String>,
     /// Per-shard replica addresses, in shard order, as configured on
     /// the answering server's topology: `replicas[i]` lists the
     /// replicas following shard `i`'s primary (the promotion candidates
@@ -551,7 +558,7 @@ impl ReplicaStatus {
 }
 
 /// What a server tells a client at connection time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerHello {
     /// The server's [`PROTOCOL_VERSION`].
     pub version: u16,
@@ -560,22 +567,9 @@ pub struct ServerHello {
     /// Node records in the store at handshake time — lets load drivers
     /// and CLIs pick valid roots without another round trip.
     pub nodes: u64,
-    /// Total shards in the deployment this server belongs to; 0 for an
-    /// ordinary unsharded server.
-    pub shard_count: u32,
-    /// This server's shard index, when it is one shard primary; `None`
-    /// on unsharded servers and on scatter-gather servers (which serve
-    /// the whole keyspace).
-    pub shard_index: Option<u32>,
     /// The lattice's predicate names, index = [`PrivilegeId`]. Clients
     /// resolve `-p <name>` flags against this without seeing the graph.
     pub predicates: Vec<String>,
-    /// The shard primaries' addresses in shard order (`peers[i]` is
-    /// shard `i` of [`shard_count`](Self::shard_count)), when the
-    /// answering server knows its deployment's topology; empty
-    /// otherwise (including every unsharded server). Lets a client
-    /// route writes without a directory service.
-    pub peers: Vec<String>,
 }
 
 impl ServerHello {
@@ -617,12 +611,12 @@ impl std::error::Error for WireError {}
 
 /// Machine-readable categories of [`WireError`].
 ///
-/// `#[non_exhaustive]`: the protocol will grow kinds (admission control,
-/// quotas, …) without a version bump; unknown tags decode to
-/// [`WireErrorKind::Internal`]-compatible handling on old clients is NOT
-/// attempted — instead the tag is part of the frame and an unknown tag is
-/// a malformed frame, which is why new kinds require a protocol version
-/// bump after all. Keep matches non-exhaustive anyway.
+/// The kind's tag is part of the frame, and an unknown tag is a
+/// malformed frame: a peer that does not know a kind hangs up rather
+/// than guessing. A new kind therefore bumps [`PROTOCOL_VERSION`], so
+/// the mismatch surfaces as a clean handshake refusal.
+/// `#[non_exhaustive]`: keep matches non-exhaustive, because the
+/// protocol will grow kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum WireErrorKind {
@@ -770,13 +764,7 @@ fn put_query_request(buf: &mut BytesMut, request: &QueryRequest) {
     buf.put_u8(direction_tag(request.direction));
     buf.put_u32_le(request.max_depth);
     buf.put_u8(strategy_tag(request.strategy));
-    match request.predicate {
-        Some(p) => {
-            buf.put_u8(1);
-            buf.put_u16_le(p.0);
-        }
-        None => buf.put_u8(0),
-    }
+    put_opt_predicate(buf, request.predicate);
 }
 
 fn read_query_request(r: &mut Reader<'_>) -> Result<QueryRequest, CodecError> {
@@ -878,13 +866,14 @@ fn put_query_response(buf: &mut BytesMut, response: &QueryResponse) -> Result<()
         buf.put_u32_le(row.depth);
         buf.put_u8(row.surrogate as u8);
     }
-    check_count(
-        "shard epochs",
-        response.shard_epochs.len(),
-        MAX_SHARDS as u64,
-    )?;
-    buf.put_u32_le(response.shard_epochs.len() as u32);
-    for &epoch in &response.shard_epochs {
+    put_epochs(buf, &response.shard_epochs)
+}
+
+/// A `u32`-counted shard-epoch vector, bounded by [`MAX_SHARDS`].
+fn put_epochs(buf: &mut BytesMut, epochs: &[u64]) -> Result<(), CodecError> {
+    check_count("shard epochs", epochs.len(), MAX_SHARDS as u64)?;
+    buf.put_u32_le(epochs.len() as u32);
+    for &epoch in epochs {
         buf.put_u64_le(epoch);
     }
     Ok(())
@@ -919,16 +908,7 @@ fn read_query_response_into(
         let record = RecordId(r.u32()?);
         let label = r.str_ref()?;
         let depth = r.u32()?;
-        let surrogate = match r.u8()? {
-            0 => false,
-            1 => true,
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    what: "surrogate flag",
-                    tag,
-                })
-            }
-        };
+        let surrogate = r.flag("surrogate flag")?;
         if let Some(row) = rows.get_mut(i) {
             row.record = record;
             row.label.clear();
@@ -1040,6 +1020,93 @@ fn read_names(r: &mut Reader<'_>) -> Result<Vec<String>, CodecError> {
     Ok(names)
 }
 
+/// A `u32`-counted address list, bounded by `max`.
+fn put_addrs(
+    buf: &mut BytesMut,
+    what: &'static str,
+    addrs: &[String],
+    max: u32,
+) -> Result<(), CodecError> {
+    check_count(what, addrs.len(), max as u64)?;
+    buf.put_u32_le(addrs.len() as u32);
+    for addr in addrs {
+        put_str(buf, addr);
+    }
+    Ok(())
+}
+
+/// The [`Response::Status`] body: the replication half, then the shard
+/// half.
+fn put_status(
+    buf: &mut BytesMut,
+    replica: &ReplicaStatus,
+    shards: &ShardStatusInfo,
+) -> Result<(), CodecError> {
+    buf.put_u8(match replica.role {
+        ReplicaRole::Primary => 0,
+        ReplicaRole::Replica => 1,
+    });
+    buf.put_u64_le(replica.local_epoch);
+    buf.put_u64_le(replica.primary_epoch);
+    buf.put_u64_le(replica.term);
+    buf.put_u8(replica.connected as u8);
+    put_opt(buf, replica.last_error.as_deref(), put_str);
+    put_opt(buf, replica.primary_addr.as_deref(), put_str);
+    buf.put_u32_le(shards.count);
+    put_opt(buf, shards.index, BytesMut::put_u32_le);
+    put_epochs(buf, &shards.epochs)?;
+    put_addrs(buf, "shard primaries", &shards.primaries, MAX_SHARDS)?;
+    check_count(
+        "shard replica lists",
+        shards.replicas.len(),
+        MAX_SHARDS as u64,
+    )?;
+    buf.put_u32_le(shards.replicas.len() as u32);
+    for addrs in &shards.replicas {
+        put_addrs(buf, "replica addresses", addrs, MAX_REPLICAS)?;
+    }
+    Ok(())
+}
+
+fn read_status(r: &mut Reader<'_>) -> Result<Response, CodecError> {
+    let role = match r.u8()? {
+        0 => ReplicaRole::Primary,
+        1 => ReplicaRole::Replica,
+        tag => {
+            return Err(CodecError::InvalidTag {
+                what: "replica role",
+                tag,
+            })
+        }
+    };
+    let replica = ReplicaStatus {
+        role,
+        local_epoch: r.u64()?,
+        primary_epoch: r.u64()?,
+        term: r.u64()?,
+        connected: r.flag("connected flag")?,
+        last_error: r.opt("optional error", Reader::string)?,
+        primary_addr: r.opt("optional primary address", Reader::string)?,
+    };
+    let shards = ShardStatusInfo {
+        count: r.u32()?,
+        index: r.opt("optional shard index", Reader::u32)?,
+        epochs: r.list(MAX_SHARDS, Reader::u64)?,
+        primaries: r.list(MAX_SHARDS, Reader::string)?,
+        replicas: r.list(MAX_SHARDS, |r| r.list(MAX_REPLICAS, Reader::string))?,
+    };
+    Ok(Response::Status { replica, shards })
+}
+
+/// A `u32`-length byte run, bounded by `max`.
+fn read_bytes(r: &mut Reader<'_>, max: u32) -> Result<Vec<u8>, CodecError> {
+    let len = r.u32()?;
+    if len > max {
+        return Err(CodecError::FrameTooLarge(len));
+    }
+    Ok(r.take(len as usize)?.to_vec())
+}
+
 /// The canonical payload bytes of a Query (`batch == false`, exactly one
 /// request) or Batch (`batch == true`) request — shared by
 /// [`encode_request`] and the service's sealed-frame cache key, so a
@@ -1096,14 +1163,13 @@ pub fn encode_request(request: &Request) -> Result<Vec<u8>, CodecError> {
             buf.put_u8(5);
             buf.put_u64_le(*from_clock);
         }
-        Request::ReplicaStatus => buf.put_u8(6),
+        Request::Status => buf.put_u8(6),
         Request::LogDigests => buf.put_u8(7),
         Request::Promote => buf.put_u8(8),
         Request::Write { op } => {
             buf.put_u8(9);
             put_write_op(&mut buf, op);
         }
-        Request::ShardStatus => buf.put_u8(10),
     }
     Ok(buf.to_vec())
 }
@@ -1116,40 +1182,24 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, CodecError> {
         pos: 0,
     };
     let request = match r.u8()? {
-        0 => {
-            let version = r.u16()?;
-            let consumer = r.string()?;
-            let claims = read_names(&mut r)?;
-            Request::Hello {
-                version,
-                consumer,
-                claims,
-            }
-        }
+        0 => Request::Hello {
+            version: r.u16()?,
+            consumer: r.string()?,
+            claims: read_names(&mut r)?,
+        },
         1 => Request::Query(read_query_request(&mut r)?),
-        2 => {
-            let count = r.u32()?;
-            if count > MAX_BATCH {
-                return Err(CodecError::FrameTooLarge(count));
-            }
-            let mut queries = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                queries.push(read_query_request(&mut r)?);
-            }
-            Request::Batch(queries)
-        }
+        2 => Request::Batch(r.list(MAX_BATCH, read_query_request)?),
         3 => Request::Epoch,
         4 => Request::Checkpoint,
         5 => Request::Subscribe {
             from_clock: r.u64()?,
         },
-        6 => Request::ReplicaStatus,
+        6 => Request::Status,
         7 => Request::LogDigests,
         8 => Request::Promote,
         9 => Request::Write {
             op: read_write_op(&mut r)?,
         },
-        10 => Request::ShardStatus,
         tag => {
             return Err(CodecError::InvalidTag {
                 what: "request",
@@ -1177,20 +1227,7 @@ pub fn encode_response(response: &Response) -> Result<Vec<u8>, CodecError> {
             buf.put_u16_le(hello.version);
             buf.put_u64_le(hello.epoch);
             buf.put_u64_le(hello.nodes);
-            buf.put_u32_le(hello.shard_count);
-            match hello.shard_index {
-                Some(index) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(index);
-                }
-                None => buf.put_u8(0),
-            }
             put_names(&mut buf, &hello.predicates)?;
-            check_count("hello peers", hello.peers.len(), MAX_SHARDS as u64)?;
-            buf.put_u32_le(hello.peers.len() as u32);
-            for peer in &hello.peers {
-                put_str(&mut buf, peer);
-            }
         }
         Response::Query(query) => {
             buf.put_u8(1);
@@ -1242,30 +1279,9 @@ pub fn encode_response(response: &Response) -> Result<Vec<u8>, CodecError> {
             buf.put_u32_le(chunk.frames.len() as u32);
             buf.put_slice(&chunk.frames);
         }
-        Response::ReplicaStatus(status) => {
+        Response::Status { replica, shards } => {
             buf.put_u8(7);
-            buf.put_u8(match status.role {
-                ReplicaRole::Primary => 0,
-                ReplicaRole::Replica => 1,
-            });
-            buf.put_u64_le(status.local_epoch);
-            buf.put_u64_le(status.primary_epoch);
-            buf.put_u64_le(status.term);
-            buf.put_u8(status.connected as u8);
-            match &status.last_error {
-                Some(error) => {
-                    buf.put_u8(1);
-                    put_str(&mut buf, error);
-                }
-                None => buf.put_u8(0),
-            }
-            match &status.primary_addr {
-                Some(addr) => {
-                    buf.put_u8(1);
-                    put_str(&mut buf, addr);
-                }
-                None => buf.put_u8(0),
-            }
+            put_status(&mut buf, replica, shards)?;
         }
         Response::LogDigests { term, segments } => {
             buf.put_u8(8);
@@ -1289,46 +1305,7 @@ pub fn encode_response(response: &Response) -> Result<Vec<u8>, CodecError> {
         Response::Written { clock, id } => {
             buf.put_u8(10);
             buf.put_u64_le(*clock);
-            match id {
-                Some(id) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(id.0);
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        Response::ShardStatus(status) => {
-            buf.put_u8(11);
-            buf.put_u32_le(status.count);
-            match status.index {
-                Some(index) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(index);
-                }
-                None => buf.put_u8(0),
-            }
-            check_count("shard epochs", status.epochs.len(), MAX_SHARDS as u64)?;
-            buf.put_u32_le(status.epochs.len() as u32);
-            for &epoch in &status.epochs {
-                buf.put_u64_le(epoch);
-            }
-            check_count(
-                "shard replica lists",
-                status.replicas.len(),
-                MAX_SHARDS as u64,
-            )?;
-            buf.put_u32_le(status.replicas.len() as u32);
-            for shard_replicas in &status.replicas {
-                check_count(
-                    "replica addresses",
-                    shard_replicas.len(),
-                    MAX_REPLICAS as u64,
-                )?;
-                buf.put_u32_le(shard_replicas.len() as u32);
-                for addr in shard_replicas {
-                    put_str(&mut buf, addr);
-                }
-            }
+            put_opt(&mut buf, *id, |buf, id| buf.put_u32_le(id.0));
         }
     }
     Ok(buf.to_vec())
@@ -1342,231 +1319,50 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
         pos: 0,
     };
     let response = match r.u8()? {
-        0 => {
-            let version = r.u16()?;
-            let epoch = r.u64()?;
-            let nodes = r.u64()?;
-            let shard_count = r.u32()?;
-            let shard_index = match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "optional shard index",
-                        tag,
-                    })
-                }
-            };
-            let predicates = read_names(&mut r)?;
-            let peer_count = r.u32()?;
-            if peer_count > MAX_SHARDS {
-                return Err(CodecError::FrameTooLarge(peer_count));
-            }
-            let mut peers = Vec::with_capacity(peer_count as usize);
-            for _ in 0..peer_count {
-                peers.push(r.string()?);
-            }
-            Response::Hello(ServerHello {
-                version,
-                epoch,
-                nodes,
-                shard_count,
-                shard_index,
-                predicates,
-                peers,
-            })
-        }
+        0 => Response::Hello(ServerHello {
+            version: r.u16()?,
+            epoch: r.u64()?,
+            nodes: r.u64()?,
+            predicates: read_names(&mut r)?,
+        }),
         1 => Response::Query(read_query_response(&mut r)?),
-        2 => {
-            let count = r.u32()?;
-            if count > MAX_BATCH {
-                return Err(CodecError::FrameTooLarge(count));
-            }
-            let mut queries = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                queries.push(read_query_response(&mut r)?);
-            }
-            Response::Batch(queries)
-        }
+        2 => Response::Batch(r.list(MAX_BATCH, read_query_response)?),
         3 => Response::Epoch(r.u64()?),
-        4 => {
-            let clock = r.u64()?;
-            let snapshot_bytes = r.u64()?;
-            let pruned_segments = r.u64()? as usize;
-            let pruned_snapshots = r.u64()? as usize;
-            Response::Checkpoint(CheckpointStats {
-                clock,
-                snapshot_bytes,
-                pruned_segments,
-                pruned_snapshots,
-            })
-        }
-        5 => {
-            let kind = WireErrorKind::from_tag(r.u8()?)?;
-            let message = r.string()?;
-            Response::Error(WireError { kind, message })
-        }
-        6 => {
-            let start_clock = r.u64()?;
-            let primary_epoch = r.u64()?;
-            let term = r.u64()?;
-            let snapshot = match r.u8()? {
-                0 => None,
-                1 => {
-                    let len = r.u32()?;
-                    if len > crate::codec::MAX_FRAME_LEN {
-                        return Err(CodecError::FrameTooLarge(len));
-                    }
-                    Some(r.take(len as usize)?.to_vec())
-                }
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "optional snapshot",
-                        tag,
-                    })
-                }
-            };
-            let len = r.u32()?;
-            if len > MAX_WAL_CHUNK {
-                return Err(CodecError::FrameTooLarge(len));
-            }
-            let frames = r.take(len as usize)?.to_vec();
-            Response::WalChunk(WalChunk {
-                start_clock,
-                primary_epoch,
-                term,
-                snapshot,
-                frames,
-            })
-        }
-        7 => {
-            let role = match r.u8()? {
-                0 => ReplicaRole::Primary,
-                1 => ReplicaRole::Replica,
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "replica role",
-                        tag,
-                    })
-                }
-            };
-            let local_epoch = r.u64()?;
-            let primary_epoch = r.u64()?;
-            let term = r.u64()?;
-            let connected = match r.u8()? {
-                0 => false,
-                1 => true,
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "connected flag",
-                        tag,
-                    })
-                }
-            };
-            let last_error = match r.u8()? {
-                0 => None,
-                1 => Some(r.string()?),
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "optional error",
-                        tag,
-                    })
-                }
-            };
-            let primary_addr = match r.u8()? {
-                0 => None,
-                1 => Some(r.string()?),
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "optional primary address",
-                        tag,
-                    })
-                }
-            };
-            Response::ReplicaStatus(ReplicaStatus {
-                role,
-                local_epoch,
-                primary_epoch,
-                term,
-                connected,
-                last_error,
-                primary_addr,
-            })
-        }
-        8 => {
-            let term = r.u64()?;
-            let count = r.u32()?;
-            if count > MAX_SEGMENT_DIGESTS {
-                return Err(CodecError::FrameTooLarge(count));
-            }
-            let mut segments = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                segments.push(SegmentDigest {
+        4 => Response::Checkpoint(CheckpointStats {
+            clock: r.u64()?,
+            snapshot_bytes: r.u64()?,
+            pruned_segments: r.u64()? as usize,
+            pruned_snapshots: r.u64()? as usize,
+        }),
+        5 => Response::Error(WireError {
+            kind: WireErrorKind::from_tag(r.u8()?)?,
+            message: r.string()?,
+        }),
+        6 => Response::WalChunk(WalChunk {
+            start_clock: r.u64()?,
+            primary_epoch: r.u64()?,
+            term: r.u64()?,
+            snapshot: r.opt("optional snapshot", |r| {
+                read_bytes(r, crate::codec::MAX_FRAME_LEN)
+            })?,
+            frames: read_bytes(&mut r, MAX_WAL_CHUNK)?,
+        }),
+        7 => read_status(&mut r)?,
+        8 => Response::LogDigests {
+            term: r.u64()?,
+            segments: r.list(MAX_SEGMENT_DIGESTS, |r| {
+                Ok(SegmentDigest {
                     start_clock: r.u64()?,
                     bytes: r.u64()?,
                     crc: r.u32()?,
-                });
-            }
-            Response::LogDigests { term, segments }
-        }
+                })
+            })?,
+        },
         9 => Response::Promoted { term: r.u64()? },
-        10 => {
-            let clock = r.u64()?;
-            let id = match r.u8()? {
-                0 => None,
-                1 => Some(RecordId(r.u32()?)),
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "optional record id",
-                        tag,
-                    })
-                }
-            };
-            Response::Written { clock, id }
-        }
-        11 => {
-            let count = r.u32()?;
-            let index = match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "optional shard index",
-                        tag,
-                    })
-                }
-            };
-            let epochs_len = r.u32()?;
-            if epochs_len > MAX_SHARDS {
-                return Err(CodecError::FrameTooLarge(epochs_len));
-            }
-            let mut epochs = Vec::with_capacity(epochs_len as usize);
-            for _ in 0..epochs_len {
-                epochs.push(r.u64()?);
-            }
-            let replicas_len = r.u32()?;
-            if replicas_len > MAX_SHARDS {
-                return Err(CodecError::FrameTooLarge(replicas_len));
-            }
-            let mut replicas = Vec::with_capacity(replicas_len as usize);
-            for _ in 0..replicas_len {
-                let addr_count = r.u32()?;
-                if addr_count > MAX_REPLICAS {
-                    return Err(CodecError::FrameTooLarge(addr_count));
-                }
-                let mut addrs = Vec::with_capacity(addr_count as usize);
-                for _ in 0..addr_count {
-                    addrs.push(r.string()?);
-                }
-                replicas.push(addrs);
-            }
-            Response::ShardStatus(ShardStatusInfo {
-                count,
-                index,
-                epochs,
-                replicas,
-            })
-        }
+        10 => Response::Written {
+            clock: r.u64()?,
+            id: r.opt("optional record id", |r| Ok(RecordId(r.u32()?)))?,
+        },
         tag => {
             return Err(CodecError::InvalidTag {
                 what: "response",
@@ -1618,7 +1414,7 @@ mod tests {
             Request::Subscribe {
                 from_clock: u64::MAX,
             },
-            Request::ReplicaStatus,
+            Request::Status,
             Request::LogDigests,
             Request::Promote,
             Request::Write {
@@ -1652,7 +1448,6 @@ mod tests {
                     info_score: 2.0,
                 }),
             },
-            Request::ShardStatus,
         ]
     }
 
@@ -1662,24 +1457,13 @@ mod tests {
                 version: PROTOCOL_VERSION,
                 epoch: 42,
                 nodes: 11,
-                shard_count: 0,
-                shard_index: None,
                 predicates: vec!["Public".into(), "High-1".into(), "High-2".into()],
-                peers: vec![],
             }),
             Response::Hello(ServerHello {
                 version: PROTOCOL_VERSION,
                 epoch: 7,
                 nodes: 3,
-                shard_count: 4,
-                shard_index: Some(2),
-                predicates: vec!["Public".into()],
-                peers: vec![
-                    "10.0.0.1:7660".into(),
-                    "10.0.0.2:7660".into(),
-                    "10.0.0.3:7660".into(),
-                    "10.0.0.4:7660".into(),
-                ],
+                predicates: vec![],
             }),
             Response::Query(QueryResponse {
                 epoch: 3,
@@ -1729,24 +1513,50 @@ mod tests {
                 snapshot: Some(vec![0xde, 0xad, 0xbe, 0xef]),
                 frames: Vec::new(),
             }),
-            Response::ReplicaStatus(ReplicaStatus {
-                role: ReplicaRole::Primary,
-                local_epoch: 3,
-                primary_epoch: 3,
-                term: 1,
-                connected: true,
-                last_error: None,
-                primary_addr: None,
-            }),
-            Response::ReplicaStatus(ReplicaStatus {
-                role: ReplicaRole::Replica,
-                local_epoch: 5,
-                primary_epoch: 11,
-                term: u64::MAX,
-                connected: false,
-                last_error: Some("connection refused".into()),
-                primary_addr: Some("10.0.0.7:7655".into()),
-            }),
+            Response::Status {
+                replica: ReplicaStatus {
+                    role: ReplicaRole::Primary,
+                    local_epoch: 3,
+                    primary_epoch: 3,
+                    term: 1,
+                    connected: true,
+                    last_error: None,
+                    primary_addr: None,
+                },
+                shards: ShardStatusInfo {
+                    count: 0,
+                    index: None,
+                    epochs: vec![3],
+                    primaries: vec![],
+                    replicas: vec![],
+                },
+            },
+            Response::Status {
+                replica: ReplicaStatus {
+                    role: ReplicaRole::Replica,
+                    local_epoch: 5,
+                    primary_epoch: 11,
+                    term: u64::MAX,
+                    connected: false,
+                    last_error: Some("connection refused".into()),
+                    primary_addr: Some("10.0.0.7:7655".into()),
+                },
+                shards: ShardStatusInfo {
+                    count: 3,
+                    index: Some(1),
+                    epochs: vec![4, 0, 9],
+                    primaries: vec![
+                        "10.0.0.1:7660".into(),
+                        "10.0.0.2:7660".into(),
+                        "10.0.0.3:7660".into(),
+                    ],
+                    replicas: vec![
+                        vec!["10.0.0.5:7661".into(), "10.0.0.6:7661".into()],
+                        vec![],
+                        vec!["10.0.0.7:7661".into()],
+                    ],
+                },
+            },
             Response::LogDigests {
                 term: 3,
                 segments: vec![
@@ -1775,22 +1585,6 @@ mod tests {
                 clock: u64::MAX,
                 id: None,
             },
-            Response::ShardStatus(ShardStatusInfo {
-                count: 3,
-                index: Some(1),
-                epochs: vec![4, 0, 9],
-                replicas: vec![
-                    vec!["10.0.0.5:7661".into(), "10.0.0.6:7661".into()],
-                    vec![],
-                    vec!["10.0.0.7:7661".into()],
-                ],
-            }),
-            Response::ShardStatus(ShardStatusInfo {
-                count: 2,
-                index: None,
-                epochs: vec![],
-                replicas: vec![],
-            }),
         ]
     }
 
@@ -1989,23 +1783,23 @@ mod tests {
 
     #[test]
     fn oversized_topology_fields_are_refused_at_encode_time() {
-        let status = ShardStatusInfo {
-            count: 1,
-            index: Some(0),
-            epochs: vec![0],
-            replicas: vec![vec![String::new(); MAX_REPLICAS as usize + 1]],
+        let Response::Status { replica, shards } = &responses()[11] else {
+            panic!("fixture 11 is a status answer");
         };
-        assert!(encode_response(&Response::ShardStatus(status)).is_err());
-        let hello = ServerHello {
-            version: PROTOCOL_VERSION,
-            epoch: 0,
-            nodes: 0,
-            shard_count: 0,
-            shard_index: None,
-            predicates: vec![],
-            peers: vec![String::new(); MAX_SHARDS as usize + 1],
-        };
-        assert!(encode_response(&Response::Hello(hello)).is_err());
+        let over = |max: u32| vec![String::new(); max as usize + 1];
+        for shards in [
+            ShardStatusInfo {
+                replicas: vec![over(MAX_REPLICAS)],
+                ..shards.clone()
+            },
+            ShardStatusInfo {
+                primaries: over(MAX_SHARDS),
+                ..shards.clone()
+            },
+        ] {
+            let replica = replica.clone();
+            assert!(encode_response(&Response::Status { replica, shards }).is_err());
+        }
     }
 
     #[test]
@@ -2014,10 +1808,7 @@ mod tests {
             version: PROTOCOL_VERSION,
             epoch: 0,
             nodes: 0,
-            shard_count: 0,
-            shard_index: None,
             predicates: vec!["Public".into(), "High".into()],
-            peers: vec![],
         };
         assert_eq!(hello.predicate("High"), Some(PrivilegeId(1)));
         assert_eq!(hello.predicate("Nope"), None);

@@ -15,7 +15,7 @@ use plus_store::codec::{open_frame, seal_frame, RawFrame, FRAME_HEADER_LEN, MAX_
 use plus_store::wire::{
     decode_request, decode_response, encode_request, encode_response, ReplicaRole, ReplicaStatus,
     Request, Response, ServerHello, ShardStatusInfo, WalChunk, WireError, WireErrorKind, WriteOp,
-    MAX_BATCH, MAX_SHARDS, MAX_WAL_CHUNK, PROTOCOL_VERSION,
+    MAX_BATCH, MAX_REPLICAS, MAX_SHARDS, MAX_WAL_CHUNK, PROTOCOL_VERSION,
 };
 use plus_store::{
     CheckpointStats, CodecError, EdgeKind, NodeKind, PolicyStatement, ProtectedLineageRow,
@@ -129,11 +129,10 @@ fn random_write_op(rng: &mut StdRng) -> WriteOp {
 }
 
 fn random_request(rng: &mut StdRng) -> Request {
-    match rng.gen_range(0..11usize) {
+    match rng.gen_range(0..10usize) {
         9 => Request::Write {
             op: random_write_op(rng),
         },
-        10 => Request::ShardStatus,
         0 => Request::Hello {
             version: rng.gen(),
             consumer: random_string(rng, 16),
@@ -151,7 +150,7 @@ fn random_request(rng: &mut StdRng) -> Request {
         4 => Request::Subscribe {
             from_clock: rng.gen(),
         },
-        5 => Request::ReplicaStatus,
+        5 => Request::Status,
         6 => Request::LogDigests,
         7 => Request::Promote,
         _ => Request::Checkpoint,
@@ -179,19 +178,32 @@ fn random_wal_chunk(rng: &mut StdRng) -> WalChunk {
     }
 }
 
-fn random_replica_status(rng: &mut StdRng) -> ReplicaStatus {
-    ReplicaStatus {
-        role: if rng.gen_bool(0.5) {
-            ReplicaRole::Primary
-        } else {
-            ReplicaRole::Replica
+fn random_addrs(rng: &mut StdRng, max: usize) -> Vec<String> {
+    (0..rng.gen_range(0..=max))
+        .map(|_| random_string(rng, 16))
+        .collect()
+}
+
+fn random_status(rng: &mut StdRng) -> Response {
+    Response::Status {
+        replica: ReplicaStatus {
+            role: [ReplicaRole::Primary, ReplicaRole::Replica][rng.gen_range(0..2usize)],
+            local_epoch: rng.gen(),
+            primary_epoch: rng.gen(),
+            term: rng.gen(),
+            connected: rng.gen_bool(0.5),
+            last_error: rng.gen_bool(0.4).then(|| random_string(rng, 48)),
+            primary_addr: rng.gen_bool(0.4).then(|| random_string(rng, 32)),
         },
-        local_epoch: rng.gen(),
-        primary_epoch: rng.gen(),
-        term: rng.gen(),
-        connected: rng.gen_bool(0.5),
-        last_error: rng.gen_bool(0.4).then(|| random_string(rng, 48)),
-        primary_addr: rng.gen_bool(0.4).then(|| random_string(rng, 32)),
+        shards: ShardStatusInfo {
+            count: rng.gen(),
+            index: rng.gen_bool(0.5).then(|| rng.gen()),
+            epochs: (0..rng.gen_range(0..5usize)).map(|_| rng.gen()).collect(),
+            primaries: random_addrs(rng, 3),
+            replicas: (0..rng.gen_range(0..4usize))
+                .map(|_| random_addrs(rng, 2))
+                .collect(),
+        },
     }
 }
 
@@ -209,38 +221,21 @@ fn random_log_digests(rng: &mut StdRng) -> Response {
 }
 
 fn random_response(rng: &mut StdRng) -> Response {
-    match rng.gen_range(0..12usize) {
+    match rng.gen_range(0..11usize) {
         6 => Response::WalChunk(random_wal_chunk(rng)),
-        7 => Response::ReplicaStatus(random_replica_status(rng)),
+        7 => random_status(rng),
         8 => random_log_digests(rng),
         9 => Response::Promoted { term: rng.gen() },
         10 => Response::Written {
             clock: rng.gen(),
             id: rng.gen_bool(0.5).then(|| RecordId(rng.gen())),
         },
-        11 => Response::ShardStatus(ShardStatusInfo {
-            count: rng.gen(),
-            index: rng.gen_bool(0.5).then(|| rng.gen()),
-            epochs: (0..rng.gen_range(0..5usize)).map(|_| rng.gen()).collect(),
-            replicas: (0..rng.gen_range(0..4usize))
-                .map(|_| {
-                    (0..rng.gen_range(0..3usize))
-                        .map(|_| random_string(rng, 16))
-                        .collect()
-                })
-                .collect(),
-        }),
         0 => Response::Hello(ServerHello {
             version: rng.gen(),
             epoch: rng.gen(),
             nodes: rng.gen(),
-            shard_count: rng.gen(),
-            shard_index: rng.gen_bool(0.5).then(|| rng.gen()),
             predicates: (0..rng.gen_range(0..5usize))
                 .map(|_| random_string(rng, 12))
-                .collect(),
-            peers: (0..rng.gen_range(0..4usize))
-                .map(|_| random_string(rng, 16))
                 .collect(),
         }),
         1 => Response::Query(random_query_response(rng)),
@@ -447,7 +442,7 @@ proptest! {
     // The stream a replica replays is WAL frames inside a wire frame:
     // both layers must uphold the same guarantees independently.
 
-    /// Subscribe/WalChunk/ReplicaStatus roundtrip framed, like every
+    /// Subscribe/WalChunk/Status roundtrip framed, like every
     /// other message (the generic roundtrips above include them too;
     /// this pins the replication shapes explicitly, snapshot and all).
     #[test]
@@ -458,7 +453,7 @@ proptest! {
         prop_assert_eq!(decode_request(&payload).unwrap(), subscribe);
         for response in [
             Response::WalChunk(random_wal_chunk(&mut rng)),
-            Response::ReplicaStatus(random_replica_status(&mut rng)),
+            random_status(&mut rng),
         ] {
             let payload = encode_response(&response).unwrap();
             prop_assert_eq!(decode_response(&payload).unwrap(), response.clone());
@@ -563,63 +558,256 @@ proptest! {
 /// fields on `ServerHello`, per-shard epoch vectors on `QueryResponse`,
 /// and the `WrongShard` / `ShardUnavailable` error kinds; version 6
 /// added topology announcements — peer lists on `ServerHello` and
-/// per-shard replica lists on `ShardStatus`.
+/// per-shard replica lists on `ShardStatus`; version 7 folded
+/// `ReplicaStatus`, `ShardStatus` and the Hello's shard fields into one
+/// `Status` message.
 #[test]
 fn protocol_version_is_pinned() {
-    assert_eq!(PROTOCOL_VERSION, 6);
+    assert_eq!(PROTOCOL_VERSION, 7);
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// Every message version 7 kept from version 6 still encodes to the
+/// exact bytes version 6 produced, and those bytes decode back to it.
+/// The hex literals were captured from the version-6 encoder; a change
+/// to any of them is a wire break that needs a version bump.
+#[test]
+fn surviving_messages_keep_their_bytes() {
+    let query = |root, direction, depth, strategy| {
+        QueryRequest::new(RecordId(root), direction, depth, strategy)
+    };
+    let write = |op| Request::Write { op };
+    let requests = [
+        (
+            Request::Hello {
+                version: 7,
+                consumer: "alice".into(),
+                claims: vec!["Public".into(), "High".into()],
+            },
+            "00070005000000616c6963650200060000005075626c69630400000048696768",
+        ),
+        (
+            Request::Query(
+                query(9, Direction::Backward, 3, Strategy::Surrogate)
+                    .with_predicate(PrivilegeId(2)),
+            ),
+            "0109000000000300000000010200",
+        ),
+        (
+            Request::Batch(vec![
+                query(1, Direction::Forward, 1, Strategy::HideEdges),
+                query(2, Direction::Both, u32::MAX, Strategy::HideNodes),
+            ]),
+            "020200000001000000010100000001000200000002ffffffff0200",
+        ),
+        (Request::Epoch, "03"),
+        (Request::Checkpoint, "04"),
+        (Request::Subscribe { from_clock: 258 }, "050201000000000000"),
+        (Request::LogDigests, "07"),
+        (Request::Promote, "08"),
+        (
+            write(WriteOp::AppendNode {
+                label: "invoice".into(),
+                kind: NodeKind::Data,
+                features: Features::new().with("origin", "edi"),
+                lowest: PrivilegeId(1),
+            }),
+            "090007000000696e766f6963650001000100060000006f726967696e0003000000656469",
+        ),
+        (
+            write(WriteOp::AppendEdge {
+                from: RecordId(4),
+                to: RecordId(9),
+                kind: EdgeKind::GeneratedBy,
+            }),
+            "0901040000000900000001",
+        ),
+        (
+            write(WriteOp::ApplyPolicy(PolicyStatement::MarkNode {
+                node: RecordId(2),
+                predicate: Some(PrivilegeId(1)),
+                marking: Marking::Hide,
+            })),
+            "0902010200000001010001",
+        ),
+    ];
+    for (request, hex) in requests {
+        assert_eq!(encode_request(&request).unwrap(), unhex(hex), "{request:?}");
+        assert_eq!(decode_request(&unhex(hex)).unwrap(), request);
+    }
+    let answer = |epoch, root, record, label: &str, surrogate| QueryResponse {
+        epoch,
+        root: RecordId(root),
+        rows: vec![ProtectedLineageRow {
+            record: RecordId(record),
+            label: label.into(),
+            depth: 2,
+            surrogate,
+        }],
+        shard_epochs: vec![7, 9],
+    };
+    let responses = [
+        (
+            Response::Query(answer(3, 7, 2, "a trusted source", true)),
+            "0103000000000000000700000001000000020000001000000061207472757374656420736f7572636502000000010200000007000000000000000900000000000000",
+        ),
+        (
+            Response::Batch(vec![answer(16, 1, 0, "n0", false)]),
+            "02010000001000000000000000010000000100000000000000020000006e3002000000000200000007000000000000000900000000000000",
+        ),
+        (Response::Epoch(0x0102_0304_0506_0708), "030807060504030201"),
+        (
+            Response::Checkpoint(CheckpointStats {
+                clock: 17,
+                snapshot_bytes: 4096,
+                pruned_segments: 2,
+                pruned_snapshots: 1,
+            }),
+            "041100000000000000001000000000000002000000000000000100000000000000",
+        ),
+        (
+            Response::WalChunk(WalChunk {
+                start_clock: 7,
+                primary_epoch: 9,
+                term: 2,
+                snapshot: Some(vec![0xde, 0xad, 0xbe, 0xef]),
+                frames: seal_frame(b"opaque"),
+            }),
+            "060700000000000000090000000000000002000000000000000104000000deadbeef0e0000000600000086768b086f7061717565",
+        ),
+        (
+            Response::LogDigests {
+                term: 3,
+                segments: vec![SegmentDigest {
+                    start_clock: 40,
+                    bytes: 4096,
+                    crc: 0xdead_beef,
+                }],
+            },
+            "0803000000000000000100000028000000000000000010000000000000efbeadde",
+        ),
+        (Response::Promoted { term: 2 }, "090200000000000000"),
+        (
+            Response::Written {
+                clock: 19,
+                id: Some(RecordId(6)),
+            },
+            "0a13000000000000000106000000",
+        ),
+        (
+            Response::Error(WireError::new(WireErrorKind::NotWritable, "10.0.0.7:7655")),
+            "05080d00000031302e302e302e373a37363535",
+        ),
+    ];
+    for (response, hex) in responses {
+        assert_eq!(
+            encode_response(&response).unwrap(),
+            unhex(hex),
+            "{response:?}"
+        );
+        assert_eq!(decode_response(&unhex(hex)).unwrap(), response);
+    }
+}
+
+/// The retired `ShardStatus` tags (request 10, response 11) are unknown
+/// tags now, like any tag past the end of the table.
+#[test]
+fn retired_status_tags_are_invalid() {
+    assert_eq!(
+        decode_request(&[10]).unwrap_err(),
+        CodecError::InvalidTag {
+            what: "request",
+            tag: 10
+        }
+    );
+    assert_eq!(
+        decode_response(&[11]).unwrap_err(),
+        CodecError::InvalidTag {
+            what: "response",
+            tag: 11
+        }
+    );
+}
+
+fn status_with(epochs: Vec<u64>, primaries: Vec<String>, replicas: Vec<Vec<String>>) -> Response {
+    Response::Status {
+        replica: ReplicaStatus {
+            role: ReplicaRole::Primary,
+            local_epoch: 0,
+            primary_epoch: 0,
+            term: 0,
+            connected: true,
+            last_error: None,
+            primary_addr: None,
+        },
+        shards: ShardStatusInfo {
+            count: 2,
+            index: None,
+            epochs,
+            primaries,
+            replicas,
+        },
+    }
+}
+
+/// Overwrites the little-endian `u32` that ends `from_end` bytes before
+/// the end of `bytes`.
+fn inflate(bytes: &mut [u8], from_end: usize, count: u32) {
+    let at = bytes.len() - from_end;
+    bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 /// A declared shard-epoch vector beyond MAX_SHARDS is rejected before
 /// allocation, on both the query-response tail and the status message.
 #[test]
 fn oversized_shard_epoch_declarations_are_rejected() {
-    let response = Response::ShardStatus(ShardStatusInfo {
-        count: 2,
-        index: None,
-        epochs: vec![0; MAX_SHARDS as usize + 1],
-        replicas: Vec::new(),
-    });
+    let response = status_with(vec![0; MAX_SHARDS as usize + 1], Vec::new(), Vec::new());
     assert!(matches!(
         encode_response(&response),
         Err(CodecError::CountOverflow { .. })
     ));
-    let mut payload = vec![11u8]; // ShardStatus tag
-    payload.extend_from_slice(&2u32.to_le_bytes()); // count
-    payload.push(0); // no index
-    payload.extend_from_slice(&(MAX_SHARDS + 1).to_le_bytes());
-    assert!(decode_response(&payload).is_err());
+    // Empty epochs, primaries and replicas: the three counts end the
+    // payload, epochs first.
+    let mut bytes = encode_response(&status_with(Vec::new(), Vec::new(), Vec::new())).unwrap();
+    inflate(&mut bytes, 12, MAX_SHARDS + 1);
+    assert_eq!(
+        decode_response(&bytes).unwrap_err(),
+        CodecError::FrameTooLarge(MAX_SHARDS + 1)
+    );
 }
 
-/// The v6 topology fields obey the same bounded-declaration discipline:
-/// a peer or replica list beyond its bound is refused at decode time
+/// The topology lists obey the same bounded-declaration discipline: a
+/// primary or replica list beyond its bound is refused at decode time
 /// before any allocation happens.
 #[test]
 fn oversized_topology_declarations_are_rejected() {
-    // Hello with a declared peer count beyond MAX_SHARDS.
-    let hello = Response::Hello(ServerHello {
-        version: PROTOCOL_VERSION,
-        epoch: 0,
-        nodes: 0,
-        shard_count: 0,
-        shard_index: None,
-        predicates: Vec::new(),
-        peers: Vec::new(),
-    });
-    let mut bytes = encode_response(&hello).expect("encodes");
-    // The peer count is the trailing u32 of the payload; inflate it.
-    let len = bytes.len();
-    bytes[len - 4..].copy_from_slice(&(MAX_SHARDS + 1).to_le_bytes());
-    assert!(decode_response(&bytes).is_err());
-
-    // ShardStatus with a declared replica-list count beyond MAX_SHARDS.
-    let status = Response::ShardStatus(ShardStatusInfo {
-        count: 1,
-        index: Some(0),
-        epochs: vec![7],
-        replicas: Vec::new(),
-    });
-    let mut bytes = encode_response(&status).expect("encodes");
-    let len = bytes.len();
-    bytes[len - 4..].copy_from_slice(&(MAX_SHARDS + 1).to_le_bytes());
-    assert!(decode_response(&bytes).is_err());
+    let empty = encode_response(&status_with(Vec::new(), Vec::new(), Vec::new())).unwrap();
+    // A primaries count beyond MAX_SHARDS.
+    let mut bytes = empty.clone();
+    inflate(&mut bytes, 8, MAX_SHARDS + 1);
+    assert_eq!(
+        decode_response(&bytes).unwrap_err(),
+        CodecError::FrameTooLarge(MAX_SHARDS + 1)
+    );
+    // A replica-list count beyond MAX_SHARDS.
+    let mut bytes = empty;
+    inflate(&mut bytes, 4, MAX_SHARDS + 1);
+    assert_eq!(
+        decode_response(&bytes).unwrap_err(),
+        CodecError::FrameTooLarge(MAX_SHARDS + 1)
+    );
+    // One shard's replica count beyond MAX_REPLICAS.
+    let mut bytes =
+        encode_response(&status_with(Vec::new(), Vec::new(), vec![Vec::new()])).unwrap();
+    inflate(&mut bytes, 4, MAX_REPLICAS + 1);
+    assert_eq!(
+        decode_response(&bytes).unwrap_err(),
+        CodecError::FrameTooLarge(MAX_REPLICAS + 1)
+    );
 }

@@ -1,15 +1,17 @@
 //! The blocking client and connection pool.
 
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use plus_store::wire::{
     decode_batch_response_into, decode_response, encode_batch_request, encode_request,
-    ReplicaStatus, Request, Response, ServerHello, ShardStatusInfo, WireErrorKind, WriteOp,
-    PROTOCOL_VERSION,
+    ReplicaStatus, Request, Response, ServerHello, ShardStatusInfo, WalChunk, WireErrorKind,
+    WriteOp, PROTOCOL_VERSION,
 };
-use plus_store::{CheckpointStats, QueryRequest, QueryResponse, RecordId};
+use plus_store::{CheckpointStats, QueryRequest, QueryResponse, RecordId, SegmentDigest};
 use surrogate_core::privilege::PrivilegeId;
 use surrogate_core::shard::ShardMap;
 
@@ -50,19 +52,32 @@ impl Client {
         consumer: &str,
         claims: &[&str],
     ) -> Result<Client, ClientError> {
+        Client::handshake(TcpStream::connect(addr)?, consumer, claims)
+    }
+
+    /// Connects as the Public consumer `replica` with a read deadline on
+    /// the socket, set before the Hello: a peer that accepts and goes
+    /// silent fails the handshake instead of hanging it, and later a read
+    /// that sees no bytes for `read_timeout` fails like a hangup — without
+    /// it a feed follower would park forever on a half-open socket while
+    /// status kept reporting it connected. How feed followers and the
+    /// anti-entropy pass reach a primary.
+    pub(crate) fn dial(addr: &str, read_timeout: Duration) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))?;
+        Client::handshake(stream, "replica", &[])
+    }
+
+    fn handshake(
+        stream: TcpStream,
+        consumer: &str,
+        claims: &[&str],
+    ) -> Result<Client, ClientError> {
         stream.set_nodelay(true)?;
         let mut client = Client {
             stream,
-            hello: ServerHello {
-                version: PROTOCOL_VERSION,
-                epoch: 0,
-                nodes: 0,
-                shard_count: 0,
-                shard_index: None,
-                predicates: Vec::new(),
-                peers: Vec::new(),
-            },
+            // Replaced by the server's answer below.
+            hello: ServerHello::default(),
             inbuf: Vec::with_capacity(512),
             outbuf: Vec::with_capacity(512),
             healthy: true,
@@ -112,18 +127,23 @@ impl Client {
         // An unencodable request never touches the wire, so it refuses
         // only itself: the connection stays healthy and in sync.
         let payload = encode_request(request).map_err(ClientError::Unencodable)?;
-        if let Err(e) = write_frame(&mut self.stream, &payload, &mut self.outbuf) {
+        self.send(&payload)?;
+        self.response()
+    }
+
+    /// Writes one request frame. A transport failure poisons the client.
+    fn send(&mut self, payload: &[u8]) -> Result<(), ClientError> {
+        write_frame(&mut self.stream, payload, &mut self.outbuf).map_err(|e| {
             self.healthy = false;
-            return Err(e.into());
-        }
+            ClientError::Io(e)
+        })
+    }
+
+    /// Reads one frame's payload. A transport or framing failure, or a
+    /// hangup, poisons the client.
+    fn receive(&mut self) -> Result<&[u8], ClientError> {
         match read_frame(&mut self.stream, &mut self.inbuf) {
-            Ok(Some(payload)) => match decode_response(payload) {
-                Ok(response) => Ok(response),
-                Err(e) => {
-                    self.healthy = false;
-                    Err(ClientError::Malformed(e))
-                }
-            },
+            Ok(Some(payload)) => Ok(payload),
             Ok(None) => {
                 self.healthy = false;
                 Err(ClientError::Disconnected)
@@ -133,6 +153,15 @@ impl Client {
                 Err(e.into())
             }
         }
+    }
+
+    /// Reads and decodes one response frame.
+    fn response(&mut self) -> Result<Response, ClientError> {
+        let decoded = decode_response(self.receive()?);
+        decoded.map_err(|e| {
+            self.healthy = false;
+            ClientError::Malformed(e)
+        })
     }
 
     /// Answers one lineage query remotely.
@@ -169,26 +198,14 @@ impl Client {
         out: &mut Vec<QueryResponse>,
     ) -> Result<(), ClientError> {
         let payload = encode_batch_request(requests).map_err(ClientError::Unencodable)?;
-        if let Err(e) = write_frame(&mut self.stream, &payload, &mut self.outbuf) {
-            self.healthy = false;
-            return Err(e.into());
-        }
-        match read_frame(&mut self.stream, &mut self.inbuf) {
-            Ok(Some(payload)) => match decode_batch_response_into(payload, out) {
-                Ok(None) => Ok(()),
-                Ok(Some(remote)) => Err(ClientError::Remote(remote)),
-                Err(e) => {
-                    self.healthy = false;
-                    Err(ClientError::Malformed(e))
-                }
-            },
-            Ok(None) => {
-                self.healthy = false;
-                Err(ClientError::Disconnected)
-            }
+        self.send(&payload)?;
+        let decoded = decode_batch_response_into(self.receive()?, out);
+        match decoded {
+            Ok(None) => Ok(()),
+            Ok(Some(remote)) => Err(ClientError::Remote(remote)),
             Err(e) => {
                 self.healthy = false;
-                Err(e.into())
+                Err(ClientError::Malformed(e))
             }
         }
     }
@@ -217,18 +234,66 @@ impl Client {
         }
     }
 
-    /// The server's replication status: role (primary or replica),
-    /// epochs, fencing term, lag, and link health. Safe against any
+    /// The server's status: its replication half (role, epochs,
+    /// fencing term, lag, link health, the primary it follows) and its
+    /// shard half (its place in the topology, the shard primaries and
+    /// replicas it knows, and the per-shard epochs — its own slot live
+    /// on a shard, the full merge vector on a gather, the degenerate
+    /// single-epoch answer on an unsharded server). Safe against any
     /// server.
-    pub fn replica_status(&mut self) -> Result<ReplicaStatus, ClientError> {
-        match self.call(&Request::ReplicaStatus)? {
-            Response::ReplicaStatus(status) => Ok(status),
+    pub fn status(&mut self) -> Result<(ReplicaStatus, ShardStatusInfo), ClientError> {
+        match self.call(&Request::Status)? {
+            Response::Status { replica, shards } => Ok((replica, shards)),
             Response::Error(e) => Err(ClientError::Remote(e)),
             _ => {
                 self.healthy = false;
-                Err(ClientError::Unexpected("non-ReplicaStatus"))
+                Err(ClientError::Unexpected("non-Status"))
             }
         }
+    }
+
+    /// The server's fencing term and per-segment WAL digests — the
+    /// anti-entropy exchange (owner-side: the server must have
+    /// replication enabled).
+    pub(crate) fn log_digests(&mut self) -> Result<(u64, Vec<SegmentDigest>), ClientError> {
+        match self.call(&Request::LogDigests)? {
+            Response::LogDigests { term, segments } => Ok((term, segments)),
+            Response::Error(e) => Err(ClientError::Remote(e)),
+            _ => {
+                self.healthy = false;
+                Err(ClientError::Unexpected("non-LogDigests"))
+            }
+        }
+    }
+
+    /// Converts the connection into a one-way subscription stream from
+    /// `from_clock`. After this, only [`next_chunk`](Self::next_chunk)
+    /// is valid.
+    pub(crate) fn subscribe(&mut self, from_clock: u64) -> Result<(), ClientError> {
+        let payload =
+            encode_request(&Request::Subscribe { from_clock }).map_err(ClientError::Unencodable)?;
+        self.send(&payload)
+    }
+
+    /// The next chunk of a subscription stream. A typed error frame (the
+    /// primary refusing or failing the feed) is terminal, and so is a
+    /// read-deadline expiry: the primary heartbeats far more often than
+    /// the deadline, so silence *is* a dead link.
+    pub(crate) fn next_chunk(&mut self) -> Result<WalChunk, ClientError> {
+        match self.response()? {
+            Response::WalChunk(chunk) => Ok(chunk),
+            Response::Error(e) => Err(ClientError::Remote(e)),
+            _ => {
+                self.healthy = false;
+                Err(ClientError::Unexpected("non-WalChunk"))
+            }
+        }
+    }
+
+    /// A second handle on the socket, so another thread can hang it up
+    /// (see `FeedLink::halt`).
+    pub(crate) fn socket(&self) -> io::Result<TcpStream> {
+        self.stream.try_clone()
     }
 
     /// Asks the server to promote the replica it fronts to primary,
@@ -262,21 +327,6 @@ impl Client {
             _ => {
                 self.healthy = false;
                 Err(ClientError::Unexpected("non-Written"))
-            }
-        }
-    }
-
-    /// The server's shard topology and per-shard epochs: its own slot
-    /// live on a shard primary, the full merge vector on a gather, the
-    /// degenerate single-epoch answer on an unsharded server. Safe
-    /// against any server.
-    pub fn shard_status(&mut self) -> Result<ShardStatusInfo, ClientError> {
-        match self.call(&Request::ShardStatus)? {
-            Response::ShardStatus(status) => Ok(status),
-            Response::Error(e) => Err(ClientError::Remote(e)),
-            _ => {
-                self.healthy = false;
-                Err(ClientError::Unexpected("non-ShardStatus"))
             }
         }
     }
@@ -407,7 +457,7 @@ impl ClientPool {
 
     /// Resolves the **writable** endpoint: dials candidates — the last
     /// known writable address, the configured primary, then the replica
-    /// list — asks each for its [`replica_status`](Client::replica_status),
+    /// list — asks each for its [`status`](Client::status),
     /// and returns the first that identifies as a primary. Replicas that
     /// answer contribute their `primary_addr` hint to the candidate
     /// list, so after a failover the pool follows the breadcrumbs to the
@@ -423,7 +473,7 @@ impl ClientPool {
         let (client, addr, _) = resolve_writable(last_good, candidates, |addr| {
             let mut client =
                 Client::connect(addr, &self.consumer, &claims).map_err(|e| e.to_string())?;
-            let status = client.replica_status().map_err(|e| e.to_string())?;
+            let (status, _) = client.status().map_err(|e| e.to_string())?;
             Ok((client, status))
         })
         .map_err(|_| ClientError::NoWritable)?;

@@ -12,6 +12,10 @@
 //! | `Replica` | apply into its durable `Store` (cold: install the bootstrap snapshot first) | the one configured address |
 //! | `Gather` slot | fence by term, fold into the `ShardMerge` slot, raise the served floor | the shard's candidates through `topology::resolve_writable` |
 //!
+//! Every feed connection is a [`Client`] dialled with a read deadline
+//! ([`Client::dial`]): the same handshake and framing as any consumer,
+//! then `Subscribe` turns it into a one-way stream of chunks.
+//!
 //! The owner and the follower share a [`FeedLink`]: the follower writes
 //! link health into it, the owner reads status out of it and
 //! [`halt`](FeedLink::halt)s the follower through it — which hangs up the
@@ -25,113 +29,11 @@ use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use plus_store::wire::{
-    decode_response, encode_request, ReplicaStatus, Request, Response, WalChunk, PROTOCOL_VERSION,
-};
+use plus_store::wire::WalChunk;
 
+use crate::client::Client;
 use crate::error::{ClientError, ReplicaError};
-use crate::frame::{read_frame, write_frame};
 use crate::topology::resolve_writable;
-
-/// A replication connection: Hello handshake done, then either strict
-/// request/response (status probes, anti-entropy) or, after
-/// [`subscribe`](Self::subscribe), a one-way stream of chunks.
-pub(crate) struct FeedConn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-}
-
-impl FeedConn {
-    /// Dials and handshakes, leaving the connection in request/response
-    /// mode (no subscription yet). The read deadline applies from the
-    /// first byte: a peer that accepts and goes silent fails the
-    /// handshake instead of hanging it.
-    pub(crate) fn connect(addr: &str, read_timeout: Duration) -> Result<FeedConn, ReplicaError> {
-        let stream = TcpStream::connect(addr).map_err(ClientError::Io)?;
-        stream.set_nodelay(true).map_err(ClientError::Io)?;
-        // The deadline that detects a half-open primary: a read that
-        // sees no bytes for this long fails, and the follower treats
-        // that exactly like a hangup. Without it the follower parks
-        // forever on a dead socket while status keeps reporting
-        // connected.
-        stream
-            .set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))
-            .map_err(ClientError::Io)?;
-        let mut conn = FeedConn {
-            stream,
-            inbuf: Vec::with_capacity(4096),
-        };
-        let hello = Request::Hello {
-            version: PROTOCOL_VERSION,
-            consumer: "replica".to_string(),
-            claims: Vec::new(),
-        };
-        match conn.call(&hello)? {
-            Response::Hello(_) => {}
-            Response::Error(e) => return Err(ReplicaError::Client(ClientError::Remote(e))),
-            _ => return Err(ReplicaError::protocol("non-Hello answer to Hello")),
-        }
-        Ok(conn)
-    }
-
-    /// Converts a handshaken connection into a one-way subscription
-    /// stream from `from_clock`. After this, only
-    /// [`next_chunk`](Self::next_chunk) is valid.
-    pub(crate) fn subscribe(&mut self, from_clock: u64) -> Result<(), ReplicaError> {
-        let mut outbuf = Vec::with_capacity(64);
-        let payload = encode_request(&Request::Subscribe { from_clock })
-            .map_err(|e| ReplicaError::Client(ClientError::Unencodable(e)))?;
-        write_frame(&mut self.stream, &payload, &mut outbuf).map_err(ClientError::Io)?;
-        Ok(())
-    }
-
-    /// Asks the peer for its replication status — role, fencing term,
-    /// and the primary-address breadcrumb a replica leaves. Valid only
-    /// before [`subscribe`](Self::subscribe); how a follower finds a
-    /// promoted primary.
-    pub(crate) fn role_status(&mut self) -> Result<ReplicaStatus, ReplicaError> {
-        match self.call(&Request::ReplicaStatus)? {
-            Response::ReplicaStatus(status) => Ok(status),
-            Response::Error(e) => Err(ReplicaError::Client(ClientError::Remote(e))),
-            _ => Err(ReplicaError::protocol(
-                "non-ReplicaStatus answer to ReplicaStatus",
-            )),
-        }
-    }
-
-    /// One strict request/response round trip (handshake and
-    /// anti-entropy only; after Subscribe the stream is one-way).
-    pub(crate) fn call(&mut self, request: &Request) -> Result<Response, ReplicaError> {
-        let mut outbuf = Vec::with_capacity(256);
-        let payload = encode_request(request)
-            .map_err(|e| ReplicaError::Client(ClientError::Unencodable(e)))?;
-        write_frame(&mut self.stream, &payload, &mut outbuf).map_err(ClientError::Io)?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> Result<Response, ReplicaError> {
-        match read_frame(&mut self.stream, &mut self.inbuf) {
-            Ok(Some(payload)) => decode_response(payload)
-                .map_err(|e| ReplicaError::Client(ClientError::Malformed(e))),
-            Ok(None) => Err(ReplicaError::Client(ClientError::Disconnected)),
-            Err(e) => Err(ReplicaError::Client(e.into())),
-        }
-    }
-
-    /// The next chunk of the subscription stream. A typed error frame
-    /// (the primary refusing or failing the feed) is terminal, and so is
-    /// a read-deadline expiry — the primary heartbeats far more often
-    /// than the deadline, so silence *is* a dead link.
-    pub(crate) fn next_chunk(&mut self) -> Result<WalChunk, ReplicaError> {
-        match self.read_response()? {
-            Response::WalChunk(chunk) => Ok(chunk),
-            Response::Error(e) => Err(ReplicaError::Client(ClientError::Remote(e))),
-            _ => Err(ReplicaError::protocol(
-                "non-WalChunk frame on a subscription",
-            )),
-        }
-    }
-}
 
 /// Link state a follower shares with its owner (and, through the owner,
 /// with the server fronting it).
@@ -292,7 +194,7 @@ pub(crate) struct FeedFollower<S> {
     backoff: Backoff,
     /// The stream [`establish`](Self::establish) left open for
     /// [`run`](Self::run), with the address it came from.
-    pending: Option<(FeedConn, String)>,
+    pending: Option<(Client, String)>,
 }
 
 impl<S: FeedSink> FeedFollower<S> {
@@ -373,7 +275,7 @@ impl<S: FeedSink> FeedFollower<S> {
         // Registered before the halt flag is read: `halt` raises the
         // flag and then hangs up whatever is registered, so either the
         // check below sees the flag or the read after it fails.
-        *self.link.live.lock() = conn.stream.try_clone().ok();
+        *self.link.live.lock() = conn.socket().ok();
         loop {
             if self.link.is_halted() {
                 return Ok(());
@@ -396,15 +298,14 @@ impl<S: FeedSink> FeedFollower<S> {
 
     /// Resolves a peer, lets the sink vet it, and subscribes from the
     /// sink's clock.
-    fn dial(&mut self) -> Result<(FeedConn, String), ReplicaError> {
+    fn dial(&mut self) -> Result<(Client, String), ReplicaError> {
         let read_timeout = self.read_timeout;
         let (mut conn, addr) = match &self.source {
-            Source::Fixed(addr) => (FeedConn::connect(addr, read_timeout)?, addr.clone()),
+            Source::Fixed(addr) => (Client::dial(addr, read_timeout)?, addr.clone()),
             Source::Writable(candidates) => {
                 let (conn, addr, status) = resolve_writable(self.link.addr(), candidates, |addr| {
-                    let mut conn =
-                        FeedConn::connect(addr, read_timeout).map_err(|e| e.to_string())?;
-                    let status = conn.role_status().map_err(|e| e.to_string())?;
+                    let mut conn = Client::dial(addr, read_timeout).map_err(|e| e.to_string())?;
+                    let (status, _) = conn.status().map_err(|e| e.to_string())?;
                     Ok((conn, status))
                 })
                 .map_err(|e| ClientError::Io(io::Error::new(io::ErrorKind::NotConnected, e)))?;

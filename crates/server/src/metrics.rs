@@ -194,8 +194,8 @@ pub enum RequestType {
     Epoch,
     /// A checkpoint request.
     Checkpoint,
-    /// A replication-status probe.
-    ReplicaStatus,
+    /// A status probe.
+    Status,
     /// A subscription request.
     Subscribe,
     /// An anti-entropy digest exchange.
@@ -204,23 +204,20 @@ pub enum RequestType {
     Promote,
     /// A remote write (sharded deployments).
     Write,
-    /// A shard-topology probe.
-    ShardStatus,
 }
 
 /// All request types, in render order.
-pub const REQUEST_TYPES: [RequestType; 11] = [
+pub const REQUEST_TYPES: [RequestType; 10] = [
     RequestType::Hello,
     RequestType::Query,
     RequestType::Batch,
     RequestType::Epoch,
     RequestType::Checkpoint,
-    RequestType::ReplicaStatus,
+    RequestType::Status,
     RequestType::Subscribe,
     RequestType::LogDigests,
     RequestType::Promote,
     RequestType::Write,
-    RequestType::ShardStatus,
 ];
 
 impl RequestType {
@@ -232,12 +229,11 @@ impl RequestType {
             RequestType::Batch => "batch",
             RequestType::Epoch => "epoch",
             RequestType::Checkpoint => "checkpoint",
-            RequestType::ReplicaStatus => "replica_status",
+            RequestType::Status => "status",
             RequestType::Subscribe => "subscribe",
             RequestType::LogDigests => "log_digests",
             RequestType::Promote => "promote",
             RequestType::Write => "write",
-            RequestType::ShardStatus => "shard_status",
         }
     }
 

@@ -80,11 +80,12 @@ use std::time::{Duration, Instant};
 
 use plus_store::codec::{self, FrameDecode};
 use plus_store::wal;
-use plus_store::wire::{ReplicaRole, ReplicaStatus, Request, Response, WalChunk};
+use plus_store::wire::{ReplicaRole, ReplicaStatus, WalChunk};
 use plus_store::{AccountService, DurabilityOptions, SegmentDigest, Store, StoreError};
 
-use crate::error::{ClientError, ReplicaError};
-use crate::follower::{FeedConn, FeedFollower, FeedLink, FeedSink, Source};
+use crate::client::Client;
+use crate::error::ReplicaError;
+use crate::follower::{FeedFollower, FeedLink, FeedSink, Source};
 
 /// Tuning knobs for [`Replica::start_with`].
 #[derive(Debug, Clone, Copy)]
@@ -122,13 +123,13 @@ impl Default for ReplicaConfig {
 
 /// Link state shared between a [`Replica`]'s apply thread and the
 /// [`Server`](crate::Server) fronting it (which answers
-/// `Request::ReplicaStatus` from it — and, after a promotion, gates
+/// `Request::Status` from it — and, after a promotion, gates
 /// writes on the role recorded here).
 #[derive(Debug, Default)]
 pub struct ReplicationMonitor {
     /// What the apply thread's follower reports: link health, the
     /// primary's epoch, and the primary address this replica follows —
-    /// the re-resolution hint write clients read out of `ReplicaStatus`
+    /// the re-resolution hint write clients read out of `Status`
     /// after a failover.
     link: Arc<FeedLink>,
     /// The fencing term as last observed from the feed (or set by a
@@ -453,21 +454,6 @@ enum Repair {
     Wiped,
 }
 
-/// Fetches the primary's fencing term and per-segment digests.
-fn fetch_log_digests(
-    addr: &str,
-    read_timeout: Duration,
-) -> Result<(u64, Vec<SegmentDigest>), ReplicaError> {
-    let mut conn = FeedConn::connect(addr, read_timeout)?;
-    match conn.call(&Request::LogDigests)? {
-        Response::LogDigests { term, segments } => Ok((term, segments)),
-        Response::Error(e) => Err(ReplicaError::Client(ClientError::Remote(e))),
-        _ => Err(ReplicaError::protocol(
-            "non-LogDigests answer to LogDigests",
-        )),
-    }
-}
-
 /// The warm-start anti-entropy pass: compare local segment digests with
 /// the primary's and discard any divergent suffix. See the [module
 /// docs](self#failover).
@@ -476,7 +462,7 @@ fn repair_divergence(
     dir: &Path,
     config: &ReplicaConfig,
 ) -> Result<Repair, ReplicaError> {
-    let (primary_term, primary) = fetch_log_digests(addr, config.feed_read_timeout)?;
+    let (primary_term, primary) = Client::dial(addr, config.feed_read_timeout)?.log_digests()?;
     let local = wal::segment_digests(dir).map_err(ReplicaError::Store)?;
     let local_term = wal::read_term(dir).map_err(ReplicaError::Store)?;
     // A primary at a higher term means a promotion this directory may

@@ -212,7 +212,7 @@ impl Gather {
     }
 
     /// The per-shard replica addresses the gather was configured with,
-    /// in shard order — what its `ShardStatus` answers announce.
+    /// in shard order — what its `Status` answers announce.
     pub fn replicas(&self) -> Vec<Vec<String>> {
         self.topology.replica_table()
     }

@@ -101,13 +101,13 @@ use crate::topology::Topology;
 ///
 /// One server binary, four shapes. The role decides which requests are
 /// honored, how queries are gated, and what the server announces about
-/// the deployment in its Hello and `ShardStatus` answers:
+/// the deployment in its `Status` answers:
 ///
 /// * [`Primary`](Role::Primary) — an ordinary single-store server (the
 ///   default).
 /// * [`Replica`](Role::Replica) — fronts a
 ///   [`Replica`](crate::Replica)'s store read-only, answering
-///   `ReplicaStatus` with the live feed state and refusing writes with a
+///   `Status` with the live feed state and refusing writes with a
 ///   `NotWritable` redirect to the primary.
 /// * [`Shard`](Role::Shard) — one shard primary of a partitioned
 ///   deployment: point reads and routed writes for the ids it owns,
@@ -142,9 +142,9 @@ pub enum Role {
         count: u32,
         /// The full deployment map (primaries and replica sets, in
         /// shard order), so `WrongShard` redirects carry the owner's
-        /// address and `ShardStatus` announces the replica table. An
-        /// empty (default) topology degrades redirects to decimal
-        /// shard indexes.
+        /// address and `Status` announces the primaries and replica
+        /// table. An empty (default) topology degrades redirects to
+        /// decimal shard indexes.
         topology: Topology,
         /// `Some` when this shard server fronts a
         /// [`Replica`](crate::Replica) that has not been promoted yet —
@@ -700,9 +700,8 @@ enum ShardRole {
         partition: Partition,
         peers: Vec<String>,
         /// Per-shard replica addresses (shard order, possibly empty) —
-        /// announced in `ShardStatus` answers so clients and gathers
-        /// can find promotion candidates without an out-of-band
-        /// directory.
+        /// announced in `Status` answers so clients and gathers can
+        /// find promotion candidates without an out-of-band directory.
         replicas: Vec<Vec<String>>,
     },
     /// A gather node: serves cross-shard queries over the merged graph,
@@ -1314,12 +1313,11 @@ fn request_type(request: &Request) -> RequestType {
         Request::Batch(_) => RequestType::Batch,
         Request::Epoch => RequestType::Epoch,
         Request::Checkpoint => RequestType::Checkpoint,
-        Request::ReplicaStatus => RequestType::ReplicaStatus,
+        Request::Status => RequestType::Status,
         Request::Subscribe { .. } => RequestType::Subscribe,
         Request::LogDigests => RequestType::LogDigests,
         Request::Promote => RequestType::Promote,
         Request::Write { .. } => RequestType::Write,
-        Request::ShardStatus => RequestType::ShardStatus,
     }
 }
 
@@ -1555,36 +1553,15 @@ fn handle_hello(ctx: &ShardCtx, conn: &mut Conn, request: Request) {
     } else {
         Consumer::new(consumer_name, &snapshot.lattice, &granted)
     };
-    // Shard topology travels in the Hello so routing is client-side and
-    // stateless: a pool that knows (count, index) computes any id's
-    // owner without a directory service, and the peer list (when the
-    // server knows one) lets a client build its whole ShardRouter from
-    // a single handshake.
-    let (shard_count, shard_index, hello_peers) = match ctx.shard.as_deref() {
-        Some(ShardRole::Shard {
-            partition, peers, ..
-        }) => (partition.count(), Some(partition.index()), peers.clone()),
-        Some(ShardRole::Gather(gather)) => (gather.shard_count(), None, gather.peers().to_vec()),
-        None => ctx
-            .service
-            .store()
-            .and_then(|store| store.partition())
-            .map_or((0, None, Vec::new()), |p| {
-                (p.count(), Some(p.index()), Vec::new())
-            }),
-    };
     let hello = ServerHello {
         version: PROTOCOL_VERSION,
         epoch: snapshot.epoch(),
         nodes: snapshot.graph.node_count() as u64,
-        shard_count,
-        shard_index,
         predicates: snapshot
             .lattice
             .ids()
             .map(|p| snapshot.lattice.name(p).to_string())
             .collect(),
-        peers: hello_peers,
     };
     // Count the connection *before* the Hello answer is queued: once a
     // client observes the handshake complete, the counter must already
@@ -1693,22 +1670,10 @@ fn answer(ctx: &ShardCtx, consumer: &Consumer, request: Request) -> (Response, O
         },
         Request::Epoch => (Response::Epoch(service.epoch()), Outcome::Continue),
         Request::Checkpoint => {
-            if let Some(monitor) = ctx.monitor.as_deref() {
-                if !monitor.is_promoted() {
-                    // A checkpoint is a write-side operator action; on a
-                    // replica the caller almost certainly wanted the
-                    // primary. The NotWritable message carries the
-                    // writable address (when known) so client pools
-                    // re-resolve after a failover instead of restarting.
-                    let addr = monitor
-                        .status(service.epoch())
-                        .primary_addr
-                        .unwrap_or_default();
-                    return (
-                        Response::Error(WireError::new(WireErrorKind::NotWritable, addr)),
-                        Outcome::Continue,
-                    );
-                }
+            // A checkpoint is a write-side operator action; on a replica
+            // the caller almost certainly wanted the primary.
+            if let Some(refusal) = not_writable(ctx) {
+                return (Response::Error(refusal), Outcome::Continue);
             }
             if !ctx.config.allow_remote_checkpoint {
                 return (
@@ -1737,27 +1702,7 @@ fn answer(ctx: &ShardCtx, consumer: &Consumer, request: Request) -> (Response, O
             )),
             Outcome::HangUp,
         ),
-        Request::ReplicaStatus => {
-            let local_epoch = service.epoch();
-            let status = match ctx.monitor.as_deref() {
-                Some(monitor) => monitor.status(local_epoch),
-                // A plain server *is* the primary of whatever it
-                // serves: its epoch is authoritative by definition.
-                None => ReplicaStatus {
-                    role: ReplicaRole::Primary,
-                    local_epoch,
-                    primary_epoch: local_epoch,
-                    term: service
-                        .store()
-                        .map(|store| store.replication_term())
-                        .unwrap_or(0),
-                    connected: true,
-                    last_error: None,
-                    primary_addr: None,
-                },
-            };
-            (Response::ReplicaStatus(status), Outcome::Continue)
-        }
+        Request::Status => (status(ctx), Outcome::Continue),
         // Anti-entropy: a peer comparing logs. Gated exactly like
         // Subscribe — digests reveal history shape (clock ranges, sizes)
         // and exist only to support replication inside the owner's
@@ -1837,17 +1782,8 @@ fn answer(ctx: &ShardCtx, consumer: &Consumer, request: Request) -> (Response, O
         // operator must have opted in — the Hello verifies nothing, so
         // a write-open socket belongs inside the owner's trust domain.
         Request::Write { op } => {
-            if let Some(monitor) = ctx.monitor.as_deref() {
-                if !monitor.is_promoted() {
-                    let addr = monitor
-                        .status(service.epoch())
-                        .primary_addr
-                        .unwrap_or_default();
-                    return (
-                        Response::Error(WireError::new(WireErrorKind::NotWritable, addr)),
-                        Outcome::Continue,
-                    );
-                }
+            if let Some(refusal) = not_writable(ctx) {
+                return (Response::Error(refusal), Outcome::Continue);
             }
             if !ctx.config.allow_remote_write {
                 return (
@@ -1920,51 +1856,85 @@ fn answer(ctx: &ShardCtx, consumer: &Consumer, request: Request) -> (Response, O
                 Err(e) => (Response::Error(wire_error(&e)), Outcome::Continue),
             }
         }
-        Request::ShardStatus => {
-            let status = match ctx.shard.as_deref() {
-                Some(ShardRole::Shard {
-                    partition,
-                    replicas,
-                    ..
-                }) => shard_primary_status(service, *partition, replicas.clone()),
-                Some(ShardRole::Gather(gather)) => ShardStatusInfo {
-                    count: gather.shard_count(),
-                    index: None,
-                    epochs: gather.clocks(),
-                    replicas: gather.replicas(),
-                },
-                // A plain server in front of a partitioned store still
-                // reports its slice; a truly unsharded one answers the
-                // degenerate topology (count 0, its version as the one
-                // epoch).
-                None => match service.store().and_then(|store| store.partition()) {
-                    Some(partition) => shard_primary_status(service, partition, Vec::new()),
-                    None => ShardStatusInfo {
-                        count: 0,
-                        index: None,
-                        epochs: vec![service.epoch()],
-                        replicas: Vec::new(),
-                    },
-                },
-            };
-            (Response::ShardStatus(status), Outcome::Continue)
-        }
     }
 }
 
-/// A shard primary knows one live epoch — its own; its status vector
-/// carries zeros in the slots only a gather observes.
-fn shard_primary_status(
-    service: &AccountService,
+/// The refusal a replica that has not been promoted answers write-side
+/// requests with. The NotWritable message carries the writable address
+/// (when known) so client pools re-resolve after a failover instead of
+/// restarting.
+fn not_writable(ctx: &ShardCtx) -> Option<WireError> {
+    let monitor = ctx.monitor.as_deref().filter(|m| !m.is_promoted())?;
+    let addr = monitor.status(ctx.service.epoch()).primary_addr;
+    Some(WireError::new(
+        WireErrorKind::NotWritable,
+        addr.unwrap_or_default(),
+    ))
+}
+
+/// The answer to `Status`: the replication half, then the shard half.
+fn status(ctx: &ShardCtx) -> Response {
+    let service = &ctx.service;
+    let local_epoch = service.epoch();
+    let replica = match ctx.monitor.as_deref() {
+        Some(monitor) => monitor.status(local_epoch),
+        // A plain server (a gather included) *is* the primary of
+        // whatever it serves: its epoch is authoritative by definition.
+        None => ReplicaStatus {
+            role: ReplicaRole::Primary,
+            local_epoch,
+            primary_epoch: local_epoch,
+            term: service.store().map_or(0, |store| store.replication_term()),
+            connected: true,
+            last_error: None,
+            primary_addr: None,
+        },
+    };
+    let shards = match ctx.shard.as_deref() {
+        Some(ShardRole::Shard {
+            partition,
+            peers,
+            replicas,
+        }) => shard_slice(local_epoch, *partition, peers.clone(), replicas.clone()),
+        Some(ShardRole::Gather(gather)) => ShardStatusInfo {
+            count: gather.shard_count(),
+            index: None,
+            epochs: gather.clocks(),
+            primaries: gather.peers().to_vec(),
+            replicas: gather.replicas(),
+        },
+        // A plain server in front of a partitioned store still reports
+        // its slice; a truly unsharded one answers the degenerate
+        // topology (count 0, its version as the one epoch).
+        None => match service.store().and_then(|store| store.partition()) {
+            Some(partition) => shard_slice(local_epoch, partition, Vec::new(), Vec::new()),
+            None => ShardStatusInfo {
+                count: 0,
+                index: None,
+                epochs: vec![local_epoch],
+                primaries: Vec::new(),
+                replicas: Vec::new(),
+            },
+        },
+    };
+    Response::Status { replica, shards }
+}
+
+/// A shard knows one live epoch — its own; its status vector carries
+/// zeros in the slots only a gather observes.
+fn shard_slice(
+    epoch: u64,
     partition: Partition,
+    primaries: Vec<String>,
     replicas: Vec<Vec<String>>,
 ) -> ShardStatusInfo {
     let mut epochs = vec![0u64; partition.count() as usize];
-    epochs[partition.index() as usize] = service.epoch();
+    epochs[partition.index() as usize] = epoch;
     ShardStatusInfo {
         count: partition.count(),
         index: Some(partition.index()),
         epochs,
+        primaries,
         replicas,
     }
 }

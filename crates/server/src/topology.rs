@@ -192,7 +192,7 @@ impl Topology {
     }
 
     /// Every shard's replica addresses, in shard order — what a shard
-    /// server announces in its `ShardStatus` answers.
+    /// server announces in its `Status` answers.
     pub fn replica_table(&self) -> Vec<Vec<String>> {
         self.shards.iter().map(|s| s.replicas.clone()).collect()
     }

@@ -402,10 +402,7 @@ fn spawn_silent_primary(epoch: u64) -> String {
                             version: PROTOCOL_VERSION,
                             epoch,
                             nodes: 0,
-                            shard_count: 0,
-                            shard_index: None,
                             predicates: Vec::new(),
-                            peers: Vec::new(),
                         }),
                         Request::LogDigests => Response::LogDigests {
                             term: 0,
@@ -629,10 +626,7 @@ fn writes_redirect_and_the_pool_re_resolves_the_primary() {
     let pool = ClientPool::new(front_addr.as_str(), "writer", &[]);
     {
         let mut writable = pool.writable().unwrap();
-        assert_eq!(
-            writable.replica_status().unwrap().role,
-            ReplicaRole::Primary
-        );
+        assert_eq!(writable.status().unwrap().0.role, ReplicaRole::Primary);
         assert_eq!(writable.epoch().unwrap(), store.clock());
     }
     assert!(pool.note_redirect(&refused), "a redirect updates the route");
@@ -642,7 +636,7 @@ fn writes_redirect_and_the_pool_re_resolves_the_primary() {
     let mut client = Client::connect(front_addr.as_str(), "op", &[]).unwrap();
     let term = client.promote().unwrap();
     assert_eq!(term, 1);
-    let status = client.replica_status().unwrap();
+    let status = client.status().unwrap().0;
     assert_eq!(status.role, ReplicaRole::Primary);
     assert_eq!(status.term, 1);
     assert_eq!(status.primary_addr, None, "a primary follows no one");
@@ -652,7 +646,7 @@ fn writes_redirect_and_the_pool_re_resolves_the_primary() {
     let pool = ClientPool::new(addr.as_str(), "writer", &[]).with_replicas([front_addr.clone()]);
     {
         let mut writable = pool.writable().unwrap();
-        let status = writable.replica_status().unwrap();
+        let status = writable.status().unwrap().0;
         assert_eq!(status.role, ReplicaRole::Primary);
         assert_eq!(status.term, 1);
     }

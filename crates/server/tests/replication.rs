@@ -487,11 +487,11 @@ fn replicas_serve_queries_status_and_pooled_reads() {
 
     // Status: the primary self-identifies; the replica reports its link.
     let mut to_primary = Client::connect(addr.as_str(), "op", &[]).unwrap();
-    let status = to_primary.replica_status().unwrap();
+    let status = to_primary.status().unwrap().0;
     assert_eq!(status.role, ReplicaRole::Primary);
     assert_eq!(status.lag(), 0);
     let mut to_replica = Client::connect(replica_addr.as_str(), "op", &[]).unwrap();
-    let status = to_replica.replica_status().unwrap();
+    let status = to_replica.status().unwrap().0;
     assert_eq!(status.role, ReplicaRole::Replica);
     assert!(status.connected);
     assert_eq!(status.local_epoch, store.clock());

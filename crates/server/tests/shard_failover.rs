@@ -546,3 +546,84 @@ fn randomized_shard_primary_kills_preserve_acked_writes_and_epoch_order() {
         deployment.teardown();
     }
 }
+
+/// A shard replica is the role that once needed two status requests:
+/// its feed lived in one answer and its slot in another. Over the wire,
+/// one `Status` now reports both — role `Replica` and the primary it
+/// follows, then its shard index, epoch vector and the deployment's
+/// primaries and replicas — and after a `Promote` the next `Status`
+/// reads `Primary` at the bumped term, still in the same slot.
+#[test]
+fn a_shard_replica_answers_one_status_before_and_after_promotion() {
+    let primary_dir = temp_dir("status-p");
+    let replica_dir = temp_dir("status-r");
+    let partition = Partition::new(0, SHARDS).unwrap();
+    let store = Arc::new(
+        Store::create_durable_partitioned(&primary_dir, LATTICE.0, LATTICE.1, fast(), partition)
+            .unwrap(),
+    );
+    let primary = Server::bind(
+        Arc::new(AccountService::new(store.clone())),
+        "127.0.0.1:0",
+        &shard_server_config(0, &Topology::default()),
+    )
+    .unwrap();
+    let primary_addr = primary.local_addr().to_string();
+    for i in 0..3 {
+        oracle_apply(&store, &op_at(i, 0));
+    }
+    let clock = store.clock();
+
+    let replica = Replica::start_with(&primary_addr, &replica_dir, replica_config()).unwrap();
+    assert!(
+        wait_until(SYNC, || {
+            let status = replica.status();
+            status.connected && status.lag() == 0 && status.local_epoch == clock
+        }),
+        "replica never caught up: {:?}",
+        replica.status()
+    );
+    let topology = Topology::parse(&format!("{primary_addr}+127.0.0.1:2,127.0.0.1:1")).unwrap();
+    let front = Server::bind(
+        replica.service().clone(),
+        "127.0.0.1:0",
+        &ServerConfig {
+            role: server::Role::Shard {
+                index: 0,
+                count: SHARDS,
+                topology: topology.clone(),
+                feed: Some(replica.monitor()),
+            },
+            threads: 2,
+            allow_replication: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    let mut client = Client::connect(front.local_addr(), "op", &[]).unwrap();
+    let (feed, slot) = client.status().unwrap();
+    assert_eq!((feed.role, feed.connected), (ReplicaRole::Replica, true));
+    assert_eq!(feed.primary_addr.as_deref(), Some(primary_addr.as_str()));
+    assert_eq!(
+        (feed.local_epoch, feed.primary_epoch, feed.term),
+        (clock, clock, 0)
+    );
+    assert_eq!((slot.count, slot.index), (SHARDS, Some(0)));
+    assert_eq!(slot.epochs, vec![clock, 0]);
+    assert_eq!(slot.primaries, [primary_addr.as_str(), "127.0.0.1:1"]);
+    assert_eq!(slot.replicas, topology.replica_table());
+
+    primary.shutdown();
+    assert_eq!(client.promote().unwrap(), 1);
+    let (promoted, after) = client.status().unwrap();
+    assert_eq!((promoted.role, promoted.term), (ReplicaRole::Primary, 1));
+    assert_eq!(promoted.primary_addr, None, "a primary follows no one");
+    assert!(promoted.connected && promoted.lag() == 0);
+    assert_eq!(after, slot, "a promotion does not move the slot");
+
+    front.shutdown();
+    replica.shutdown();
+    let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
+}

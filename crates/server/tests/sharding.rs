@@ -356,7 +356,7 @@ fn concurrent_writers_on_different_shards_all_land() {
     let mut client = Client::connect(front.local_addr(), "reader", &["Public"]).unwrap();
     wait_epoch(&mut client, 2 * per_shard);
 
-    let status = client.shard_status().unwrap();
+    let status = client.status().unwrap().1;
     assert_eq!(status.count, 2);
     assert_eq!(status.index, None);
     assert_eq!(status.epochs, vec![per_shard, per_shard]);
@@ -484,8 +484,8 @@ fn misrouted_writes_redirect_to_the_owner() {
 
     let mut client0 = Client::connect(&addrs[0], "writer", &[]).unwrap();
     let mut client1 = Client::connect(&addrs[1], "writer", &[]).unwrap();
-    assert_eq!(client0.hello().shard_count, 2);
-    assert_eq!(client0.hello().shard_index, Some(0));
+    assert_eq!(client0.status().unwrap().1.count, 2);
+    assert_eq!(client0.status().unwrap().1.index, Some(0));
     let public = client0.predicate("Public").unwrap();
 
     let node = |label: &str| WriteOp::AppendNode {
@@ -583,7 +583,7 @@ fn shard_roles_point_reads_and_status() {
     let point = QueryRequest::new(RecordId(0), Direction::Backward, 0, Strategy::Surrogate);
     let response = client0.query(&point).unwrap();
     assert_eq!(response.shard_epochs, vec![1, 0]);
-    let status = client0.shard_status().unwrap();
+    let status = client0.status().unwrap().1;
     assert_eq!((status.count, status.index), (2, Some(0)));
     assert_eq!(status.epochs, vec![1, 0]);
 
@@ -610,8 +610,8 @@ fn shard_roles_point_reads_and_status() {
     // The gather fronts all shards: hello says so, and it happily serves
     // the traversal the shard refused.
     let mut via_gather = Client::connect(front.local_addr(), "reader", &["Public"]).unwrap();
-    assert_eq!(via_gather.hello().shard_count, 2);
-    assert_eq!(via_gather.hello().shard_index, None);
+    assert_eq!(via_gather.status().unwrap().1.count, 2);
+    assert_eq!(via_gather.status().unwrap().1.index, None);
     wait_epoch(&mut via_gather, 1);
     via_gather.query(&traversal).unwrap();
 
@@ -625,9 +625,9 @@ fn shard_roles_point_reads_and_status() {
     )
     .unwrap();
     let mut unsharded = Client::connect(plain.local_addr(), "reader", &[]).unwrap();
-    assert_eq!(unsharded.hello().shard_count, 0);
-    assert_eq!(unsharded.hello().shard_index, None);
-    let status = unsharded.shard_status().unwrap();
+    assert_eq!(unsharded.status().unwrap().1.count, 0);
+    assert_eq!(unsharded.status().unwrap().1.index, None);
+    let status = unsharded.status().unwrap().1;
     assert_eq!((status.count, status.index), (0, None));
     assert_eq!(status.epochs, vec![0]);
 

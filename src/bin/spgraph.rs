@@ -32,9 +32,11 @@
 //! spgraph promote <dir | addr>                 promote a replica to primary: bump
 //!                                              the fencing term (live via its
 //!                                              server, or offline on its directory)
-//! spgraph replica-status <addr> [--wait] [--timeout <secs>]
-//!                                              a server's replication status: role,
-//!                                              epochs, lag, term, link health
+//! spgraph status <addr> [--wait] [--timeout <secs>]
+//!                                              a server's status: role, epochs,
+//!                                              lag, term, link health, then its
+//!                                              shard slot, the shard primaries
+//!                                              and replicas, per-shard epochs
 //! spgraph serve <dir> --shard <i>/<n> [--peers spec] [--addr a:p] [...]
 //!                                              serve as SHARD i of an n-way
 //!                                              partitioned deployment: owns the ids
@@ -64,8 +66,6 @@
 //! entry per shard in shard order; each entry is the shard's primary
 //! optionally followed by +-joined replicas:
 //! `primary0+standby0,primary1+standby1,...`.
-//! spgraph shard-status <addr>                  a server's shard topology and
-//!                                              per-shard epochs
 //! spgraph write <addr> --node <label> [-p <predicate>]
 //! spgraph write <addr> --edge <from>,<to> [--kind <k>]
 //!                                              one remote write (the server must
@@ -111,8 +111,7 @@ fn usage() -> ExitCode {
          spgraph serve <dir> --shard <i>/<n> [--peers <primary[+replica...],...>] [--replicate-from <addr:port>] [--addr <addr:port>] [--threads <n>]\n  \
          spgraph serve --gather --peers <primary[+replica...],...> [--addr <addr:port>] [--threads <n>]\n  \
          spgraph promote <dir | addr:port>\n  \
-         spgraph replica-status <addr:port> [--wait] [--timeout <secs>]\n  \
-         spgraph shard-status <addr:port>\n  \
+         spgraph status <addr:port> [--wait] [--timeout <secs>]\n  \
          spgraph write <addr:port> (--node <label> [-p <predicate>] | --edge <from>,<to> [--kind input-to|generated-by|triggered-by|related])\n  \
          spgraph query --remote <addr:port> -p <predicate> --root <id> [--direction up|down|both] [--depth <n>] [--strategy <s>]\n\
          <store> is a snapshot file or a durable (write-ahead-logged) store directory"
@@ -156,8 +155,7 @@ fn main() -> ExitCode {
         "recover" => cmd_recover(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "promote" => cmd_promote(&args[1..]),
-        "replica-status" => cmd_replica_status(&args[1..]),
-        "shard-status" => cmd_shard_status(&args[1..]),
+        "status" => cmd_status(&args[1..]),
         "write" => cmd_write(&args[1..]),
         _ => return usage(),
     };
@@ -914,9 +912,10 @@ fn cmd_promote(args: &[String]) -> CliResult<()> {
     Ok(())
 }
 
-/// Asks any server for its replication status; with `--wait`, polls
-/// until the server reports a connected, fully caught-up state (lag 0).
-fn cmd_replica_status(args: &[String]) -> CliResult<()> {
+/// Asks any server for its status: the replication block, then the
+/// shard block. With `--wait`, polls until the server reports a
+/// connected, fully caught-up state (lag 0).
+fn cmd_status(args: &[String]) -> CliResult<()> {
     let addr = args.first().ok_or("missing server address")?;
     let wait = args.iter().any(|a| a == "--wait");
     let timeout_secs: u64 = flag_value(args, "--timeout")
@@ -924,15 +923,15 @@ fn cmd_replica_status(args: &[String]) -> CliResult<()> {
         .transpose()?
         .unwrap_or(30);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(timeout_secs);
-    let status = loop {
-        let status = surrogate_parenthood::Client::connect(addr as &str, "spgraph", &[])
+    let (status, shards) = loop {
+        let answer = surrogate_parenthood::Client::connect(addr as &str, "spgraph", &[])
             .map_err(|e| format!("cannot reach {addr}: {e}"))
-            .and_then(|mut client| client.replica_status().map_err(|e| e.to_string()));
-        match status {
-            Ok(status) => {
+            .and_then(|mut client| client.status().map_err(|e| e.to_string()));
+        match answer {
+            Ok((status, shards)) => {
                 let caught_up = status.connected && status.lag() == 0;
                 if !wait || caught_up {
-                    break status;
+                    break (status, shards);
                 }
                 if std::time::Instant::now() >= deadline {
                     return Err(format!(
@@ -980,34 +979,29 @@ fn cmd_replica_status(args: &[String]) -> CliResult<()> {
     if let Some(error) = &status.last_error {
         println!("  last error: {error}");
     }
-    Ok(())
-}
-
-/// Asks any server where it sits in the shard topology and how much of
-/// each shard's history it reflects.
-fn cmd_shard_status(args: &[String]) -> CliResult<()> {
-    let addr = args.first().ok_or("missing server address")?;
-    let mut client = surrogate_parenthood::Client::connect(addr as &str, "spgraph", &[])
-        .map_err(|e| format!("cannot reach {addr}: {e}"))?;
-    let status = client.shard_status().map_err(|e| e.to_string())?;
-    if status.count == 0 {
+    if shards.count == 0 {
         println!("{addr} is unsharded");
     } else {
-        match status.index {
-            Some(index) => println!("{addr} is shard {index}/{}", status.count),
-            None => println!("{addr} is a gather over {} shard(s)", status.count),
+        match shards.index {
+            Some(index) => println!("{addr} is shard {index}/{}", shards.count),
+            None => println!("{addr} is a gather over {} shard(s)", shards.count),
         }
     }
-    for (slot, epoch) in status.epochs.iter().enumerate() {
-        let replicas = status
+    for (slot, epoch) in shards.epochs.iter().enumerate() {
+        let primary = shards
+            .primaries
+            .get(slot)
+            .map(|p| format!("  primary: {p}"))
+            .unwrap_or_default();
+        let replicas = shards
             .replicas
             .get(slot)
             .filter(|r| !r.is_empty())
             .map(|r| format!("  replicas: {}", r.join(", ")))
             .unwrap_or_default();
         println!(
-            "  shard {slot}: epoch {epoch}{}{replicas}",
-            if status.index == Some(slot as u32) {
+            "  shard {slot}: epoch {epoch}{}{primary}{replicas}",
+            if shards.index == Some(slot as u32) {
                 "  [this server]"
             } else {
                 ""
