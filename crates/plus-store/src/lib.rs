@@ -72,7 +72,7 @@ pub use shard::{MergedSource, ShardMerge};
 pub use snapshot::SnapshotIndex;
 // Re-exported so service call sites can name directions and strategies
 // without importing surrogate-core directly.
-pub use store::{CheckpointStats, Materialized, Store};
+pub use store::{CheckpointStats, ClockWake, Materialized, Store};
 pub use surrogate_core::account::Strategy;
 pub use surrogate_core::query::Direction;
 pub use wal::{DurabilityOptions, RecoveryReport, SegmentDigest, TailChunk, TailCursor};

@@ -24,9 +24,8 @@
 //!   protocol.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use parking_lot::RwLock;
 use surrogate_core::feature::Features;
@@ -295,57 +294,57 @@ struct Inner {
     partition: Option<Partition>,
 }
 
-/// Where threads park until the clock moves: a waiter count, a mutex and
-/// a condvar. No descriptor, no thread; an append with nobody parked pays
-/// one atomic load.
+/// Who to wake when the clock moves: registered callbacks behind a
+/// count. No descriptor and no thread of its own; an append with nobody
+/// registered pays one atomic load.
 ///
-/// **No wake-up is lost.** A waiter (`Store::wait_clock_past`) increments
-/// `waiters`, takes `gate`, *then* reads the clock and its interrupt flag,
-/// and parks on `moved` (which releases `gate` atomically) only if neither
-/// fired. An appender publishes the clock inside the store's write lock,
-/// releases it, *then* loads `waiters`, and when that is non-zero takes
-/// and drops `gate` before `notify_all`. Two orderings cover every
-/// interleaving:
+/// **No wake-up is lost.** A watcher ([`Store::watch_clock`]) pushes its
+/// callback and publishes the count inside `wakes`' lock, *then* reads
+/// the clock. An appender publishes the clock inside the store's write
+/// lock, releases it, *then* loads the count, and when that is non-zero
+/// calls every callback under `wakes`' lock. The watcher's clock read is
+/// a read-lock section and the appender's bump a write-lock section, so
+/// the store's lock orders the two. Reader first: the registration
+/// happens-before the appender's load and lock, which see it and call
+/// the callback. Writer first: the watcher reads the new clock and does
+/// not need the wake.
 ///
-/// 1. *Count against clock.* The waiter's clock read is a read-lock
-///    section, the appender's bump a write-lock section, and a lock orders
-///    the two. Reader first: the increment is sequenced before that
-///    section, so it happens-before the appender's load, which sees a
-///    non-zero count and notifies. Writer first: the waiter reads the new
-///    clock and never parks. An interrupter (`Store::wake_clock_waiters`)
-///    stores its flag and then loads `waiters`; the waiter increments and
-///    then loads the flag. All four are `SeqCst`, so one side sees the
-///    other.
-/// 2. *Notify against park.* A notifier that saw the count holds `gate`
-///    before notifying. If the waiter took `gate` first, it is parked by
-///    the time the notifier gets it, and the notify reaches it. If the
-///    notifier took it first, the waiter's reads come after the bump (or
-///    the flag) and it does not park.
-///
-/// The wait is bounded anyway, so a bug here would cost one late chunk,
-/// never a hang; `wait_stress_never_times_out` looks for one.
-#[derive(Debug, Default)]
+/// A callback runs on the appending thread with the store's lock
+/// released, so it must be quick and must not call back into
+/// [`watch_clock`](Store::watch_clock) or
+/// [`unwatch_clock`](Store::unwatch_clock).
+#[derive(Default)]
 struct ClockWatch {
-    waiters: AtomicUsize,
-    gate: Mutex<()>,
-    moved: Condvar,
+    watchers: AtomicUsize,
+    wakes: Mutex<Vec<ClockWake>>,
     #[cfg(test)]
     notifies: AtomicUsize,
 }
 
+/// A callback [`Store::watch_clock`] runs after every clock bump.
+pub type ClockWake = Arc<dyn Fn() + Send + Sync>;
+
 impl ClockWatch {
-    /// Wakes every parked waiter, if there is one. Call with the store's
-    /// write lock released: a woken waiter reads the clock first thing.
-    /// std's `Condvar::notify_all` is a futex syscall even with nobody
-    /// parked, hence the count in front of it.
+    /// Calls every registered wake, if there is one. Call with the
+    /// store's write lock released: a woken watcher reads the clock
+    /// first thing.
     fn notify(&self) {
-        if self.waiters.load(Ordering::SeqCst) == 0 {
+        if self.watchers.load(Ordering::SeqCst) == 0 {
             return;
         }
-        drop(self.gate.lock().unwrap_or_else(|e| e.into_inner()));
-        self.moved.notify_all();
+        for wake in self.wakes.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            wake();
+        }
         #[cfg(test)]
         self.notifies.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl std::fmt::Debug for ClockWatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClockWatch")
+            .field("watchers", &self.watchers.load(Ordering::Relaxed))
+            .finish()
     }
 }
 
@@ -624,43 +623,23 @@ impl Store {
         self.clock()
     }
 
-    /// Parks the caller until the clock passes `seen`, `interrupt` is
-    /// raised, or `timeout` runs out, and returns the clock it then read
-    /// (`seen` itself after a timeout with no append). This is how a
-    /// replication feeder waits for the log instead of polling it; a
-    /// caller that raises `interrupt` follows it with
-    /// [`wake_clock_waiters`](Self::wake_clock_waiters).
-    pub fn wait_clock_past(&self, seen: u64, timeout: Duration, interrupt: &AtomicBool) -> u64 {
-        let deadline = Instant::now() + timeout;
-        let watch = &self.watch;
-        watch.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut gate = watch.gate.lock().unwrap_or_else(|e| e.into_inner());
-        let clock = loop {
-            let clock = self.clock();
-            let left = deadline.saturating_duration_since(Instant::now());
-            if clock > seen || interrupt.load(Ordering::SeqCst) || left.is_zero() {
-                break clock;
-            }
-            // Widens the window between the reads above and the park
-            // below, which `wait_stress_never_times_out` aims at.
-            #[cfg(test)]
-            std::thread::yield_now();
-            gate = watch
-                .moved
-                .wait_timeout(gate, left)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        };
-        drop(gate);
-        watch.waiters.fetch_sub(1, Ordering::SeqCst);
-        clock
+    /// Registers `wake` to run after every clock bump until
+    /// [`unwatch_clock`](Self::unwatch_clock) removes it. This is how a
+    /// replication feed waits for the log instead of polling it. Register
+    /// first, then read the clock: a bump the read misses is one the wake
+    /// reports.
+    pub fn watch_clock(&self, wake: ClockWake) {
+        let mut wakes = self.watch.wakes.lock().unwrap_or_else(|e| e.into_inner());
+        wakes.push(wake);
+        self.watch.watchers.store(wakes.len(), Ordering::SeqCst);
     }
 
-    /// Wakes every thread parked in
-    /// [`wait_clock_past`](Self::wait_clock_past) so it re-reads its
-    /// interrupt flag — raise the flag first.
-    pub fn wake_clock_waiters(&self) {
-        self.watch.notify();
+    /// Removes a wake [`watch_clock`](Self::watch_clock) registered (the
+    /// same `Arc`). Once this returns, the wake does not run again.
+    pub fn unwatch_clock(&self, wake: &ClockWake) {
+        let mut wakes = self.watch.wakes.lock().unwrap_or_else(|e| e.into_inner());
+        wakes.retain(|registered| !Arc::ptr_eq(registered, wake));
+        self.watch.watchers.store(wakes.len(), Ordering::SeqCst);
     }
 
     /// [`materialize`](Self::materialize) plus the version the
@@ -1740,37 +1719,19 @@ mod tests {
         ));
     }
 
-    /// Parks a thread in `wait_clock_past(seen, ..)` with a timeout no
-    /// passing test reaches, and returns once it is a registered waiter:
-    /// what the caller does next races the park itself, which is the
-    /// window the wake protocol has to cover.
-    fn park(
-        store: &Arc<Store>,
-        seen: u64,
-        interrupt: &Arc<AtomicBool>,
-    ) -> std::thread::JoinHandle<(u64, Duration)> {
-        let (waiter, flag) = (store.clone(), interrupt.clone());
-        let handle = std::thread::spawn(move || {
-            let began = Instant::now();
-            let clock = waiter.wait_clock_past(seen, Duration::from_secs(20), &flag);
-            (clock, began.elapsed())
-        });
-        while store.watch.waiters.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        handle
-    }
-
     /// Mutations caught: dropping `self.watch.notify()` from any append
-    /// path or from `install_snapshot` (the waiter sleeps out its 20s),
-    /// and dropping the waiter-count guard in `notify` (the quiet appends
-    /// would count).
+    /// path or from `install_snapshot` (no wake arrives), and dropping
+    /// the watcher-count guard in `notify` (the quiet appends would
+    /// count).
     #[test]
-    fn parked_waiters_return_on_every_clock_bump_and_quiet_appends_notify_nobody() {
+    fn every_clock_bump_wakes_a_watcher_and_quiet_appends_notify_nobody() {
         let dir = temp_dir("watch-install");
         let store = Arc::new(durable_sample(&dir));
         let public = store.predicate("Public").unwrap();
-        let never = Arc::new(AtomicBool::new(false));
+        let quiet = |s: &Store| {
+            s.append_node("quiet", NodeKind::Data, Features::new(), public);
+        };
+        quiet(&store);
         assert_eq!(store.watch.notifies.load(Ordering::Relaxed), 0);
 
         type Bump = Box<dyn Fn(&Store)>;
@@ -1818,65 +1779,44 @@ mod tests {
                 }),
             ),
         ];
+        let (woke, wakes) = std::sync::mpsc::channel();
+        let wake: ClockWake = Arc::new(move || woke.send(()).unwrap());
+        store.watch_clock(wake.clone());
         for (round, (name, bump)) in bumps.iter().enumerate() {
             let seen = store.clock();
-            let waiter = park(&store, seen, &never);
             bump(&store);
-            let (clock, waited) = waiter.join().unwrap();
-            assert_eq!(
-                clock,
-                store.clock(),
-                "{name}: the waiter read the new clock"
-            );
-            assert!(clock > seen, "{name}");
+            assert!(store.clock() > seen, "{name}");
             assert!(
-                waited < Duration::from_secs(10),
-                "{name}: woken, not timed out"
+                wakes.try_recv().is_ok(),
+                "{name}: the bump woke the watcher"
             );
+            assert!(wakes.try_recv().is_err(), "{name}: exactly once");
             assert_eq!(
                 store.watch.notifies.load(Ordering::Relaxed),
                 round + 1,
-                "{name}: one notify per bump with a waiter parked, none without"
+                "{name}: one notify per bump with a watcher registered"
             );
         }
+        store.unwatch_clock(&wake);
+        quiet(&store);
+        assert!(wakes.try_recv().is_err(), "an unwatched wake never runs");
+        assert_eq!(
+            store.watch.notifies.load(Ordering::Relaxed),
+            bumps.len(),
+            "an append with nobody registered notifies nobody"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Mutations caught: a wait that ignores its deadline (hangs), one
-    /// that ignores `interrupt`, and a `wake_clock_waiters` that does
-    /// not reach a parked waiter.
-    #[test]
-    fn a_wait_ends_on_its_deadline_or_its_interrupt_with_the_clock_unchanged() {
-        let store = Arc::new(Store::public_only());
-        let never = AtomicBool::new(false);
-        assert_eq!(
-            store.wait_clock_past(0, Duration::from_millis(5), &never),
-            0,
-            "timeout: `seen` comes back unchanged"
-        );
-        assert_eq!(store.watch.waiters.load(Ordering::SeqCst), 0);
-
-        let interrupt = Arc::new(AtomicBool::new(false));
-        let waiter = park(&store, 0, &interrupt);
-        interrupt.store(true, Ordering::SeqCst);
-        store.wake_clock_waiters();
-        let (clock, waited) = waiter.join().unwrap();
-        assert_eq!(clock, 0);
-        assert!(
-            waited < Duration::from_secs(10),
-            "interrupted, not timed out"
-        );
-    }
-
     /// The no-lost-wake-up argument on `ClockWatch`, under load: every
-    /// append lands while the waiter is somewhere between "acknowledged
-    /// the last one" and "parked for the next". Mutations caught:
-    /// reading the clock before incrementing `waiters`, or notifying
-    /// without passing through `gate` — with the `cfg(test)` yield in
-    /// `wait_clock_past` holding the window open, either loses a wake
-    /// within the first rounds and that round waits out its timeout.
+    /// append lands while the watcher is somewhere between "acknowledged
+    /// the last one" and "asleep for the next". The watcher does what an
+    /// event loop does: register, re-read the clock, and sleep only if
+    /// it has not moved. Mutation caught: an append that notifies before
+    /// it takes the store's write lock (the watcher re-reads the old
+    /// clock, sleeps, and the round waits out its timeout).
     #[test]
-    fn wait_stress_never_times_out() {
+    fn watch_stress_never_loses_a_wake() {
         const ROUNDS: u64 = 100_000;
         let store = Arc::new(Store::public_only());
         let public = store.predicate("Public").unwrap();
@@ -1884,24 +1824,32 @@ mod tests {
         let waiter = {
             let (store, acked) = (store.clone(), acked.clone());
             std::thread::spawn(move || {
-                let never = AtomicBool::new(false);
+                let me = std::thread::current();
+                let wake: ClockWake = Arc::new(move || me.unpark());
                 for seen in 0..ROUNDS {
-                    let began = Instant::now();
-                    let clock = store.wait_clock_past(seen, Duration::from_secs(20), &never);
-                    assert_eq!(clock, seen + 1);
-                    // A lost wake still ends in the right clock — late.
+                    let began = std::time::Instant::now();
+                    store.watch_clock(wake.clone());
+                    while store.clock() == seen {
+                        std::thread::park_timeout(std::time::Duration::from_secs(10));
+                    }
+                    store.unwatch_clock(&wake);
+                    // A lost wake still ends in the right clock: late.
                     let waited = began.elapsed();
-                    assert!(waited < Duration::from_secs(5), "round {seen}: {waited:?}");
-                    acked.store(clock, Ordering::SeqCst);
+                    assert!(
+                        waited < std::time::Duration::from_secs(5),
+                        "round {seen}: {waited:?}"
+                    );
+                    assert_eq!(store.clock(), seen + 1);
+                    acked.store(seen + 1, Ordering::SeqCst);
                 }
             })
         };
         for round in 0..ROUNDS {
-            // Even rounds race the waiter's registration, odd rounds the
-            // park that follows it.
+            // Even rounds race the watcher's registration, odd rounds the
+            // clock read and sleep that follow it.
             while !waiter.is_finished()
                 && (acked.load(Ordering::SeqCst) < round
-                    || (round % 2 == 1 && store.watch.waiters.load(Ordering::SeqCst) == 0))
+                    || (round % 2 == 1 && store.watch.watchers.load(Ordering::SeqCst) == 0))
             {
                 std::hint::spin_loop();
             }

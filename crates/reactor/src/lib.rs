@@ -55,8 +55,9 @@
 //! # Scope and portability
 //!
 //! Linux-only by construction (`epoll`, `eventfd`): the workspace's
-//! build and CI targets. The FFI surface is four syscalls plus the
-//! `rlimit` pair behind [`sys::raise_nofile_limit`]; everything else —
+//! build and CI targets. The FFI surface is five syscalls
+//! (`epoll_pwait2`, for timeouts finer than a millisecond, falls back to
+//! `epoll_wait`) plus the `rlimit` pair behind [`sys::raise_nofile_limit`]; everything else —
 //! fd lifetimes, nonblocking modes, reads and writes — goes through
 //! `std`. There is deliberately no timer wheel, no task system, and no
 //! I/O abstraction: callers bring their own state machines.

@@ -78,15 +78,7 @@ impl Poller {
     /// delivered; `0` means the timeout elapsed. `EINTR` retries
     /// internally.
     pub fn wait(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
-        let timeout_ms: i32 = match timeout {
-            // Round up so a 1ns timeout cannot spin as 0ms.
-            Some(t) => t
-                .as_millis()
-                .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
-                .min(i32::MAX as u128) as i32,
-            None => -1,
-        };
-        events.len = sys::epoll_wait_into(&self.epfd, &mut events.buf, timeout_ms)?;
+        events.len = sys::epoll_wait_into(&self.epfd, &mut events.buf, timeout)?;
         Ok(events.len)
     }
 }

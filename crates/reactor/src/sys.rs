@@ -1,6 +1,7 @@
 //! The crate's entire `unsafe` surface: thin FFI declarations for the
-//! four syscalls the reactor needs (`epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `eventfd`) plus the `rlimit` pair, each wrapped in a
+//! syscalls the reactor needs (`epoll_create1`, `epoll_ctl`,
+//! `epoll_pwait2` with `epoll_wait` as its fallback, `eventfd`) plus the
+//! `rlimit` pair, each wrapped in a
 //! safe function that owns the fd lifetime through [`OwnedFd`] and turns
 //! `-1` into [`io::Error::last_os_error`]. Nothing above this module
 //! touches a raw pointer or a raw fd it does not own.
@@ -12,7 +13,9 @@
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-use std::os::raw::{c_int, c_uint};
+use std::os::raw::{c_int, c_long, c_uint};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 // --- epoll constants (uapi/linux/eventpoll.h) ---------------------------
 
@@ -36,6 +39,10 @@ const EFD_CLOEXEC: c_int = 0x8_0000;
 const EFD_NONBLOCK: c_int = 0x800;
 
 const RLIMIT_NOFILE: c_int = 7;
+
+/// `epoll_pwait2`'s syscall number: syscalls added since Linux 5.1 share
+/// one number on every architecture.
+const SYS_EPOLL_PWAIT2: c_long = 441;
 
 /// One readiness record, kernel layout. `data` round-trips the caller's
 /// token verbatim.
@@ -61,6 +68,7 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn syscall(number: c_long, ...) -> c_long;
     fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
 }
@@ -115,28 +123,66 @@ pub fn epoll_del(epfd: &OwnedFd, fd: RawFd) -> io::Result<()> {
     ctl(epfd, EPOLL_CTL_DEL, fd, 0, 0)
 }
 
+/// Set once `epoll_pwait2` is found missing (a kernel before 5.11, or a
+/// sandbox that refuses it); waits then fall back to `epoll_wait`.
+static NO_PWAIT2: AtomicBool = AtomicBool::new(false);
+
 /// Waits for readiness, filling `buf` from the front; returns how many
-/// records landed. `timeout_ms < 0` blocks indefinitely. `EINTR` is
+/// records landed. `None` blocks indefinitely. `epoll_pwait2` honours the
+/// timeout to the microsecond; the `epoll_wait` fallback rounds it up to
+/// whole milliseconds, so a 1ns timeout cannot spin as 0ms. `EINTR` is
 /// retried here so callers never see a spurious zero.
 pub fn epoll_wait_into(
     epfd: &OwnedFd,
     buf: &mut [EpollEvent],
-    timeout_ms: i32,
+    timeout: Option<Duration>,
 ) -> io::Result<usize> {
+    use io::ErrorKind::{PermissionDenied, Unsupported};
+    let maxevents = buf.len().min(c_int::MAX as usize) as c_int;
     loop {
-        // SAFETY: `buf` is valid for `buf.len()` records for the call's
-        // duration; the kernel writes at most `maxevents` of them.
-        let n = unsafe {
-            epoll_wait(
-                epfd.as_raw_fd(),
-                buf.as_mut_ptr(),
-                buf.len().min(c_int::MAX as usize) as c_int,
-                timeout_ms,
-            )
+        let pwait2 = !NO_PWAIT2.load(Ordering::Relaxed);
+        let n = if pwait2 {
+            // The kernel's 64-bit `timespec`: seconds, then nanoseconds.
+            let timespec: Option<[i64; 2]> = timeout.map(|t| {
+                [
+                    t.as_secs().min(i64::MAX as u64) as i64,
+                    i64::from(t.subsec_nanos()),
+                ]
+            });
+            let timespec = timespec.as_ref().map_or(std::ptr::null(), |t| t.as_ptr());
+            // SAFETY: as above for `buf`; `timespec` is null or points to
+            // two live `i64`s, and a null signal mask makes the kernel
+            // ignore the mask size.
+            unsafe {
+                syscall(
+                    SYS_EPOLL_PWAIT2,
+                    c_long::from(epfd.as_raw_fd()),
+                    buf.as_mut_ptr(),
+                    c_long::from(maxevents),
+                    timespec,
+                    std::ptr::null::<u8>(),
+                    0 as c_long,
+                ) as c_int
+            }
+        } else {
+            let timeout_ms = match timeout {
+                Some(t) => t
+                    .as_millis()
+                    .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
+                    .min(i32::MAX as u128) as i32,
+                None => -1,
+            };
+            // SAFETY: `buf` is valid for `maxevents` records for the
+            // call's duration; the kernel writes at most that many.
+            unsafe { epoll_wait(epfd.as_raw_fd(), buf.as_mut_ptr(), maxevents, timeout_ms) }
         };
         match cvt(n) {
             Ok(n) => return Ok(n as usize),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // ENOSYS, or EPERM from a seccomp filter that predates it.
+            Err(e) if pwait2 && matches!(e.kind(), Unsupported | PermissionDenied) => {
+                NO_PWAIT2.store(true, Ordering::Relaxed);
+            }
             Err(e) => return Err(e),
         }
     }
@@ -177,6 +223,25 @@ mod tests {
     fn epoll_instance_creates_and_closes() {
         let fd = epoll_create().unwrap();
         assert!(fd.as_raw_fd() >= 0);
+    }
+
+    /// A feed's 100µs nap must not become a whole millisecond. Mutation
+    /// caught: waiting through the millisecond `epoll_wait` every time.
+    #[test]
+    fn sub_millisecond_timeouts_are_neither_early_nor_rounded_up() {
+        let (epfd, timeout) = (epoll_create().unwrap(), Duration::from_micros(200));
+        let mut buf = [EpollEvent { events: 0, data: 0 }; 4];
+        let mut waits: Vec<Duration> = (0..21)
+            .map(|_| {
+                let began = std::time::Instant::now();
+                assert_eq!(epoll_wait_into(&epfd, &mut buf, Some(timeout)).unwrap(), 0);
+                began.elapsed()
+            })
+            .collect();
+        waits.sort();
+        assert!(waits[0] >= timeout, "returned early: {waits:?}");
+        let rounded = waits[10] >= Duration::from_millis(1);
+        assert!(!rounded || NO_PWAIT2.load(Ordering::Relaxed), "{waits:?}");
     }
 
     #[test]

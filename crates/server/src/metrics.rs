@@ -20,9 +20,9 @@
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
-//! | `spgraph_connections_open` | gauge | sockets currently owned by the server (event loops + feeders) |
+//! | `spgraph_connections_open` | gauge | sockets currently owned by the server, replication feeds included |
 //! | `spgraph_connections_total` | counter | completed Hello handshakes |
-//! | `spgraph_subscriptions_active` | gauge | live replication feeders |
+//! | `spgraph_subscriptions_active` | gauge | live replication feeds |
 //! | `spgraph_requests_total{type=…}` | counter | request frames answered, per type |
 //! | `spgraph_request_latency_seconds{type=…}` | histogram | service time per request type |
 //! | `spgraph_overload_drops_total{reason=…}` | counter | admission-control sheds (`conn_cap`, `rate_limit`, `write_stall`) |
@@ -75,7 +75,7 @@ impl Counter {
     }
 }
 
-/// A value that goes up and down (open connections, live feeders).
+/// A value that goes up and down (open connections, live feeds).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicI64);
 
@@ -274,7 +274,7 @@ impl OverloadReason {
 pub enum FeedChunkKind {
     /// Sealed WAL frames: an append reached this subscriber.
     Frames,
-    /// Nothing: the idle feeder's liveness beat.
+    /// Nothing: the idle feed's liveness beat.
     Heartbeat,
     /// A backfill snapshot.
     Snapshot,
@@ -296,15 +296,15 @@ impl FeedChunkKind {
 
 /// Every instrument the serving edge maintains. One instance per
 /// [`Server`](crate::Server), shared by the accept thread, the event
-/// loop shards, the feeders, and the metrics endpoint.
+/// loop shards, and the metrics endpoint.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     /// Sockets currently owned by the server: event-loop connections in any
-    /// state plus replication feeder threads.
+    /// state, replication feeds included.
     pub connections_open: Gauge,
     /// Completed Hello handshakes, ever.
     pub connections_total: Counter,
-    /// Live replication feeder threads.
+    /// Live replication feeds.
     pub subscriptions_active: Gauge,
     /// Accepted subscriptions, ever.
     pub subscriptions_total: Counter,
@@ -528,12 +528,12 @@ impl ServerMetrics {
         };
         gauge(
             "spgraph_connections_open",
-            "Sockets currently owned by the server (event loops + feeders).",
+            "Sockets currently owned by the server, replication feeds included.",
             self.connections_open.get() as f64,
         );
         gauge(
             "spgraph_subscriptions_active",
-            "Live replication feeders.",
+            "Live replication feeds.",
             self.subscriptions_active.get() as f64,
         );
         gauge(

@@ -61,15 +61,21 @@
 //!
 //! # Replication
 //!
-//! Replication subscriptions do not stay on the event loops: an accepted
-//! [`Request::Subscribe`] *extracts* the socket from its shard, flips it
-//! back to blocking, and hands it to a dedicated feeder thread for the
-//! subscriber's lifetime — a feeder pushes a continuous WAL stream and
-//! has none of the request/response rhythm the reactor is shaped for.
+//! An accepted [`Request::Subscribe`] turns its connection into a
+//! *feeding* one on the event loop that accepted it. A loop pass steps
+//! its feeds after its events (a nap later when it answered requests, so
+//! their clients run first). A step queues at most one WAL chunk, and only
+//! while the connection owes no more than the low-water mark, so write
+//! backpressure paces a slow subscriber and the write-stall sweep reaps a
+//! stopped one. A caught-up feed sleeps until its heartbeat; the loop
+//! lends its waker to the store so an append ends that sleep, but only
+//! while every feed on it is idle: a wake costs the appending thread a
+//! syscall. A feed that shipped within [`FEED_LINGER`] keeps its loop on
+//! a [`FEED_NAP`] poll deadline instead.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -84,7 +90,7 @@ use plus_store::wire::{
     decode_request, encode_response, ReplicaRole, ReplicaStatus, Request, Response, ServerHello,
     ShardStatusInfo, WalChunk, WireError, WireErrorKind, WriteOp, PROTOCOL_VERSION,
 };
-use plus_store::{AccountService, CodecError, QueryRequest, Store, StoreError};
+use plus_store::{AccountService, ClockWake, CodecError, QueryRequest, Store, StoreError};
 use reactor::{Events, Interest, Poller, Token, Waker};
 use surrogate_core::credential::Consumer;
 use surrogate_core::privilege::PrivilegeId;
@@ -199,8 +205,8 @@ pub struct ServerConfig {
     /// of a partitioned deployment (`spgraph serve --shard i/n`, which
     /// implies it).
     pub allow_remote_write: bool,
-    /// Most sockets the server will own at once (event loops plus
-    /// feeders). Dials past the cap are refused at accept with a
+    /// Most sockets the server will own at once, replication feeds
+    /// included. Dials past the cap are refused at accept with a
     /// best-effort [`WireErrorKind::Overloaded`] frame.
     pub max_conns: usize,
     /// Per-consumer sustained request-frames-per-second budget (bursts
@@ -266,7 +272,7 @@ pub struct ServerStats {
     /// Connections hung up on for a malformed frame or protocol
     /// violation.
     pub hangups: u64,
-    /// Replication subscriptions accepted (feeder loops entered).
+    /// Replication subscriptions accepted (feeds started).
     pub subscriptions: u64,
     /// Snapshots shipped to backfilling subscribers. A warm subscriber
     /// resuming from its local clock never costs one.
@@ -303,7 +309,6 @@ pub struct Server {
     inboxes: Vec<Arc<ShardInbox>>,
     shards: Vec<JoinHandle<()>>,
     accept: Option<JoinHandle<()>>,
-    feeders: Arc<FeederSet>,
     metrics_thread: Option<JoinHandle<()>>,
 }
 
@@ -407,7 +412,6 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let server_metrics = Arc::new(ServerMetrics::default());
-        let feeders = Arc::new(FeederSet::default());
 
         let (metrics_addr, metrics_thread) = match config.metrics_addr {
             Some(addr) => {
@@ -432,7 +436,6 @@ impl Server {
             config,
             monitor,
             shutdown: shutdown.clone(),
-            feeders: feeders.clone(),
             shard,
         });
 
@@ -456,6 +459,8 @@ impl Server {
                             inbox,
                             ctx,
                             slab: Slab::default(),
+                            feeds: Vec::new(),
+                            clock_watch: None,
                         }
                         .run()
                     })
@@ -481,7 +486,6 @@ impl Server {
             inboxes,
             shards,
             accept: Some(accept),
-            feeders,
             metrics_thread,
         })
     }
@@ -542,12 +546,6 @@ impl Server {
             std::time::Duration::from_secs(1),
         )
         .is_ok();
-        // A caught-up feeder is parked on its store's clock, not on its
-        // socket: `close_all` wakes each one to re-read the flag raised
-        // above, besides closing the socket a busy one is writing to.
-        for feeder in self.feeders.close_all() {
-            let _ = feeder.join();
-        }
         // Shards drain (flush queued responses, bounded) and exit; they
         // never block indefinitely, so these joins always complete.
         for shard in self.shards.drain(..) {
@@ -635,7 +633,7 @@ fn accept_loop(
             }
         };
         // Admission: the connection cap bounds every socket the server
-        // owns (event loops + feeders). Refusing *here* means no shard
+        // owns, replication feeds included. Refusing *here* means no shard
         // ever spends a slab slot or a buffer on the socket.
         if metrics.connections_open.get() >= max_conns as i64 {
             metrics.count_overload(OverloadReason::ConnCap);
@@ -675,7 +673,7 @@ fn shed_connection(mut stream: TcpStream, max_conns: usize) {
 // Shards: the event loops
 // ---------------------------------------------------------------------------
 
-/// Everything a shard (or feeder) needs, shared across all of them.
+/// Everything a shard needs, shared across all of them.
 struct ShardCtx {
     service: Arc<AccountService>,
     metrics: Arc<ServerMetrics>,
@@ -683,7 +681,6 @@ struct ShardCtx {
     monitor: Option<Arc<ReplicationMonitor>>,
     shutdown: Arc<AtomicBool>,
     limiter: Option<RateLimiter>,
-    feeders: Arc<FeederSet>,
     shard: Option<Arc<ShardRole>>,
 }
 
@@ -716,6 +713,9 @@ enum Phase {
     /// Handshake done; every request is answered through the session's
     /// protected account.
     Serving(Session),
+    /// An accepted subscription: the connection carries WAL chunks out
+    /// and nothing in, for the rest of its life.
+    Feeding(Box<Feed>),
 }
 
 /// The post-Hello identity a connection serves under. `Arc` fields so
@@ -783,6 +783,10 @@ struct Conn {
 }
 
 impl Conn {
+    fn is_feeding(&self) -> bool {
+        matches!(self.phase, Phase::Feeding(_))
+    }
+
     fn queue(&mut self, frame: OutFrame) {
         if self.out_bytes == 0 {
             // New debt after a clean slate: the stall clock starts now,
@@ -797,20 +801,10 @@ impl Conn {
     }
 }
 
-/// What an event (or sweep) decided about a connection.
+/// What an event decided about a connection.
 enum Verdict {
     Keep,
     Close,
-    /// An accepted subscription: extract the socket for a feeder.
-    Handoff(HandoffFeed),
-}
-
-/// A validated subscription handed from a shard to its feeder thread.
-struct HandoffFeed {
-    /// The durable store to tail, and the directory its log lives in.
-    store: Arc<Store>,
-    dir: PathBuf,
-    from_clock: u64,
 }
 
 /// Generation-tagged connection slab. Tokens pack `generation << 32 |
@@ -874,19 +868,26 @@ struct Shard {
     inbox: Arc<ShardInbox>,
     ctx: Arc<ShardCtx>,
     slab: Slab,
+    /// The feeding connections in `slab`, stepped on every quiet pass.
+    feeds: Vec<Token>,
+    /// This loop's waker as registered with the store's clock — held
+    /// only while every feed here is idle.
+    clock_watch: Option<ClockWake>,
 }
 
 impl Shard {
     fn run(mut self) {
         let mut events = Events::with_capacity(1024);
         let mut next_sweep = Instant::now() + SWEEP_INTERVAL;
+        let mut wake_at = next_sweep;
+        let mut pumped_at = Instant::now();
         let mut draining = false;
         let mut drain_deadline = Instant::now();
         loop {
             let timeout = if draining {
                 Duration::from_millis(20)
             } else {
-                SWEEP_INTERVAL
+                wake_at.saturating_duration_since(Instant::now())
             };
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 // A broken poller cannot serve; close everything.
@@ -903,17 +904,24 @@ impl Shard {
                     saw_wake = true;
                     continue;
                 }
-                let verdict = match self.slab.get_mut(event.token()) {
+                let token = event.token();
+                let verdict = match self.slab.get_mut(token) {
+                    Some(_) if event.is_error() => Verdict::Close,
                     Some(conn) => {
-                        if event.is_error() {
-                            Verdict::Close
-                        } else {
-                            on_event(&self.poller, &self.ctx, conn, event.is_readable(), draining)
+                        let was_feeding = conn.is_feeding();
+                        let verdict =
+                            on_event(&self.poller, &self.ctx, conn, event.is_readable(), draining);
+                        if !was_feeding && conn.is_feeding() {
+                            self.feeds.push(token);
+                            wake_at = Instant::now();
                         }
+                        verdict
                     }
                     None => continue, // raced a close; stale token
                 };
-                self.settle(event.token(), verdict);
+                if let Verdict::Close = verdict {
+                    self.close(token);
+                }
             }
             if saw_wake {
                 self.inbox.waker.drain();
@@ -928,11 +936,26 @@ impl Shard {
                     self.close_all();
                     break;
                 }
-            } else if now >= next_sweep {
+                continue;
+            }
+            if now >= next_sweep {
                 next_sweep = now + SWEEP_INTERVAL;
                 self.sweep(now);
             }
+            // Requests come first: a pass that answered some (and heard no
+            // wake) leaves its feeds to a quiet pass a nap later, so its
+            // clients run before the loop reads the log for them (at once,
+            // it cost `fleet` 15µs a routed write; DESIGN.md §4.2).
+            let quiet = saw_wake || events.is_empty();
+            if quiet || self.feeds.is_empty() || now >= pumped_at + FEED_LINGER {
+                pumped_at = now;
+                wake_at = self.pump_feeds(now);
+            } else {
+                wake_at = wake_at.max(now + FEED_NAP);
+            }
+            wake_at = wake_at.min(next_sweep);
         }
+        self.watch_clock(false);
     }
 
     /// Moves sockets from the inbox into the slab (or drops them during
@@ -979,35 +1002,15 @@ impl Shard {
         }
     }
 
-    fn settle(&mut self, token: Token, verdict: Verdict) {
-        match verdict {
-            Verdict::Keep => {}
-            Verdict::Close => self.close(token),
-            Verdict::Handoff(feed) => self.handoff(token, feed),
-        }
-    }
-
     fn close(&mut self, token: Token) {
         if let Some(conn) = self.slab.remove(token) {
             let _ = self.poller.deregister(&conn.stream);
+            if conn.is_feeding() {
+                self.feeds.retain(|&feed| feed != token);
+                self.ctx.metrics.subscriptions_active.dec();
+            }
             self.ctx.metrics.connections_open.dec();
         }
-    }
-
-    /// Extracts an accepted subscriber from the event loop onto a
-    /// dedicated blocking feeder thread (streaming WAL for its
-    /// lifetime must not occupy the reactor).
-    fn handoff(&mut self, token: Token, feed: HandoffFeed) {
-        let Some(conn) = self.slab.remove(token) else {
-            return;
-        };
-        let _ = self.poller.deregister(&conn.stream);
-        if conn.stream.set_nonblocking(false).is_err() {
-            self.ctx.metrics.connections_open.dec();
-            return;
-        }
-        self.ctx.metrics.subscriptions_total.inc();
-        spawn_feeder(self.ctx.clone(), conn, feed);
     }
 
     /// Entering drain: stop reading everywhere, close already-flushed
@@ -1053,7 +1056,8 @@ impl Shard {
                     self.ctx.metrics.idle_reaped.inc();
                 }
                 late
-            } else if let Some(idle) = config.idle_timeout {
+            } else if let Some(idle) = config.idle_timeout.filter(|_| !conn.is_feeding()) {
+                // A feed's heartbeat is its liveness signal, not reads.
                 let quiet =
                     conn.out_bytes == 0 && now.saturating_duration_since(conn.last_read) > idle;
                 if quiet {
@@ -1097,9 +1101,7 @@ fn on_event(
     // loops back to the parser.
     loop {
         if !conn.paused && !conn.close_after_flush && !draining {
-            if let Parsed::Handoff(feed) = parse_frames(ctx, conn) {
-                return Verdict::Handoff(feed);
-            }
+            parse_frames(ctx, conn);
         }
         match flush_out(ctx, conn) {
             Flush::Gone => return Verdict::Close,
@@ -1170,11 +1172,6 @@ fn fill_inbuf(ctx: &ShardCtx, conn: &mut Conn) -> Fill {
     }
 }
 
-enum Parsed {
-    Ok,
-    Handoff(HandoffFeed),
-}
-
 /// One inspected inbound frame.
 enum Step {
     /// Not enough bytes yet.
@@ -1206,37 +1203,35 @@ fn next_frame(buf: &[u8]) -> Step {
 }
 
 /// Parses and executes every complete frame buffered on the connection,
-/// stopping early on backpressure, a hangup decision, or a subscription
-/// handoff.
-fn parse_frames(ctx: &ShardCtx, conn: &mut Conn) -> Parsed {
+/// stopping early on backpressure, a hangup decision, or an accepted
+/// subscription.
+fn parse_frames(ctx: &ShardCtx, conn: &mut Conn) {
     let mut pos = 0usize;
-    let result = loop {
-        if conn.paused || conn.close_after_flush {
-            break Parsed::Ok;
-        }
+    while !conn.paused && !conn.close_after_flush && !conn.is_feeding() {
         let (request, total) = match next_frame(&conn.inbuf[pos..]) {
-            Step::Incomplete => break Parsed::Ok,
+            Step::Incomplete => break,
             Step::Malformed(detail) => {
                 malformed_hangup(ctx, conn, &detail);
-                break Parsed::Ok;
+                break;
             }
             Step::Frame(request, total) => (request, total),
         };
         pos += total;
-        let request = match request {
-            Ok(request) => request,
+        match request {
+            Ok(request) => handle_request(ctx, conn, request),
             Err(e) => {
                 malformed_hangup(ctx, conn, &e.to_string());
-                break Parsed::Ok;
+                break;
             }
-        };
-        match handle_request(ctx, conn, request) {
-            Handled::Continue => {}
-            Handled::Handoff(feed) => break Parsed::Handoff(feed),
         }
-    };
-    conn.inbuf.drain(..pos);
-    result
+    }
+    if conn.is_feeding() {
+        // A subscriber has nothing more to say; whatever it sends is
+        // dropped unread.
+        conn.inbuf.clear();
+    } else {
+        conn.inbuf.drain(..pos);
+    }
 }
 
 enum Flush {
@@ -1259,7 +1254,9 @@ fn flush_out(ctx: &ShardCtx, conn: &mut Conn) -> Flush {
             Ok(n) => {
                 conn.out_head += n;
                 conn.out_bytes -= n;
-                ctx.metrics.bytes_written.add(n as u64);
+                if !conn.is_feeding() {
+                    ctx.metrics.bytes_written.add(n as u64);
+                }
                 progressed = true;
                 if conn.out_head == bytes.len() {
                     conn.outq.pop_front();
@@ -1300,11 +1297,6 @@ fn update_interest(poller: &Poller, conn: &mut Conn, draining: bool) {
 // ---------------------------------------------------------------------------
 // Request execution (inline on the shard)
 // ---------------------------------------------------------------------------
-
-enum Handled {
-    Continue,
-    Handoff(HandoffFeed),
-}
 
 fn request_type(request: &Request) -> RequestType {
     match request {
@@ -1394,7 +1386,7 @@ fn wrong_shard(owner: u32, peers: &[String]) -> WireError {
     WireError::new(WireErrorKind::WrongShard, target)
 }
 
-fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) -> Handled {
+fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) {
     let session = match &conn.phase {
         Phase::AwaitHello => {
             // Handshake frames are deliberately absent from the request
@@ -1402,9 +1394,10 @@ fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) -> Handled 
             // and the `type="hello"` series counts only misplaced
             // in-session Hellos (a protocol-violation signal).
             handle_hello(ctx, conn, request);
-            return Handled::Continue;
+            return;
         }
         Phase::Serving(session) => session.clone(),
+        Phase::Feeding(_) => return,
     };
     let consumer = session.consumer;
     let kind = request_type(&request);
@@ -1422,11 +1415,11 @@ fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) -> Handled 
                     ),
                 )),
             );
-            return Handled::Continue;
+            return;
         }
     }
     let start = Instant::now();
-    let handled = match request {
+    match request {
         // Zero-copy fast path: queries are answered from the service's
         // sealed-frame cache, whose entries are the exact framed bytes
         // (`len | crc32 | payload`) a fresh encode-and-seal would
@@ -1436,7 +1429,7 @@ fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) -> Handled 
             if let Some(error) = shard_query_refusal(ctx, &query) {
                 queue_response(conn, &Response::Error(error));
                 ctx.metrics.observe_latency(kind, start.elapsed());
-                return Handled::Continue;
+                return;
             }
             // Pin the merge's repair generation across the answer: a
             // feed repair (slot reset) between the refusal check and the
@@ -1454,7 +1447,6 @@ fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) -> Handled 
                 Err(StoreError::Codec(CodecError::FrameTooLarge(_))) => queue_oversize(conn),
                 Err(e) => queue_response(conn, &Response::Error(wire_error(&e))),
             }
-            Handled::Continue
         }
         Request::Batch(queries) => {
             // All-or-nothing, like every other batch failure: one
@@ -1463,7 +1455,7 @@ fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) -> Handled 
             if let Some(error) = queries.iter().find_map(|q| shard_query_refusal(ctx, q)) {
                 queue_response(conn, &Response::Error(error));
                 ctx.metrics.observe_latency(kind, start.elapsed());
-                return Handled::Continue;
+                return;
             }
             let pinned_gen = gather_generation(ctx);
             match ctx.service.query_batch_sealed(&consumer, &queries) {
@@ -1477,18 +1469,19 @@ fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) -> Handled 
                 Err(StoreError::Codec(CodecError::FrameTooLarge(_))) => queue_oversize(conn),
                 Err(e) => queue_response(conn, &Response::Error(wire_error(&e))),
             }
-            Handled::Continue
         }
         // Subscribe converts the connection into a one-way replication
-        // stream owned by a dedicated feeder thread. A refused
-        // subscription is recoverable, like a refused checkpoint: the
-        // connection can still query.
+        // stream for the rest of its life. A refused subscription is
+        // recoverable, like a refused checkpoint: the connection can
+        // still query.
         Request::Subscribe { from_clock } => match check_subscription(ctx, from_clock) {
-            Ok(feed) => return Handled::Handoff(feed),
-            Err(error) => {
-                queue_response(conn, &Response::Error(error));
-                Handled::Continue
+            Ok(feed) => {
+                ctx.metrics.subscriptions_total.inc();
+                ctx.metrics.subscriptions_active.inc();
+                conn.phase = Phase::Feeding(Box::new(feed));
+                return;
             }
+            Err(error) => queue_response(conn, &Response::Error(error)),
         },
         other => {
             let (response, outcome) = answer(ctx, &consumer, other);
@@ -1497,11 +1490,9 @@ fn handle_request(ctx: &ShardCtx, conn: &mut Conn, request: Request) -> Handled 
                 ctx.metrics.hangups.inc();
                 conn.close_after_flush = true;
             }
-            Handled::Continue
         }
-    };
+    }
     ctx.metrics.observe_latency(kind, start.elapsed());
-    handled
 }
 
 /// The opening-frame state: only a version-matched Hello with resolvable
@@ -1698,7 +1689,7 @@ fn answer(ctx: &ShardCtx, consumer: &Consumer, request: Request) -> (Response, O
         Request::Subscribe { .. } => (
             Response::Error(WireError::new(
                 WireErrorKind::Internal,
-                "subscription requests are handled by the feeder",
+                "subscription requests are handled before answer",
             )),
             Outcome::HangUp,
         ),
@@ -1940,119 +1931,44 @@ fn shard_slice(
 }
 
 // ---------------------------------------------------------------------------
-// Replication feeders (dedicated blocking threads)
+// Replication feeds (feeding connections on the event loops)
 // ---------------------------------------------------------------------------
 
-/// Live feeder threads, with a clone of each one's socket and the store
-/// it tails, so shutdown can unblock a feeder wherever it is parked: in a
-/// blocking write, or waiting for the clock to move.
-#[derive(Default)]
-struct FeederSet {
-    inner: Mutex<FeederInner>,
+/// A subscription in progress: where the subscriber's stream stands
+/// between two steps.
+struct Feed {
+    /// The durable store to tail, and the directory its log lives in.
+    store: Arc<Store>,
+    dir: PathBuf,
+    /// The subscriber's clock: the next chunk starts here.
+    next: u64,
+    /// A subscriber at clock 0 has nothing — not even the lattice, which
+    /// frames cannot rebuild — so its stream opens with a snapshot. A
+    /// non-zero clock proves a snapshot was already installed once.
+    snapshot_due: bool,
+    /// Keeps each chunk O(chunk): without it every read re-scans the
+    /// covering segment from its header.
+    tail: wal::TailCursor,
+    last_send: Instant,
+    /// Until when the feed naps instead of waiting for the store's wake.
+    hot_until: Instant,
+    /// When to read the log again after racing a segment rotation.
+    retry_at: Option<Instant>,
 }
 
-#[derive(Default)]
-struct FeederInner {
-    closed: bool,
-    next_id: u64,
-    streams: HashMap<u64, (TcpStream, Arc<Store>)>,
-    handles: Vec<JoinHandle<()>>,
+/// What one [`Feed::step`] produced.
+enum FeedStep {
+    /// One sealed chunk to queue; the feed goes on.
+    Chunk(Vec<u8>),
+    /// Nothing is due before [`Feed::wait`]'s deadline.
+    Idle,
+    /// The feed is over: queue the error, if there is one, then close.
+    End(Option<WireError>),
 }
 
-impl FeederSet {
-    /// Registers a feeder's socket and store; `None` once the set is
-    /// closed (the caller must drop the stream instead of serving it).
-    fn register(&self, stream: &TcpStream, store: &Arc<Store>) -> Option<u64> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return None;
-        }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        // No clone means close_all() could never hang this feeder up and
-        // shutdown would block on the join — refuse instead (fd
-        // exhaustion is the typical cause, so shedding is right anyway).
-        let clone = stream.try_clone().ok()?;
-        inner.streams.insert(id, (clone, store.clone()));
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        self.inner.lock().streams.remove(&id);
-    }
-
-    fn adopt(&self, handle: JoinHandle<()>) {
-        let mut inner = self.inner.lock();
-        // Reap finished feeders (reconnecting subscribers create one per
-        // attempt) so the registry only grows with *live* streams; a
-        // finished handle drops detached, which is a no-op join.
-        inner.handles.retain(|h| !h.is_finished());
-        inner.handles.push(handle);
-    }
-
-    /// Marks the set closed, shuts every feeder socket down (unblocking
-    /// parked writes), wakes every feeder parked on its store's clock,
-    /// and returns the handles for joining. The caller has raised the
-    /// shutdown flag the woken feeders re-read.
-    fn close_all(&self) -> Vec<JoinHandle<()>> {
-        let mut inner = self.inner.lock();
-        inner.closed = true;
-        for (stream, store) in inner.streams.values() {
-            let _ = stream.shutdown(Shutdown::Both);
-            store.wake_clock_waiters();
-        }
-        inner.streams.clear();
-        std::mem::take(&mut inner.handles)
-    }
-}
-
-/// Moves an extracted (blocking again) subscriber connection onto its
-/// dedicated feeder thread: flush whatever the reactor still owed it,
-/// then stream WAL.
-fn spawn_feeder(ctx: Arc<ShardCtx>, conn: Conn, feed: HandoffFeed) {
-    let Some(id) = ctx.feeders.register(&conn.stream, &feed.store) else {
-        // Shutting down: the subscription dies with the server.
-        ctx.metrics.connections_open.dec();
-        return;
-    };
-    let thread_ctx = ctx.clone();
-    let handle = std::thread::Builder::new()
-        .name("spgraph-feeder".into())
-        .spawn(move || {
-            let ctx = thread_ctx;
-            ctx.metrics.subscriptions_active.inc();
-            let mut stream = conn.stream;
-            let mut head = conn.out_head;
-            let mut delivered = true;
-            for frame in &conn.outq {
-                if stream.write_all(&frame.bytes()[head..]).is_err() {
-                    delivered = false;
-                    break;
-                }
-                head = 0;
-            }
-            if delivered {
-                let mut outbuf = Vec::with_capacity(4096);
-                serve_subscription(&feed, &ctx.metrics, &ctx.shutdown, &mut stream, &mut outbuf);
-            }
-            let _ = stream.shutdown(Shutdown::Both);
-            ctx.feeders.deregister(id);
-            ctx.metrics.subscriptions_active.dec();
-            ctx.metrics.connections_open.dec();
-        });
-    match handle {
-        Ok(handle) => ctx.feeders.adopt(handle),
-        // Out of threads: shed the subscriber.
-        Err(_) => {
-            ctx.feeders.deregister(id);
-            ctx.metrics.connections_open.dec();
-        }
-    }
-}
-
-/// Validates a subscription request, returning the durable store the
-/// feeder will tail — or the typed refusal to send.
-fn check_subscription(ctx: &ShardCtx, from_clock: u64) -> Result<HandoffFeed, WireError> {
+/// Validates a subscription request, returning the feed to step — or
+/// the typed refusal to send.
+fn check_subscription(ctx: &ShardCtx, from_clock: u64) -> Result<Feed, WireError> {
     if !ctx.config.allow_replication {
         return Err(WireError::new(
             WireErrorKind::NotAuthorized,
@@ -2078,209 +1994,243 @@ fn check_subscription(ctx: &ShardCtx, from_clock: u64) -> Result<HandoffFeed, Wi
             format!("subscriber clock {from_clock} is ahead of this primary's epoch {epoch}"),
         ));
     }
-    Ok(HandoffFeed {
+    let now = Instant::now();
+    Ok(Feed {
         store,
         dir,
-        from_clock,
+        next: from_clock,
+        snapshot_due: from_clock == 0,
+        tail: wal::TailCursor::default(),
+        last_send: now,
+        hot_until: now,
+        retry_at: None,
     })
 }
 
 /// Target sealed-frame bytes per [`Response::WalChunk`]; chunks stop at
 /// the first frame boundary past this.
 const FEED_CHUNK_BYTES: usize = 256 << 10;
-/// How long a feeder lets the writer finish a segment rotation it raced
+/// How long a feed lets the writer finish a segment rotation it raced
 /// before reading the log again.
 const FEED_ROTATION_RETRY: Duration = Duration::from_millis(10);
-/// How often a caught-up feeder sends an empty heartbeat chunk — the
-/// subscriber's lag/liveness signal, the feeder's only way to notice a
-/// dead peer while idle, and the only timer a quiet feeder runs on:
-/// between heartbeats it is parked on the store's clock.
+/// How often a caught-up feed sends an empty heartbeat chunk — the
+/// subscriber's lag/liveness signal, and the only timer a quiet feed
+/// runs on: between heartbeats its loop waits for the store's wake.
 const FEED_HEARTBEAT: Duration = Duration::from_millis(250);
-/// How long after shipping frames a caught-up feeder expects more, and
-/// naps [`FEED_NAP`] at a time instead of parking. Waking a parked
-/// thread is not free for the *writer*: measured here (2 vCPUs, the
-/// parked thread's CPU halted) `notify_all` for two feeders costs the
-/// appending thread 12µs at the median and 25µs at p90, a third of a
-/// routed write, on every append of a steady stream. A napping feeder is
-/// not a registered waiter, so that stream pays one atomic load per
-/// append and its chunks leave at most a nap late; the first append
-/// after a quiet spell pays the wake and leaves at once.
+/// How long after shipping frames a caught-up feed expects more, and
+/// keeps its loop on a [`FEED_NAP`] poll deadline instead of taking the
+/// store's wake (also the longest a busy loop makes its feeds wait). A
+/// wake is not free for the *writer*: on 2 vCPUs, with the parked
+/// thread's CPU halted, it cost the appending thread 12µs at the median
+/// and 25µs at p90, a third of a routed write, on every append of a
+/// steady stream (DESIGN.md §4.2).
 const FEED_LINGER: Duration = Duration::from_millis(5);
-/// One nap of a feeder that shipped within [`FEED_LINGER`].
+/// The poll deadline of a loop with a feed that shipped within
+/// [`FEED_LINGER`].
 const FEED_NAP: Duration = Duration::from_micros(100);
 
-/// Writes `payload` as one sealed frame over a blocking stream.
-fn write_blocking_frame(stream: &mut TcpStream, payload: &[u8], scratch: &mut Vec<u8>) -> bool {
-    crate::frame::write_frame(stream, payload, scratch).is_ok()
-}
-
-/// The feeder loop: streams [`Response::WalChunk`] frames until the
-/// subscriber hangs up, the server shuts down, or the log becomes
-/// unreadable. Runs on a dedicated per-subscriber thread. A feeder that
-/// is behind ships chunk after chunk without parking, so a burst of
-/// appends coalesces into chunks and wakes nobody; one that has caught
-/// up naps while the log is busy ([`FEED_LINGER`]) and then parks on the
-/// store's clock until an append, the next heartbeat or a shutdown.
-fn serve_subscription(
-    feed: &HandoffFeed,
-    metrics: &ServerMetrics,
-    shutdown: &AtomicBool,
-    stream: &mut TcpStream,
-    outbuf: &mut Vec<u8>,
-) {
-    let (store, dir) = (&*feed.store, feed.dir.as_path());
-    let mut next = feed.from_clock;
-    // A subscriber at clock 0 has nothing — not even the lattice, which
-    // frames cannot rebuild — so its stream opens with a snapshot. A
-    // non-zero clock proves a snapshot was already installed once.
-    let mut snapshot_due = next == 0;
-    // The cursor keeps each chunk O(chunk): without it every read
-    // re-scans the covering segment from its header.
-    let mut tail = wal::TailCursor::default();
-    let mut last_send = Instant::now();
-    // Until when this feeder naps instead of parking (not yet: nothing
-    // shipped).
-    let mut hot_until = last_send;
-    let send = |stream: &mut TcpStream, chunk: WalChunk, outbuf: &mut Vec<u8>| {
-        let Ok(payload) = encode_response(&Response::WalChunk(chunk)) else {
-            return false; // chunk cannot be framed: end the feed
-        };
-        write_blocking_frame(stream, &payload, outbuf)
-    };
-    let send_error = |stream: &mut TcpStream, error: WireError, outbuf: &mut Vec<u8>| {
-        if let Ok(payload) = encode_response(&Response::Error(error)) {
-            let _ = write_blocking_frame(stream, &payload, outbuf);
-        }
-    };
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let current = store.version();
-        // Re-read per chunk, not once: a promotion of *this* node (or a
-        // higher term adopted from upstream) must reach subscribers with
-        // the next chunk, so their fencing state tracks the feeder's.
-        let term = store.replication_term();
-        if snapshot_due {
-            // Backfill: the subscriber's clock predates the retained
-            // log. The newest snapshot both bootstraps cold replicas
-            // and fast-forwards badly lagged ones.
-            let Ok((clock, bytes)) = wal::read_newest_snapshot(dir) else {
-                send_error(
-                    stream,
-                    WireError::new(
-                        WireErrorKind::Internal,
-                        "the primary's log no longer covers this subscriber and no snapshot decodes",
-                    ),
-                    outbuf,
-                );
-                return;
-            };
-            if clock < next {
-                // The snapshot is *behind* the subscriber yet the log
-                // does not cover it either: diverged history.
-                send_error(
-                    stream,
-                    WireError::new(
-                        WireErrorKind::Internal,
-                        format!(
-                            "retained history restarts at clock {clock}, behind subscriber clock {next}"
-                        ),
-                    ),
-                    outbuf,
-                );
-                return;
+impl Feed {
+    /// One step of the stream: at most one chunk. A feed that is behind
+    /// ships a chunk per step without waiting, so a burst of appends
+    /// coalesces into chunks and wakes nobody.
+    fn step(&mut self, metrics: &ServerMetrics, now: Instant) -> FeedStep {
+        let current = self.store.version();
+        let (start_clock, snapshot, frames, kind) = if self.snapshot_due {
+            match backfill(&self.dir, self.next) {
+                Ok((clock, bytes)) => {
+                    self.next = clock;
+                    self.snapshot_due = false;
+                    (clock, Some(bytes), Vec::new(), FeedChunkKind::Snapshot)
+                }
+                Err(error) => return FeedStep::End(Some(error)),
             }
-            // A snapshot too large for one frame would make the frame
-            // writer refuse the chunk and the replica retry forever with
-            // no diagnosis; tell it the real problem instead. (Chunked
-            // snapshot shipping is the fix if stores ever grow there.)
-            if bytes.len() as u64 + 256 > MAX_FRAME_LEN as u64 {
-                send_error(
-                    stream,
-                    WireError::new(
-                        WireErrorKind::Internal,
-                        format!(
-                            "the {}-byte backfill snapshot exceeds the wire frame bound; \
-                             this store is too large to bootstrap a replica over this protocol",
-                            bytes.len()
-                        ),
-                    ),
-                    outbuf,
-                );
-                return;
+        } else if self.next < current {
+            if self.retry_at.is_some_and(|at| now < at) {
+                return FeedStep::Idle;
             }
-            let chunk = WalChunk {
-                start_clock: clock,
-                primary_epoch: current,
-                term,
-                snapshot: Some(bytes),
-                frames: Vec::new(),
-            };
-            if !send(stream, chunk, outbuf) {
-                return;
-            }
-            metrics.snapshots_shipped.inc();
-            metrics.count_feed_chunk(FeedChunkKind::Snapshot);
-            last_send = Instant::now();
-            next = clock;
-            snapshot_due = false;
-            continue;
-        }
-        if next < current {
-            match wal::read_frames_with(dir, next, current, FEED_CHUNK_BYTES, &mut tail) {
-                Ok(Some(chunk)) if chunk.end_clock > next => {
-                    let end = chunk.end_clock;
-                    let frame_chunk = WalChunk {
-                        start_clock: chunk.start_clock,
-                        primary_epoch: current,
-                        term,
-                        snapshot: None,
-                        frames: chunk.frames,
-                    };
-                    if !send(stream, frame_chunk, outbuf) {
-                        return;
-                    }
-                    metrics.count_feed_chunk(FeedChunkKind::Frames);
-                    last_send = Instant::now();
-                    hot_until = last_send + FEED_LINGER;
-                    next = end;
+            self.retry_at = None;
+            let read = wal::read_frames_with(
+                &self.dir,
+                self.next,
+                current,
+                FEED_CHUNK_BYTES,
+                &mut self.tail,
+            );
+            match read {
+                Ok(Some(chunk)) if chunk.end_clock > self.next => {
+                    self.next = chunk.end_clock;
+                    self.hot_until = now + FEED_LINGER;
+                    (chunk.start_clock, None, chunk.frames, FeedChunkKind::Frames)
                 }
                 // Covered but empty: the covering segment is mid-write
                 // (rotation race). Let the writer finish.
-                Ok(Some(_)) => std::thread::sleep(FEED_ROTATION_RETRY),
+                Ok(Some(_)) => {
+                    self.retry_at = Some(now + FEED_ROTATION_RETRY);
+                    return FeedStep::Idle;
+                }
                 // A checkpoint pruned past the subscriber mid-stream.
-                Ok(None) => snapshot_due = true,
+                Ok(None) => {
+                    self.snapshot_due = true;
+                    return self.step(metrics, now);
+                }
                 Err(_) => {
-                    send_error(
-                        stream,
-                        WireError::new(
-                            WireErrorKind::Internal,
-                            "the primary's write-ahead log became unreadable",
-                        ),
-                        outbuf,
-                    );
-                    return;
+                    return FeedStep::End(Some(WireError::new(
+                        WireErrorKind::Internal,
+                        "the primary's write-ahead log became unreadable",
+                    )))
                 }
             }
-        } else if last_send.elapsed() >= FEED_HEARTBEAT {
-            let heartbeat = WalChunk {
-                start_clock: next,
-                primary_epoch: current,
-                term,
-                snapshot: None,
-                frames: Vec::new(),
-            };
-            if !send(stream, heartbeat, outbuf) {
-                return;
-            }
-            metrics.count_feed_chunk(FeedChunkKind::Heartbeat);
-            last_send = Instant::now();
-        } else if Instant::now() < hot_until {
-            std::thread::sleep(FEED_NAP);
+        } else if now.saturating_duration_since(self.last_send) >= FEED_HEARTBEAT {
+            (self.next, None, Vec::new(), FeedChunkKind::Heartbeat)
         } else {
-            let until_heartbeat = FEED_HEARTBEAT.saturating_sub(last_send.elapsed());
-            store.wait_clock_past(next, until_heartbeat, shutdown);
+            return FeedStep::Idle;
+        };
+        let chunk = WalChunk {
+            start_clock,
+            primary_epoch: current,
+            // Re-read per chunk, not once: a promotion of *this* node (or
+            // a higher term adopted from upstream) must reach subscribers
+            // with the next chunk, so their fencing state tracks ours.
+            term: self.store.replication_term(),
+            snapshot,
+            frames,
+        };
+        match encode_response(&Response::WalChunk(chunk)) {
+            Ok(payload) if payload.len() as u64 <= MAX_FRAME_LEN as u64 => {
+                metrics.count_feed_chunk(kind);
+                if kind == FeedChunkKind::Snapshot {
+                    metrics.snapshots_shipped.inc();
+                }
+                self.last_send = now;
+                FeedStep::Chunk(seal_frame(&payload))
+            }
+            // The chunk cannot be framed: end the feed.
+            _ => FeedStep::End(None),
         }
+    }
+
+    /// When the feed next needs a step if nothing wakes its loop sooner,
+    /// and whether it is hot: it shipped frames within [`FEED_LINGER`].
+    fn wait(&self, now: Instant) -> (Instant, bool) {
+        let hot = now < self.hot_until;
+        let at = match self.retry_at {
+            Some(at) => at,
+            None if hot => (now + FEED_NAP).min(self.last_send + FEED_HEARTBEAT),
+            None => self.last_send + FEED_HEARTBEAT,
+        };
+        (at, hot)
+    }
+}
+
+/// The snapshot that backfills a subscriber at clock `next`: its
+/// clock predates the retained log. The newest snapshot both bootstraps
+/// cold replicas and fast-forwards badly lagged ones.
+fn backfill(dir: &std::path::Path, next: u64) -> Result<(u64, Vec<u8>), WireError> {
+    let internal = |message: String| WireError::new(WireErrorKind::Internal, message);
+    let Ok((clock, bytes)) = wal::read_newest_snapshot(dir) else {
+        return Err(internal(
+            "the primary's log no longer covers this subscriber and no snapshot decodes".into(),
+        ));
+    };
+    if clock < next {
+        // The snapshot is *behind* the subscriber yet the log does not
+        // cover it either: diverged history.
+        return Err(internal(format!(
+            "retained history restarts at clock {clock}, behind subscriber clock {next}"
+        )));
+    }
+    // A snapshot too large for one frame could never be sealed and the
+    // replica would retry forever with no diagnosis; tell it the real
+    // problem instead. (Chunked snapshot shipping is the fix if stores
+    // ever grow there.)
+    if bytes.len() as u64 + 256 > MAX_FRAME_LEN as u64 {
+        return Err(internal(format!(
+            "the {}-byte backfill snapshot exceeds the wire frame bound; \
+             this store is too large to bootstrap a replica over this protocol",
+            bytes.len()
+        )));
+    }
+    Ok((clock, bytes))
+}
+
+impl Shard {
+    /// Steps every feeding connection, then lends the loop's waker to the
+    /// store while every feed is idle (and takes it back otherwise).
+    /// Returns when the loop must step its feeds again at the latest.
+    fn pump_feeds(&mut self, now: Instant) -> Instant {
+        let mut wake_at = now + FEED_HEARTBEAT;
+        if self.feeds.is_empty() && self.clock_watch.is_none() {
+            return wake_at;
+        }
+        let (mut hot, mut idle) = (false, false);
+        for token in self.feeds.clone() {
+            if let Some((at, shipped)) = self.pump(token, now) {
+                wake_at = wake_at.min(at);
+                hot |= shipped;
+                idle |= !shipped;
+            }
+        }
+        if self.watch_clock(idle && !hot) {
+            // Registered, then re-read: an append that landed after the
+            // steps above rang no bell, so step once more before sleeping.
+            return now;
+        }
+        wake_at
+    }
+
+    /// Steps one feeding connection until it is idle or owes more than
+    /// the low-water mark, then flushes it. Returns [`Feed::wait`]'s
+    /// answer, or `None` when its socket drives it (or it closed).
+    fn pump(&mut self, token: Token, now: Instant) -> Option<(Instant, bool)> {
+        let conn = self.slab.get_mut(token)?;
+        while !conn.close_after_flush && conn.out_bytes <= OUT_LOW_WATER {
+            let Phase::Feeding(feed) = &mut conn.phase else {
+                return None;
+            };
+            match feed.step(&self.ctx.metrics, now) {
+                FeedStep::Chunk(frame) => conn.queue(OutFrame::Owned(frame)),
+                FeedStep::Idle => break,
+                FeedStep::End(error) => {
+                    if let Some(error) = error {
+                        queue_response(conn, &Response::Error(error));
+                    }
+                    conn.close_after_flush = true;
+                }
+            }
+        }
+        let gone = matches!(flush_out(&self.ctx, conn), Flush::Gone);
+        if gone || (conn.close_after_flush && conn.out_bytes == 0) {
+            self.close(token);
+            return None;
+        }
+        update_interest(&self.poller, conn, false);
+        match &conn.phase {
+            Phase::Feeding(feed) if !conn.close_after_flush && conn.out_bytes <= OUT_LOW_WATER => {
+                Some(feed.wait(now))
+            }
+            _ => None,
+        }
+    }
+
+    /// Registers this loop's waker with the store while `want`, and
+    /// withdraws it otherwise. Returns whether it just registered.
+    fn watch_clock(&mut self, want: bool) -> bool {
+        let Some(store) = self.ctx.service.store() else {
+            return false;
+        };
+        if want == self.clock_watch.is_some() {
+            return false;
+        }
+        if let Some(wake) = self.clock_watch.take() {
+            store.unwatch_clock(&wake);
+            return false;
+        }
+        let inbox = self.inbox.clone();
+        let wake: ClockWake = Arc::new(move || {
+            let _ = inbox.waker.wake();
+        });
+        store.watch_clock(wake.clone());
+        self.clock_watch = Some(wake);
+        true
     }
 }

@@ -24,7 +24,8 @@ use plus_store::{
     QueryRequest, RecordId, ReplicaRole, Store, Strategy,
 };
 use server::{
-    Client, ClientError, ClientPool, Replica, ReplicaConfig, ReplicaError, Server, ServerConfig,
+    Client, ClientError, ClientPool, OverloadReason, Replica, ReplicaConfig, ReplicaError, Server,
+    ServerConfig,
 };
 use surrogate_core::feature::Features;
 use surrogate_core::marking::Marking;
@@ -657,10 +658,10 @@ fn appends_reach_a_subscriber_without_waiting_for_a_timer() {
     std::fs::remove_dir_all(&primary_dir).ok();
 }
 
-/// Shutdown does not wait for a heartbeat: feeders parked on the store's
-/// clock are woken explicitly. Mutation caught: removing the wake from
-/// `FeederSet::close_all` — both feeders then sleep until their next
-/// heartbeat is due, most of 250ms away.
+/// Shutdown does not wait for a heartbeat: an idle feed owes nothing, so
+/// the drain closes it at once. Mutation caught: a drain that spares
+/// feeding connections from that close (they owe nothing, see no event,
+/// and stay open until the drain timeout).
 #[test]
 fn shutdown_with_parked_subscribers_is_prompt() {
     let primary_dir = temp_dir("prompt-primary");
@@ -684,5 +685,88 @@ fn shutdown_with_parked_subscribers_is_prompt() {
         took < Duration::from_millis(50),
         "shutdown waited {took:?} on parked feeders"
     );
+    std::fs::remove_dir_all(&primary_dir).ok();
+}
+
+/// A subscriber that stops reading is a stalled connection like any
+/// other: once its socket buffers and the server's queue fill, the
+/// write-stall sweep closes it and counts it, and the event loop it
+/// shares with a query client never stops answering that client.
+/// Mutation caught: a feed that writes through a blocking socket (it
+/// waits on the dead reader forever and nothing is counted).
+#[test]
+fn a_subscriber_that_stops_reading_is_reaped_as_a_write_stall() {
+    let primary_dir = temp_dir("stalled-subscriber");
+    let store =
+        Arc::new(Store::create_durable_with(&primary_dir, LATTICE.0, LATTICE.1, fast()).unwrap());
+    let server = Server::bind(
+        Arc::new(AccountService::new(store.clone())),
+        "127.0.0.1:0",
+        &ServerConfig {
+            threads: 1,
+            allow_replication: true,
+            write_stall_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind primary");
+    let public = store.predicate("Public").unwrap();
+    store.append_node("root", NodeKind::Data, Features::new(), public);
+    let metrics = server.metrics();
+
+    // One loop: the query client and the subscriber share it.
+    let mut client = Client::connect(server.local_addr(), "reader", &[]).unwrap();
+    let answers = |client: &mut Client| {
+        let began = Instant::now();
+        let epoch = client.epoch().expect("the query client is answered");
+        assert!(began.elapsed() < Duration::from_secs(1), "a slow answer");
+        epoch
+    };
+    answers(&mut client);
+    let (open, active) = (
+        metrics.connections_open.get(),
+        metrics.subscriptions_active.get(),
+    );
+    let mut feed = RawFeed::subscribe(&server, store.clock());
+    assert!(wait_until(CATCH_UP, || metrics.subscriptions_active.get()
+        == active + 1));
+
+    // 16 MiB of log: far past a subscriber's unread receive buffer, the
+    // server's send buffer and its outbound queue together.
+    let label = "x".repeat(64 << 10);
+    for i in 0..256 {
+        store.append_node(
+            format!("{label}{i}"),
+            NodeKind::Data,
+            Features::new(),
+            public,
+        );
+        if i % 16 == 0 {
+            answers(&mut client);
+        }
+    }
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            answers(&mut client);
+            metrics.overload_drops[OverloadReason::WriteStall as usize].get() == 1
+                && metrics.subscriptions_active.get() == active
+                && metrics.connections_open.get() == open
+        }),
+        "the stalled subscriber was reaped as a write stall: {} feeds, {} sockets",
+        metrics.subscriptions_active.get(),
+        metrics.connections_open.get()
+    );
+    assert_eq!(answers(&mut client), store.clock());
+
+    // The subscriber sees what the kernel still held for it, then the end.
+    if let Err(e) = std::io::copy(&mut feed.stream, &mut std::io::sink()) {
+        assert_eq!(
+            e.kind(),
+            std::io::ErrorKind::ConnectionReset,
+            "not closed: {e}"
+        );
+    }
+
+    server.shutdown();
     std::fs::remove_dir_all(&primary_dir).ok();
 }

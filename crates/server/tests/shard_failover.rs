@@ -452,10 +452,13 @@ fn randomized_shard_primary_kills_preserve_acked_writes_and_epoch_order() {
 
         // The gather must re-resolve the promoted feed (term bump →
         // slot re-bootstrap) and converge on every acknowledged write.
+        // Synced alone is not enough: until the victim's feed notices its
+        // primary's hangup, the slot still reads synced at the old term.
         let gather = deployment.gather.as_ref().unwrap().clone();
         assert!(
-            wait_until(SYNC, || gather.synced()),
-            "seed {seed}: gather never resynced after the failover \
+            wait_until(SYNC, || gather.synced()
+                && gather.term(victim as u32) == Some(term)),
+            "seed {seed}: gather never resynced at the promoted term after the failover \
              (slot errors: {:?}, {:?})",
             gather.last_error(0),
             gather.last_error(1)

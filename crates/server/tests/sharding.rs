@@ -613,6 +613,9 @@ fn shard_roles_point_reads_and_status() {
     assert_eq!(via_gather.status().unwrap().1.count, 2);
     assert_eq!(via_gather.status().unwrap().1.index, None);
     wait_epoch(&mut via_gather, 1);
+    // The epoch shows shard 0's write; shard 1's feed may still be
+    // connecting, and a traversal is refused until every feed is up.
+    assert!(gather.wait_synced(Duration::from_secs(10)), "never synced");
     via_gather.query(&traversal).unwrap();
 
     // An unsharded server reports count 0 and its scalar epoch.

@@ -586,16 +586,7 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
             }
         );
         println!("read-only: writes are redirected to the owning shard");
-        // Machine-parseable: scripts resolve `--addr :0` from this line.
-        println!("listening on {}", server.local_addr());
-        if let Some(metrics) = server.metrics_local_addr() {
-            println!("metrics listening on {metrics}");
-        }
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        loop {
-            std::thread::park();
-        }
+        serve_forever(&server);
     }
 
     let path = args.first().ok_or("missing store path")?;
@@ -649,23 +640,10 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
                 "read-only until promoted (spgraph promote {}); writes are redirected to the primary",
                 server.local_addr()
             );
-            // Machine-parseable: scripts resolve `--addr :0` from this line.
-            println!("listening on {}", server.local_addr());
-            if let Some(metrics) = server.metrics_local_addr() {
-                println!("metrics listening on {metrics}");
-            }
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
-            loop {
-                std::thread::park();
-            }
+            serve_forever(&server);
         }
 
-        let vacant = match std::fs::read_dir(path) {
-            Ok(mut entries) => entries.next().is_none(),
-            Err(_) => !std::path::Path::new(path).exists(),
-        };
-        let store = if vacant {
+        let store = if is_vacant(path) {
             Store::create_durable_partitioned(path, &["Public"], &[], Default::default(), partition)
                 .map_err(|e| format!("cannot create shard store {path}: {e}"))?
         } else {
@@ -695,16 +673,7 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
         println!(
             "remote writes on (trust-domain socket); point reads only — traversals go to a gather"
         );
-        // Machine-parseable: scripts resolve `--addr :0` from this line.
-        println!("listening on {}", server.local_addr());
-        if let Some(metrics) = server.metrics_local_addr() {
-            println!("metrics listening on {metrics}");
-        }
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        loop {
-            std::thread::park();
-        }
+        serve_forever(&server);
     }
 
     if let Some(primary) = flag_value(args, "--replicate-from") {
@@ -738,52 +707,23 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
         if let Some(rate) = standby_churn.filter(|&r| r > 0) {
             let monitor = replica.monitor();
             let store = replica.store().clone();
-            let pause = std::time::Duration::from_nanos(1_000_000_000 / rate.min(1_000_000));
             std::thread::spawn(move || {
                 while !monitor.is_promoted() {
                     std::thread::sleep(std::time::Duration::from_millis(20));
                 }
-                let Some(public) = store.predicate("Public") else {
-                    return; // no Public predicate: nothing safe to append
-                };
-                let mut i = 0u64;
-                loop {
-                    if store
-                        .try_append_node(
-                            format!("churn-promoted-{i}"),
-                            surrogate_parenthood::plus_store::NodeKind::Data,
-                            Features::new().with("churn", i as i64),
-                            public,
-                        )
-                        .is_err()
-                    {
-                        return; // poisoned log: stop writing, keep serving
-                    }
-                    i += 1;
-                    std::thread::sleep(pause);
+                // No Public predicate: nothing safe to append.
+                if let Some(public) = store.predicate("Public") {
+                    append_churn(&store, public, rate, "churn-promoted");
                 }
             });
         }
-        // Machine-parseable: scripts resolve `--addr :0` from this line.
-        println!("listening on {}", server.local_addr());
-        if let Some(metrics) = server.metrics_local_addr() {
-            println!("metrics listening on {metrics}");
-        }
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        loop {
-            std::thread::park();
-        }
+        serve_forever(&server);
     }
 
     // Writable open (unlike the read-only inspection commands): a serving
     // process is the store's single attached writer, so remote
     // `Checkpoint` requests can fold the log.
-    let vacant = match std::fs::read_dir(path) {
-        Ok(mut entries) => entries.next().is_none(),
-        Err(_) => !std::path::Path::new(path).exists(),
-    };
-    let store = if args.iter().any(|a| a == "--create") && vacant {
+    let store = if args.iter().any(|a| a == "--create") && is_vacant(path) {
         Store::create_durable(path, &["Public"], &[])
             .map_err(|e| format!("cannot create {path}: {e}"))?
     } else if std::path::Path::new(path).is_dir() {
@@ -846,6 +786,24 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
             None => String::new(),
         },
     );
+    if let Some((rate, public)) = churn_writer {
+        std::thread::spawn(move || append_churn(&store, public, rate, "churn"));
+    }
+    serve_forever(&server);
+}
+
+/// Whether `path` is an empty or absent directory a store can be made in.
+fn is_vacant(path: &str) -> bool {
+    match std::fs::read_dir(path) {
+        Ok(mut entries) => entries.next().is_none(),
+        Err(_) => !std::path::Path::new(path).exists(),
+    }
+}
+
+/// The tail every `serve` shape shares: the machine-parseable lines,
+/// a flush, and then serving until killed. The worker threads own all
+/// the work; this thread only keeps the process (and `server`) alive.
+fn serve_forever(server: &Server) -> ! {
     // Machine-parseable: scripts resolve `--addr :0` from this line.
     println!("listening on {}", server.local_addr());
     if let Some(metrics) = server.metrics_local_addr() {
@@ -853,34 +811,28 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
     }
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    // A synthetic writer, for exercising replication under load (the CI
-    // replication-smoke drives it): append `churn` Public nodes per
-    // second from inside the single-writer process.
-    if let Some((rate, public)) = churn_writer {
-        let pause = std::time::Duration::from_nanos(1_000_000_000 / rate.min(1_000_000));
-        std::thread::spawn(move || {
-            let mut i = 0u64;
-            loop {
-                if store
-                    .try_append_node(
-                        format!("churn-{i}"),
-                        surrogate_parenthood::plus_store::NodeKind::Data,
-                        Features::new().with("churn", i as i64),
-                        public,
-                    )
-                    .is_err()
-                {
-                    return; // poisoned log: stop writing, keep serving
-                }
-                i += 1;
-                std::thread::sleep(pause);
-            }
-        });
-    }
-    // Serve until killed. The worker threads own all the work; this
-    // thread only keeps the process (and the Server it owns) alive.
     loop {
         std::thread::park();
+    }
+}
+
+/// A synthetic writer, for exercising replication under load (the CI
+/// smokes drive it): appends `rate` Public nodes per second, labelled
+/// `<prefix>-<i>`, from inside the single-writer process. Returns at the
+/// first failed append (a poisoned log); the server keeps serving.
+fn append_churn(store: &Store, public: PrivilegeId, rate: u64, prefix: &str) {
+    use surrogate_parenthood::plus_store::NodeKind;
+    let pause = std::time::Duration::from_nanos(1_000_000_000 / rate.min(1_000_000));
+    for i in 0u64.. {
+        let label = format!("{prefix}-{i}");
+        let features = Features::new().with("churn", i as i64);
+        if store
+            .try_append_node(label, NodeKind::Data, features, public)
+            .is_err()
+        {
+            return;
+        }
+        std::thread::sleep(pause);
     }
 }
 
