@@ -90,7 +90,7 @@ use surrogate_core::query::{traverse, Direction};
 use crate::error::{CodecError, Result, StoreError};
 use crate::record::RecordId;
 use crate::snapshot::SnapshotIndex;
-use crate::store::{Materialized, Store};
+use crate::store::{LogDelta, Materialized, Store};
 use crate::wal::DurabilityOptions;
 
 /// Number of sealed-frame cache shards per snapshot; requests for
@@ -121,8 +121,8 @@ pub struct Snapshot {
     /// materialization was taken at; always 0 for a live source. A
     /// gather-side slot reset is the one event that can rewind a shard
     /// clock, so [`AccountService::snapshot`] compares `(source_gen,
-    /// epoch)` — not `epoch` alone — to decide whether to adopt a
-    /// rebuild. Nothing else reads it.
+    /// epoch)` — not `epoch` alone — to decide whether this snapshot is
+    /// current. Nothing else reads it.
     source_gen: u64,
     materialized: Materialized,
     index: SnapshotIndex,
@@ -140,20 +140,14 @@ pub struct Snapshot {
 type Seeds = HashMap<CacheKey, Arc<ProtectedAccount>>;
 
 impl Snapshot {
-    fn stamped(
-        source_gen: u64,
-        epoch: u64,
-        shard_epochs: Vec<u64>,
-        materialized: Materialized,
-        seeds: Seeds,
-    ) -> Self {
+    fn stamped(stamp: Stamp, materialized: Materialized, seeds: Seeds) -> Self {
         // Build the CSR index once per epoch, here, so every protection
         // and every sealed frame of the epoch runs hash-free.
         let index = SnapshotIndex::build(&materialized);
         Self {
-            epoch,
-            shard_epochs,
-            source_gen,
+            epoch: stamp.epoch,
+            shard_epochs: stamp.shard_epochs,
+            source_gen: stamp.generation,
             materialized,
             index,
             accounts: Mutex::new(HashMap::new()),
@@ -343,6 +337,77 @@ enum Source {
     Sharded(Arc<crate::shard::MergedSource>),
 }
 
+/// The source state a materialization reflects, as its [`Snapshot`]
+/// records it.
+struct Stamp {
+    generation: u64,
+    epoch: u64,
+    shard_epochs: Vec<u64>,
+}
+
+impl Stamp {
+    /// A store's stamp at `epoch`. A shard server stamps its own slot of
+    /// the epoch vector; zeros elsewhere are honest lower bounds on
+    /// histories it does not follow.
+    fn live(store: &Store, epoch: u64) -> Self {
+        let shard_epochs = match store.partition() {
+            Some(p) => {
+                let mut v = vec![0; p.count() as usize];
+                v[p.index() as usize] = epoch;
+                v
+            }
+            None => Vec::new(),
+        };
+        Self {
+            generation: 0,
+            epoch,
+            shard_epochs,
+        }
+    }
+}
+
+impl Source {
+    /// What the source gained since `base` was materialized from it,
+    /// stamped with the state it brings `base` to; `None` when `base`
+    /// must be rebuilt.
+    fn delta_since(&self, base: &Materialized) -> Option<(Stamp, LogDelta)> {
+        match self {
+            Source::Live(store) => {
+                let delta = store.delta_since(base)?;
+                Some((Stamp::live(store, delta.clock()), delta))
+            }
+            Source::Sharded(merged) => {
+                let (generation, epoch, shard_epochs, delta) = merged.delta_stamped(base)?;
+                let stamp = Stamp {
+                    generation,
+                    epoch,
+                    shard_epochs,
+                };
+                Some((stamp, delta))
+            }
+        }
+    }
+
+    /// The whole source, materialized, with its stamp.
+    fn materialize(&self) -> (Stamp, Materialized) {
+        match self {
+            Source::Live(store) => {
+                let (epoch, materialized) = store.materialize_versioned();
+                (Stamp::live(store, epoch), materialized)
+            }
+            Source::Sharded(merged) => {
+                let (generation, epoch, shard_epochs, materialized) = merged.materialize_stamped();
+                let stamp = Stamp {
+                    generation,
+                    epoch,
+                    shard_epochs,
+                };
+                (stamp, materialized)
+            }
+        }
+    }
+}
+
 /// Thread-safe, epoch-versioned protected-account server over a [`Store`].
 ///
 /// See the [module docs](self) for the serving model. All methods take
@@ -466,15 +531,16 @@ impl AccountService {
 
     /// The current epoch-stamped materialization, built (and cached)
     /// whenever the source has moved past the cached epoch — or, on a
-    /// sharded source, whenever a slot reset bumped the generation. Over
-    /// a live, unpartitioned store the build extends the snapshot it
-    /// retires with what the log gained since
-    /// ([`Store::delta_since`]); anything else is rebuilt from the whole
-    /// log. [`snapshot_stats`](Self::snapshot_stats) counts both.
+    /// sharded source, whenever a slot reset bumped the generation. The
+    /// build extends the snapshot it retires with what the source gained
+    /// since ([`Store::delta_since`],
+    /// [`ShardMerge::delta_since`](crate::ShardMerge::delta_since)); what
+    /// no delta expresses is rebuilt from the whole source.
+    /// [`snapshot_stats`](Self::snapshot_stats) counts both.
     ///
-    /// When no reader pins the retired snapshot and the log gained only
-    /// appends into new nodes, its accounts are not freed: they move to
-    /// the new snapshot, and the first miss of each key extends its
+    /// When no reader pins the retired snapshot and the source gained
+    /// only appends into new nodes, its accounts are not freed: they move
+    /// to the new snapshot, and the first miss of each key extends its
     /// account instead of generating one (docs/DESIGN.md §4.4).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         let (source_gen, source_epoch) = self.source_state();
@@ -496,87 +562,46 @@ impl AccountService {
             }
         }
         let started = Instant::now();
-        let (snapshot, extended) = match &self.source {
-            Source::Live(store) => {
-                // Build on the snapshot being retired: take it apart when
-                // this is the last pin, clone its materialization
-                // (payloads are shared) while a reader still holds one.
-                let (base, seeds) = match cached.take().map(Arc::try_unwrap) {
-                    Some(Ok(retired)) => {
-                        let (materialized, seeds) = retired.retire();
-                        (Some(materialized), seeds)
-                    }
-                    Some(Err(pinned)) => (Some(pinned.materialized.clone()), Seeds::new()),
-                    None => (None, Seeds::new()),
-                };
-                let extended = base.and_then(|mut base| {
-                    let delta = store.delta_since(&base)?;
-                    // Seeds outlive only the writes an account extends
-                    // across.
-                    let seeds = if delta.appends_into_new_nodes() {
-                        seeds
-                    } else {
-                        Seeds::new()
-                    };
-                    let epoch = delta.clock();
-                    base.extend(delta);
-                    Some((epoch, base, seeds))
-                });
-                let (epoch, materialized, seeds, extended) = match extended {
-                    Some((epoch, materialized, seeds)) => (epoch, materialized, seeds, true),
-                    None => {
-                        let (epoch, materialized) = store.materialize_versioned();
-                        (epoch, materialized, Seeds::new(), false)
-                    }
-                };
-                // A shard server stamps its own slot of the epoch
-                // vector; zeros elsewhere are honest lower bounds on
-                // histories it does not follow.
-                let shard_epochs = match store.partition() {
-                    Some(p) => {
-                        let mut v = vec![0; p.count() as usize];
-                        v[p.index() as usize] = epoch;
-                        v
-                    }
-                    None => Vec::new(),
-                };
-                (
-                    Snapshot::stamped(0, epoch, shard_epochs, materialized, seeds),
-                    extended,
-                )
+        // Build on the snapshot being retired: take it apart when this is
+        // the last pin, clone its materialization (payloads are shared)
+        // while a reader still holds one. It is never put back: a build
+        // reads the source's state and records under one lock, and that
+        // state only moves forward — except across a slot reset, whose
+        // new generation is adopted regardless.
+        let (base, seeds) = match cached.take().map(Arc::try_unwrap) {
+            Some(Ok(retired)) => {
+                let (materialized, seeds) = retired.retire();
+                (Some(materialized), seeds)
             }
-            Source::Sharded(merged) => {
-                let (generation, epoch, clocks, materialized) = merged.materialize_stamped();
-                (
-                    Snapshot::stamped(generation, epoch, clocks, materialized, Seeds::new()),
-                    false,
-                )
-            }
+            Some(Err(pinned)) => (Some(pinned.materialized.clone()), Seeds::new()),
+            None => (None, Seeds::new()),
         };
-        let snapshot = Arc::new(snapshot);
-        self.builds.record(extended, started);
-        // Adopt the build unless it would move a generation's epoch
-        // backward (it cannot: a build reads the version and the log
-        // under one lock, and versions only grow — which is also why a
-        // live source's retired snapshot, taken above, never needs to be
-        // put back). Across a slot reset the new materialization may sit
-        // at a *lower* epoch while the repaired slot re-bootstraps, and
-        // is adopted regardless.
-        let adopt = cached.as_ref().map_or(true, |old| {
-            old.source_gen != snapshot.source_gen || old.epoch < snapshot.epoch
+        let extended = base.and_then(|mut base| {
+            let (stamp, delta) = self.source.delta_since(&base)?;
+            // Seeds outlive only the writes an account extends across.
+            let seeds = if delta.appends_into_new_nodes() {
+                seeds
+            } else {
+                Seeds::new()
+            };
+            base.extend(delta);
+            Some((stamp, base, seeds))
         });
-        if adopt {
-            // Swapping `current` is the whole invalidation: the retired
-            // snapshot's frames, and its accounts unless they became
-            // seeds, go with its last pin. When that pin is this one it
-            // is freed here (a live source's above, where it was taken
-            // apart), still under the write lock: freeing a
-            // materialization while the other readers, let in, allocate
-            // their next account contends on the allocator (`churn` read
-            // 40 % slower fresh reads with the drop moved past the
-            // unlock).
-            *cached = Some(snapshot.clone());
-        }
+        let built = extended.is_some();
+        let (stamp, materialized, seeds) = extended.unwrap_or_else(|| {
+            let (stamp, materialized) = self.source.materialize();
+            (stamp, materialized, Seeds::new())
+        });
+        let snapshot = Arc::new(Snapshot::stamped(stamp, materialized, seeds));
+        self.builds.record(built, started);
+        // Swapping `current` is the whole invalidation: the retired
+        // snapshot's frames, and its accounts unless they became seeds,
+        // go with its last pin. When that pin was the service's it was
+        // freed above, still under the write lock: freeing a
+        // materialization while the other readers, let in, allocate their
+        // next account contends on the allocator (`churn` read 40 %
+        // slower fresh reads with the drop moved past the unlock).
+        *cached = Some(snapshot.clone());
         snapshot
     }
 
@@ -866,9 +891,10 @@ impl AccountService {
     }
 
     /// Lifetime snapshot-build cost: how many epochs were built by
-    /// extending their predecessor with the log's delta, how many were
-    /// rebuilt from the whole log (the first, a partitioned or gathered
-    /// source, a store whose history was swapped), and the total time
+    /// extending their predecessor with the source's delta, how many were
+    /// rebuilt from the whole source (the first, a partitioned store, a
+    /// store whose history was swapped, a gather epoch no delta
+    /// expresses), and the total time
     /// both kinds took, index build included — `(extended, rebuilt,
     /// time)`. A read at the cached epoch moves none of them.
     pub fn snapshot_stats(&self) -> (u64, u64, Duration) {

@@ -18,9 +18,14 @@
 //!   placeholders at ids nothing has claimed yet (the same placeholder
 //!   convention a partitioned [`Store`](crate::Store) uses for foreign
 //!   ids).
-//! * **Edges** are sorted by `(from, to)` before insertion. An edge
+//! * **Edges** are sorted by `(to, from)` before insertion. An edge
 //!   lives on exactly one shard (its `from`'s owner), so the sort is a
 //!   total order with no cross-shard duplicates to break ties between.
+//!   The head comes first so that an edge into a node an earlier
+//!   materialization did not hold sorts after every edge it did hold:
+//!   an epoch that only appends into new nodes — most of them — lands at
+//!   the tail of the order, where [`ShardMerge::delta_since`] can append
+//!   it (see below).
 //! * **Policy** is replayed per shard in shard-index order, preserving
 //!   each shard's internal order. A policy statement routes by the node
 //!   it governs, so two shards can never hold conflicting statements
@@ -30,6 +35,27 @@
 //! materialize byte-identical graphs, whatever the interleaving of
 //! their feeds — which is what makes "diff the scatter-gather answer
 //! against a single-store oracle" a meaningful test.
+//!
+//! # Extending an epoch
+//!
+//! [`ShardMerge::delta_since`] brings a materialization of the merge
+//! forward by what each slot gained since, the way
+//! [`Store::delta_since`](crate::Store::delta_since) does for one log: the new nodes are laid out
+//! past the held ones, the new edges are appended in canonical order,
+//! and each slot's new statements follow the held ones in slot order
+//! (policy order across slots is unobservable, as above). It refuses —
+//! and the caller rebuilds — wherever the result could differ from
+//! [`materialize`](ShardMerge::materialize):
+//!
+//! * a slot was reset since (the [generation](ShardMerge::generation)
+//!   moved), even when it has been refilled to the same clocks;
+//! * a slot no longer holds the history the materialization holds: a
+//!   snapshot re-bootstrap mints fresh payloads, so each slot's last
+//!   held node is compared by identity;
+//! * a new node fills a placeholder (an edge into it arrived first);
+//! * a new edge sorts before the last held one (an edge into an old
+//!   node);
+//! * the lattice was learned since.
 //!
 //! # Epoch vectors
 //!
@@ -43,15 +69,15 @@
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use surrogate_core::graph::Node;
+use surrogate_core::graph::{Node, NodeId};
 use surrogate_core::privilege::{PrivilegeId, PrivilegeLattice};
-use surrogate_core::shard::ShardMap;
+use surrogate_core::shard::{Partition, ShardMap};
 
 use crate::codec::WalRecord;
 use crate::codec::{self, FrameDecode, SnapshotData};
 use crate::error::{Result, StoreError};
 use crate::record::{EdgeRecord, NodeRecord, PolicyStatement};
-use crate::store::{global_bound, lay_out_global, LogDelta, Materialized};
+use crate::store::{global_bound, lay_out_global, LogDelta, LogLengths, Materialized, SlotLengths};
 
 /// One shard's contribution to the merge: its records in append order
 /// and the clock they extend to. A node is kept as the payload every
@@ -162,7 +188,7 @@ impl ShardMerge {
     /// (or post-prune) bootstrap of a feed. The snapshot must be
     /// stamped for exactly partition `slot` of this merge's map, and
     /// must agree with the lattice every other shard declared; a
-    /// snapshot older than what the merge already holds is ignored.
+    /// snapshot no newer than what the merge already holds is ignored.
     pub fn ingest_snapshot(&mut self, slot: u32, data: &SnapshotData) -> Result<()> {
         let count = self.map.count();
         match data.partition {
@@ -184,9 +210,13 @@ impl ShardMerge {
             });
         }
         let slice = self.slice_mut(slot)?;
-        if data.clock < slice.clock {
+        if data.clock <= slice.clock {
             // A stale snapshot (a feed reconnecting through an old
-            // checkpoint) must not rewind history the merge already has.
+            // checkpoint) must not rewind history the merge already has,
+            // and one at the held clock is that history again — within a
+            // term, a clock names one history; a term bump resets the
+            // slot first. Keeping the held payloads keeps the slot
+            // extendable (`delta_since` compares them by identity).
             return Ok(());
         }
         slice.nodes = data
@@ -282,6 +312,18 @@ impl ShardMerge {
         build_canonical(lattice, log)
     }
 
+    /// What every slot gained since `base` was materialized from this
+    /// merge, in canonical order; apply it with
+    /// [`Materialized::extend`] to bring `base` to
+    /// [`version`](Self::version).
+    ///
+    /// `None` when `base` cannot be extended and the caller must
+    /// [`materialize`](Self::materialize) afresh: see
+    /// [Extending an epoch](self#extending-an-epoch).
+    pub fn delta_since(&self, base: &Materialized) -> Option<LogDelta> {
+        canonical_tail(base, self.copy_since(base)?)
+    }
+
     /// The lattice and a copy of every slice's records — `Arc` bumps,
     /// `Copy` edges, the policy statements — with nodes laid out at their
     /// global ids and edges not yet in canonical order. This is all of
@@ -289,54 +331,142 @@ impl ShardMerge {
     /// [`build_canonical`] does the rest without it.
     fn copy_log(&self) -> (PrivilegeLattice, LogDelta) {
         let lattice = self.lattice();
-        let edges: Vec<EdgeRecord> = self
-            .slices
-            .iter()
-            .flat_map(|s| s.edges.iter().copied())
+        let log = self.copy_past(LogLengths::default(), &[], lattice.public());
+        (lattice, log)
+    }
+
+    /// [`copy_log`](Self::copy_log) past `base`, when `base` is a
+    /// materialization of this merge that the slots' records extend: all
+    /// of [`delta_since`](Self::delta_since) that reads the merge.
+    fn copy_since(&self, base: &Materialized) -> Option<LogDelta> {
+        let (since, had) = (base.reflects, &base.slots.lengths);
+        let held = since.nodes as u32;
+        let current = self.generation == base.slots.generation
+            && had.len() == self.slices.len()
+            // `graph` is a public field; a swapped one is no prefix.
+            && base.graph.node_count() == since.nodes
+            && base.graph.edge_count() == since.edges
+            && self.materializes_with(&base.lattice);
+        let extends = |(i, (slice, had)): (u32, (&ShardSlice, &LogLengths))| {
+            let p = self.partition(i);
+            let within = had.nodes <= slice.nodes.len()
+                && had.edges <= slice.edges.len()
+                && had.policy <= slice.policy.len();
+            // The slot's history is the one `base` laid out: its last
+            // held node is the very payload there.
+            let same = had.nodes.checked_sub(1).map_or(true, |last| {
+                let g = p.global(last as u32);
+                g < held
+                    && slice
+                        .nodes
+                        .get(last)
+                        .is_some_and(|node| Arc::ptr_eq(node, base.graph.shared_node(NodeId(g))))
+            });
+            // A new node below the held count fills a placeholder.
+            let past = slice.nodes.len() == had.nodes || p.global(had.nodes as u32) >= held;
+            within && same && past
+        };
+        let extends = current && (0u32..).zip(self.slices.iter().zip(had)).all(extends);
+        extends.then(|| self.copy_past(since, had, base.lattice.public()))
+    }
+
+    /// Every slot's records past its length in `had` (all of them where
+    /// `had` has no entry), appended to a materialization of the lengths
+    /// `since`: the nodes from `since.nodes` to the new bound laid out at
+    /// their global ids, placeholders at `bottom`.
+    fn copy_past(&self, since: LogLengths, had: &[LogLengths], bottom: PrivilegeId) -> LogDelta {
+        let had = |i: usize| had.get(i).copied().unwrap_or_default();
+        let suffixes = || (self.slices.iter().enumerate()).map(|(i, slice)| (slice, had(i)));
+        let edges: Vec<EdgeRecord> = suffixes()
+            .flat_map(|(slice, had)| slice.edges[had.edges..].iter().copied())
             .collect();
         // The graph covers every id any shard has assigned or
         // referenced: global ids equal graph node ids, with
         // placeholders at unassigned gaps.
-        let assigned = (self.slices.iter().zip(0u32..))
-            .filter_map(|(slice, i)| {
+        let assigned = (0u32..)
+            .zip(&self.slices)
+            .filter_map(|(i, slice)| {
                 let last = (slice.nodes.len() as u32).checked_sub(1)?;
-                let p = self
-                    .map
-                    .partition(i)
-                    .expect("slices are indexed by the map");
-                Some(p.global(last).saturating_add(1))
+                Some(self.partition(i).global(last).saturating_add(1))
             })
-            .max()
-            .unwrap_or(0);
-        let nodes = lay_out_global(global_bound(assigned, &edges), lattice.public(), |g| {
-            let p = self
-                .map
-                .partition(self.map.shard_of(g))
-                .expect("shard_of is in range");
+            .fold(since.nodes as u32, u32::max);
+        let ids = since.nodes as u32..global_bound(assigned, &edges);
+        let nodes = lay_out_global(ids, bottom, |g| {
+            let p = self.partition(self.map.shard_of(g));
             self.slices[p.index() as usize]
                 .nodes
                 .get(p.local(g) as usize)
         });
-        let policy = (self.slices.iter())
-            .flat_map(|s| s.policy.iter().cloned())
+        let policy = suffixes()
+            .flat_map(|(slice, had)| slice.policy[had.policy..].iter().cloned())
             .collect();
-        let log = LogDelta {
-            since: Default::default(),
+        let lengths = (self.slices.iter())
+            .map(|slice| LogLengths {
+                nodes: slice.nodes.len(),
+                edges: slice.edges.len(),
+                policy: slice.policy.len(),
+            })
+            .collect();
+        LogDelta {
+            since,
             clock: self.version(),
             nodes,
             edges,
             policy,
-        };
-        (lattice, log)
+            slots: SlotLengths {
+                generation: self.generation,
+                lengths,
+            },
+        }
+    }
+
+    fn partition(&self, slot: u32) -> Partition {
+        self.map
+            .partition(slot)
+            .expect("slices are indexed by the map")
+    }
+
+    /// Whether `lattice` is the one this merge materializes with — the
+    /// fallback until a snapshot has declared one.
+    fn materializes_with(&self, lattice: &PrivilegeLattice) -> bool {
+        let names = lattice.names_in_order();
+        if self.lattice_names.is_empty() {
+            names == ["Public"]
+        } else {
+            names.iter().eq(self.lattice_names.iter())
+        }
     }
 }
 
-/// Builds the merged materialization from a [`ShardMerge::copy_log`].
-/// Canonical edge order is sorted by `(from, to)`: each edge lives on its
+/// The key of the canonical edge order: head, then tail (see the
+/// [module docs](self)).
+fn canonical_key(from: u32, to: u32) -> (u32, u32) {
+    (to, from)
+}
+
+/// Builds the merged materialization from a [`ShardMerge::copy_log`],
+/// its edges sorted by [`canonical_key`]. Each edge lives on its
 /// from-id's owner, so the sort has no duplicates to break ties between.
 fn build_canonical(lattice: PrivilegeLattice, mut log: LogDelta) -> Materialized {
-    log.edges.sort_unstable_by_key(|e| (e.from.0, e.to.0));
+    log.edges
+        .sort_unstable_by_key(|e| canonical_key(e.from.0, e.to.0));
     Materialized::build(lattice, log)
+}
+
+/// Sorts a [`ShardMerge::copy_since`] by [`canonical_key`]; `None` unless
+/// every new edge sorts after `base`'s last, where a rebuild puts it too.
+fn canonical_tail(base: &Materialized, mut delta: LogDelta) -> Option<LogDelta> {
+    delta
+        .edges
+        .sort_unstable_by_key(|e| canonical_key(e.from.0, e.to.0));
+    let held = (base.graph.edge_count().checked_sub(1))
+        .map(|i| base.graph.edge_at(i))
+        .map(|(from, to)| canonical_key(from.0, to.0));
+    let first = (delta.edges.first()).map(|e| canonical_key(e.from.0, e.to.0));
+    match (held, first) {
+        (Some(held), Some(first)) if first <= held => None,
+        _ => Some(delta),
+    }
 }
 
 /// A thread-safe [`ShardMerge`] handle: feed threads write through
@@ -409,6 +539,20 @@ impl MergedSource {
             (merge.generation(), merge.clocks(), merge.copy_log())
         };
         (generation, log.clock, clocks, build_canonical(lattice, log))
+    }
+
+    /// [`ShardMerge::delta_since`], stamped like
+    /// [`materialize_stamped`](Self::materialize_stamped) with the state
+    /// it brings `base` to. The delta is taken under the merge's lock —
+    /// a copy of the new records and a sort of the new edges — and
+    /// applied after it is released.
+    pub(crate) fn delta_stamped(
+        &self,
+        base: &Materialized,
+    ) -> Option<(u64, u64, Vec<u64>, LogDelta)> {
+        let merge = self.merge.read();
+        let delta = merge.delta_since(base)?;
+        Some((merge.generation(), delta.clock, merge.clocks(), delta))
     }
 }
 
@@ -552,9 +696,12 @@ mod tests {
             merge.ingest_snapshot(1, &data),
             Err(StoreError::ShardMismatch { slot: 1, .. })
         ));
-        // A stale re-ingest (same clock) is idempotent.
+        // A stale re-ingest (same clock) is idempotent, down to the
+        // payloads: the held ones stay, so the slot stays extendable.
+        let held = merge.slices[0].nodes[0].clone();
         merge.ingest_snapshot(0, &data).unwrap();
         assert_eq!(merge.clocks(), vec![1, 0]);
+        assert!(Arc::ptr_eq(&held, &merge.slices[0].nodes[0]));
     }
 
     #[test]

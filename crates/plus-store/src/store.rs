@@ -23,6 +23,7 @@
 //!   [`crate::wal`] module docs for the on-disk layout and
 //!   protocol.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -59,7 +60,10 @@ pub struct Materialized {
     /// Surrogate catalog replayed from the policy log.
     pub catalog: SurrogateCatalog,
     /// How much of the log this reflects; where the next delta starts.
-    reflects: LogLengths,
+    pub(crate) reflects: LogLengths,
+    /// How much of each shard slot's log a gather's materialization
+    /// reflects; empty for a store's.
+    pub(crate) slots: SlotLengths,
 }
 
 /// Lengths of the three record lists of a log. A materialization records
@@ -67,15 +71,26 @@ pub struct Materialized {
 /// from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct LogLengths {
-    nodes: usize,
-    edges: usize,
-    policy: usize,
+    pub(crate) nodes: usize,
+    pub(crate) edges: usize,
+    pub(crate) policy: usize,
+}
+
+/// Where a gather's materialization stands in each shard's log: the
+/// merge's reset generation and each slot's [`LogLengths`], which
+/// [`ShardMerge::delta_since`](crate::ShardMerge::delta_since) starts
+/// from. Empty for a store's.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub(crate) struct SlotLengths {
+    pub(crate) generation: u64,
+    pub(crate) lengths: Vec<LogLengths>,
 }
 
 /// What a record log gained past some point: the nodes, edges and policy
 /// statements appended since, each in log order, and the clock they bring
-/// a materialization to. Taken by [`Store::delta_since`], consumed by
-/// [`Materialized::extend`].
+/// a materialization to. Taken by [`Store::delta_since`] or
+/// [`ShardMerge::delta_since`](crate::ShardMerge::delta_since), consumed
+/// by [`Materialized::extend`].
 #[derive(Debug)]
 pub struct LogDelta {
     /// All zero for a whole log, read from its start.
@@ -84,10 +99,13 @@ pub struct LogDelta {
     pub(crate) nodes: Vec<Arc<Node>>,
     pub(crate) edges: Vec<EdgeRecord>,
     pub(crate) policy: Vec<PolicyStatement>,
+    /// The per-shard lengths it brings a merge's materialization to.
+    pub(crate) slots: SlotLengths,
 }
 
 impl LogDelta {
-    /// The store clock a materialization extended by this delta reflects.
+    /// The clock a materialization extended by this delta reflects: the
+    /// store's, or the sum of a merge's per-shard clocks.
     pub fn clock(&self) -> u64 {
         self.clock
     }
@@ -123,6 +141,7 @@ impl Materialized {
             markings: MarkingStore::new(),
             catalog: SurrogateCatalog::new(),
             reflects: LogLengths::default(),
+            slots: SlotLengths::default(),
         };
         built.extend(log);
         built
@@ -131,9 +150,10 @@ impl Materialized {
     /// Applies what the log gained since this materialization was taken:
     /// new nodes, then new edges, then new policy. The result equals a
     /// rebuild at `delta.clock()` because everything a rebuild derives is
-    /// log-ordered per list — node ids, edge and adjacency order, marking
-    /// overwrites, surrogate order per node — and an edge or statement
-    /// only ever names nodes appended before it.
+    /// ordered per list — node ids, edge and adjacency order, marking
+    /// overwrites, surrogate order per node — and a delta only appends to
+    /// each list: a store's in log order, a merge's at the tail of its
+    /// canonical order (see [`ShardMerge`](crate::ShardMerge)).
     ///
     /// # Panics
     /// Panics if `delta` was not taken against this materialization (or
@@ -148,6 +168,7 @@ impl Materialized {
             edges: self.reflects.edges + delta.edges.len(),
             policy: self.reflects.policy + delta.policy.len(),
         };
+        self.slots = delta.slots;
         for node in delta.nodes {
             self.graph.add_shared_node(node);
         }
@@ -206,12 +227,12 @@ impl Materialized {
     }
 }
 
-/// Lays payloads out at their **global** ids, `0..bound`: `owned(g)` where
-/// a record exists, and one shared inert placeholder (empty, visible at
+/// Lays payloads out at their **global** ids `ids`: `owned(g)` where a
+/// record exists, and one shared inert placeholder (empty, visible at
 /// `bottom`) everywhere else — foreign ids on a partitioned store, ids no
 /// shard has assigned yet on a gather.
 pub(crate) fn lay_out_global<'a>(
-    bound: u32,
+    ids: Range<u32>,
     bottom: PrivilegeId,
     owned: impl Fn(u32) -> Option<&'a Arc<Node>>,
 ) -> Vec<Arc<Node>> {
@@ -220,8 +241,7 @@ pub(crate) fn lay_out_global<'a>(
         features: Features::new(),
         lowest: bottom,
     });
-    (0..bound)
-        .map(|g| owned(g).unwrap_or(&placeholder).clone())
+    ids.map(|g| owned(g).unwrap_or(&placeholder).clone())
         .collect()
 }
 
@@ -668,7 +688,8 @@ impl Store {
                 0 => 0,
                 n => p.global(n - 1).saturating_add(1),
             };
-            log.nodes = lay_out_global(global_bound(assigned, &log.edges), lattice.public(), |g| {
+            let bound = global_bound(assigned, &log.edges);
+            log.nodes = lay_out_global(0..bound, lattice.public(), |g| {
                 owned.get(p.local(g) as usize).filter(|_| p.owns(g))
             });
         }
@@ -686,6 +707,7 @@ impl Store {
                 .collect(),
             edges: inner.edges[since.edges..].to_vec(),
             policy: inner.policy[since.policy..].to_vec(),
+            slots: SlotLengths::default(),
         }
     }
 

@@ -41,6 +41,10 @@
 //! | `spgraph_replication_term` | gauge | the fencing term this node has observed (promotion generation) |
 //! | `spgraph_replication_lag` | gauge | mutations behind the primary (0 on a primary; stale lower bound while disconnected) |
 //! | `spgraph_promotions_total` | counter | replica-to-primary promotions served by this process |
+//! | `spgraph_gather_generation` | gauge | slot resets a gather's merge has performed (failover repairs) |
+//! | `spgraph_gather_slot_clock{slot=…}` | gauge | mutations of each shard's history a gather's merge reflects |
+//! | `spgraph_gather_slot_term{slot=…}` | gauge | fencing term a gather last folded each shard's feed under (absent until its first chunk) |
+//! | `spgraph_gather_slot_connected{slot=…}` | gauge | 1 while a gather's feed from that shard is connected |
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -52,6 +56,7 @@ use std::time::Duration;
 use plus_store::AccountService;
 
 use crate::replica::ReplicationMonitor;
+use crate::scatter::Gather;
 
 /// A monotone event count. Relaxed atomics: totals are exact, momentary
 /// cross-counter skew is acceptable (standard scrape semantics).
@@ -367,11 +372,14 @@ impl ServerMetrics {
     /// Serializes the full Prometheus text exposition. `service` supplies
     /// the scrape-time store facts (epoch, sealed-frame cache counters);
     /// `monitor` — present when the server fronts a replica — supplies
-    /// the replication link facts (observed term, lag).
+    /// the replication link facts (observed term, lag); `gather` —
+    /// present when it fronts a gather — the merge's generation and each
+    /// shard feed's clock, term and link.
     pub fn render_prometheus(
         &self,
         service: &AccountService,
         monitor: Option<&ReplicationMonitor>,
+        gather: Option<&Gather>,
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(8192);
@@ -574,6 +582,10 @@ impl ServerMetrics {
             },
         );
 
+        if let Some(gather) = gather {
+            render_gather(&mut out, gather);
+        }
+
         let _ = writeln!(
             out,
             "# HELP spgraph_request_latency_seconds Service time per request frame, by type."
@@ -590,6 +602,48 @@ impl ServerMetrics {
     }
 }
 
+/// The gather's merge and feed state: its generation, then one sample
+/// per shard slot of each per-slot gauge.
+fn render_gather(out: &mut String, gather: &Gather) {
+    use std::fmt::Write as _;
+    let _ = writeln!(
+        out,
+        "# HELP spgraph_gather_generation Slot resets the gather's merge has performed (failover repairs)."
+    );
+    let _ = writeln!(out, "# TYPE spgraph_gather_generation gauge");
+    let _ = writeln!(out, "spgraph_gather_generation {}", gather.generation());
+    let slots = 0..gather.shard_count();
+    for (name, help, values) in [
+        (
+            "spgraph_gather_slot_clock",
+            "Mutations of each shard's history the gather's merge reflects.",
+            gather.clocks().into_iter().map(Some).collect::<Vec<_>>(),
+        ),
+        (
+            "spgraph_gather_slot_term",
+            "The fencing term the gather last folded each shard's feed under.",
+            slots.clone().map(|slot| gather.term(slot)).collect(),
+        ),
+        (
+            "spgraph_gather_slot_connected",
+            "Whether the gather's feed from each shard is connected.",
+            slots
+                .clone()
+                .map(|slot| Some(u64::from(gather.connected(slot))))
+                .collect(),
+        ),
+    ] {
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} gauge");
+        // A slot whose feed has folded nothing has no term yet.
+        for (slot, value) in values.into_iter().enumerate() {
+            if let Some(value) = value {
+                let _ = writeln!(out, "{name}{{slot=\"{slot}\"}} {value}");
+            }
+        }
+    }
+}
+
 /// Longest request head the scrape listener reads before answering; a
 /// scraper that sends more gets a 400 and a hangup.
 const MAX_SCRAPE_REQUEST: usize = 8 << 10;
@@ -602,6 +656,7 @@ pub(crate) fn serve_metrics(
     metrics: Arc<ServerMetrics>,
     service: Arc<AccountService>,
     monitor: Option<Arc<ReplicationMonitor>>,
+    gather: Option<Arc<Gather>>,
     shutdown: Arc<AtomicBool>,
 ) {
     for stream in listener.incoming() {
@@ -612,7 +667,13 @@ pub(crate) fn serve_metrics(
         // A stuck scraper must not wedge observability for the next one.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let _ = answer_scrape(stream, &metrics, &service, monitor.as_deref());
+        let _ = answer_scrape(
+            stream,
+            &metrics,
+            &service,
+            monitor.as_deref(),
+            gather.as_deref(),
+        );
     }
 }
 
@@ -621,6 +682,7 @@ fn answer_scrape(
     metrics: &ServerMetrics,
     service: &AccountService,
     monitor: Option<&ReplicationMonitor>,
+    gather: Option<&Gather>,
 ) -> std::io::Result<()> {
     let mut head = [0u8; MAX_SCRAPE_REQUEST];
     let mut got = 0usize;
@@ -643,7 +705,7 @@ fn answer_scrape(
         (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            metrics.render_prometheus(service, monitor),
+            metrics.render_prometheus(service, monitor, gather),
         )
     } else {
         (
@@ -666,13 +728,14 @@ pub(crate) fn spawn_metrics_listener(
     metrics: Arc<ServerMetrics>,
     service: Arc<AccountService>,
     monitor: Option<Arc<ReplicationMonitor>>,
+    gather: Option<Arc<Gather>>,
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
     let handle = std::thread::Builder::new()
         .name("spgraph-metrics".into())
-        .spawn(move || serve_metrics(listener, metrics, service, monitor, shutdown))?;
+        .spawn(move || serve_metrics(listener, metrics, service, monitor, gather, shutdown))?;
     Ok((bound, handle))
 }
 
@@ -715,7 +778,7 @@ mod tests {
         metrics.promotions.inc();
         let store = plus_store::Store::new(&["Public"], &[]).unwrap();
         let service = AccountService::new(std::sync::Arc::new(store));
-        let text = metrics.render_prometheus(&service, None);
+        let text = metrics.render_prometheus(&service, None, None);
         for needle in [
             "spgraph_requests_total{type=\"query\"} 1",
             "spgraph_requests_total{type=\"promote\"} 0",

@@ -415,11 +415,16 @@ impl Server {
 
         let (metrics_addr, metrics_thread) = match config.metrics_addr {
             Some(addr) => {
+                let gather = match shard.as_deref() {
+                    Some(ShardRole::Gather(gather)) => Some(gather.clone()),
+                    _ => None,
+                };
                 let (bound, handle) = metrics::spawn_metrics_listener(
                     addr,
                     server_metrics.clone(),
                     service.clone(),
                     monitor.clone(),
+                    gather,
                     shutdown.clone(),
                 )?;
                 (Some(bound), Some(handle))

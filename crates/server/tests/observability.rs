@@ -380,3 +380,168 @@ fn feed_chunks_are_counted_by_kind() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A gather's `/metrics` say what its merge is doing: its epochs extend
+/// across writes into new nodes, accounts included, and a failover
+/// repair — a slot reset — moves the generation and costs exactly one
+/// rebuilt epoch.
+#[test]
+fn a_gather_exports_its_merge_and_feeds() {
+    use plus_store::DurabilityOptions;
+    use server::{Gather, GatherConfig, Role, Topology};
+    use std::time::{Duration, Instant};
+    use surrogate_core::shard::Partition;
+
+    let dir = std::env::temp_dir().join(format!("observability-gather-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = DurabilityOptions {
+        fsync: false,
+        ..Default::default()
+    };
+    let (stores, shards): (Vec<Arc<Store>>, Vec<Server>) = (0..2)
+        .map(|index| {
+            let partition = Partition::new(index, 2).unwrap();
+            let store = Arc::new(
+                Store::create_durable_partitioned(
+                    dir.join(format!("s{index}")),
+                    &["Public"],
+                    &[],
+                    options,
+                    partition,
+                )
+                .unwrap(),
+            );
+            let config = ServerConfig {
+                threads: 1,
+                allow_replication: true,
+                role: Role::Shard {
+                    index,
+                    count: 2,
+                    topology: Topology::default(),
+                    feed: None,
+                },
+                ..ServerConfig::default()
+            };
+            let server = Server::bind(
+                Arc::new(AccountService::new(store.clone())),
+                "127.0.0.1:0",
+                &config,
+            )
+            .unwrap();
+            (store, server)
+        })
+        .unzip();
+    let topology = Topology::from_peers(shards.iter().map(|s| s.local_addr().to_string())).unwrap();
+    let gather = Arc::new(Gather::start_topology(&topology, GatherConfig::default()).unwrap());
+    let front = Server::bind(
+        gather.service().clone(),
+        "127.0.0.1:0",
+        &ServerConfig {
+            threads: 1,
+            metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+            role: Role::Gather {
+                gather: gather.clone(),
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let metrics_addr = front.metrics_local_addr().expect("metrics listener bound");
+    let scrape_body = || scrape(metrics_addr, "/metrics").1;
+    let kind = |body: &str, family: &str, kind: &str| {
+        sample(body, &format!("spgraph_{family}_total{{kind=\"{kind}\"}}"))
+    };
+    // Waits until the gather has folded every write under each shard's
+    // term.
+    let settle = || {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let folded = |slot: u32| {
+            let store = &stores[slot as usize];
+            gather.clocks()[slot as usize] == store.clock()
+                && gather.term(slot) == Some(store.replication_term())
+        };
+        while !(gather.synced() && (0..2).all(folded)) {
+            assert!(Instant::now() < deadline, "the gather never caught up");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let public = stores[0].predicate("Public").unwrap();
+    let mut client = Client::connect(front.local_addr(), "reader", &[]).unwrap();
+    let read = |client: &mut Client, root: RecordId| {
+        let request = QueryRequest::new(root, Direction::Backward, u32::MAX, Strategy::Surrogate);
+        client.query(&request).unwrap();
+    };
+
+    // Nodes 0 and 1 on their owners, and the edge 0 → 1 on node 0's.
+    let a = stores[0].append_node("a", NodeKind::Data, Features::new(), public);
+    let b = stores[1].append_node("b", NodeKind::Data, Features::new(), public);
+    stores[0].append_edge(a, b, EdgeKind::InputTo).unwrap();
+    settle();
+    read(&mut client, b);
+    let body = scrape_body();
+    assert_eq!(sample(&body, "spgraph_gather_generation"), 0.0);
+    for (slot, store) in stores.iter().enumerate() {
+        let clock = store.clock() as f64;
+        assert_eq!(
+            sample(
+                &body,
+                &format!("spgraph_gather_slot_clock{{slot=\"{slot}\"}}")
+            ),
+            clock
+        );
+        assert_eq!(
+            sample(
+                &body,
+                &format!("spgraph_gather_slot_term{{slot=\"{slot}\"}}")
+            ),
+            0.0
+        );
+        assert_eq!(
+            sample(
+                &body,
+                &format!("spgraph_gather_slot_connected{{slot=\"{slot}\"}}")
+            ),
+            1.0
+        );
+    }
+    assert_eq!(kind(&body, "snapshot_builds", "rebuilt"), 1.0);
+    let cold = [
+        kind(&body, "snapshot_builds", "extended"),
+        kind(&body, "account_protects", "extended"),
+    ];
+
+    // Node 2, then the edge 1 → 2 from the other shard: writes into a
+    // new node, so the epoch and its account both extend.
+    let c = stores[0].append_node("c", NodeKind::Data, Features::new(), public);
+    settle();
+    stores[1].append_edge(b, c, EdgeKind::InputTo).unwrap();
+    settle();
+    read(&mut client, c);
+    let body = scrape_body();
+    assert_eq!(kind(&body, "snapshot_builds", "extended"), cold[0] + 1.0);
+    assert_eq!(kind(&body, "account_protects", "extended"), cold[1] + 1.0);
+    let rebuilt = kind(&body, "snapshot_builds", "rebuilt");
+
+    // Shard 1 is promoted to term 1: the gather resets its slot and
+    // re-bootstraps it, and the next epoch is rebuilt, once.
+    stores[1].promote_term().unwrap();
+    settle();
+    read(&mut client, c);
+    let body = scrape_body();
+    assert_eq!(sample(&body, "spgraph_gather_generation"), 1.0);
+    assert_eq!(sample(&body, "spgraph_gather_slot_term{slot=\"1\"}"), 1.0);
+    assert_eq!(kind(&body, "snapshot_builds", "rebuilt"), rebuilt + 1.0);
+    read(&mut client, b);
+    assert_eq!(
+        kind(&scrape_body(), "snapshot_builds", "rebuilt"),
+        rebuilt + 1.0
+    );
+
+    drop(client);
+    front.shutdown();
+    drop(gather);
+    for shard in shards {
+        shard.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
