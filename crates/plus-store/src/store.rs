@@ -15,10 +15,11 @@
 //!   crash.
 //! * **Durable** ([`Store::create_durable`], [`Store::open`]): every
 //!   `append_node` / `append_edge` / `apply_policy` writes a checksummed
-//!   frame to the write-ahead log *before* mutating in-memory state, so
-//!   [`Store::open`] recovers every acknowledged mutation — the newest
-//!   valid snapshot plus a replay of the log tail, truncated at the
-//!   first torn or corrupt frame. [`Store::checkpoint`] folds the log
+//!   frame to the write-ahead log *before* mutating in-memory state, and
+//!   with `fsync` on is acknowledged (and seen by readers) only once a
+//!   flush covers it, so [`Store::open`] recovers every acknowledged
+//!   mutation — the newest valid snapshot plus a replay of the log tail,
+//!   truncated at the first torn or corrupt frame. [`Store::checkpoint`] folds the log
 //!   into a fresh snapshot and prunes superseded files. See the
 //!   [`crate::wal`] module docs for the on-disk layout and
 //!   protocol.
@@ -39,7 +40,7 @@ use surrogate_core::surrogate::{SurrogateCatalog, SurrogateDef};
 use crate::codec::{self, SnapshotData, WalRecord};
 use crate::error::{Result, StoreError};
 use crate::record::{EdgeKind, EdgeRecord, NodeKind, NodeRecord, PolicyStatement, RecordId};
-use crate::wal::{self, DurabilityOptions, RecoveryReport, Wal, WalIo};
+use crate::wal::{self, DurabilityOptions, GroupCommit, RecoveryReport, Turn, Wal, WalIo};
 
 /// Everything needed to run protection over a store's contents: the graph
 /// (node ids equal record indices), the lattice, and the replayed policy.
@@ -74,6 +75,16 @@ pub(crate) struct LogLengths {
     pub(crate) nodes: usize,
     pub(crate) edges: usize,
     pub(crate) policy: usize,
+}
+
+/// How far readers see into a log: a clock and the list lengths it
+/// reflects. A durable store with `fsync` on publishes a write only once
+/// a flush covers its frame; every other store publishes each write as it
+/// is applied.
+#[derive(Debug, Clone, Copy, Default)]
+struct Watermark {
+    clock: u64,
+    lengths: LogLengths,
 }
 
 /// Where a gather's materialization stands in each shard's log: the
@@ -296,7 +307,14 @@ struct Inner {
     edges: Vec<EdgeRecord>,
     edge_set: std::collections::HashSet<(RecordId, RecordId)>,
     policy: Vec<PolicyStatement>,
+    /// The *applied* clock: every record in the lists above. Writers
+    /// validate and stamp against it.
     clock: u64,
+    /// What readers see: the applied log up to the last write a flush
+    /// covered (see [`Watermark`]).
+    published: Watermark,
+    /// Counts of the flushes that published writes, and of those writes.
+    flushes: FlushCounts,
     /// The replication fencing term this store has observed — the
     /// highest promotion generation. 0 until a promotion happens
     /// anywhere in the deployment. Durable stores persist it in the
@@ -314,17 +332,96 @@ struct Inner {
     partition: Option<Partition>,
 }
 
+impl Inner {
+    /// The applied log as a watermark.
+    fn applied(&self) -> Watermark {
+        Watermark {
+            clock: self.clock,
+            lengths: LogLengths {
+                nodes: self.nodes.len(),
+                edges: self.edges.len(),
+                policy: self.policy.len(),
+            },
+        }
+    }
+
+    /// Advances what readers see to `mark`, if it is ahead. Returns how
+    /// many writes that published.
+    fn publish(&mut self, mark: Watermark) -> u64 {
+        let gained = mark.clock.saturating_sub(self.published.clock);
+        if gained > 0 {
+            self.published = mark;
+        }
+        gained
+    }
+
+    /// Counts one flush that published `gained` writes.
+    fn count_flush(&mut self, gained: u64) {
+        if gained > 0 {
+            self.flushes.flushes += 1;
+            self.flushes.flushed_writes += gained;
+        }
+    }
+
+    /// The log, if `commit` is still its group commit.
+    fn log_of(&self, commit: &Arc<GroupCommit>) -> Option<&Wal> {
+        self.wal
+            .as_ref()
+            .filter(|wal| Arc::ptr_eq(wal.commit(), commit))
+    }
+
+    /// Drops every applied record readers have not seen: what a failed
+    /// flush leaves, so that each write it fails is absent.
+    fn roll_back(&mut self) {
+        let Watermark { clock, lengths } = self.published;
+        for edge in self.edges.drain(lengths.edges..) {
+            self.edge_set.remove(&(edge.from, edge.to));
+        }
+        self.nodes.truncate(lengths.nodes);
+        self.policy.truncate(lengths.policy);
+        self.clock = clock;
+    }
+}
+
+/// What the write-ahead log's flushes have done since the store opened:
+/// [`Store::wal_flush_stats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct FlushCounts {
+    /// Flushes that made at least one write durable.
+    flushes: u64,
+    /// Writes those flushes made durable.
+    flushed_writes: u64,
+}
+
+/// What a replicated record must match under the write lock: the clock
+/// its primary logged it at, and the fencing term its chunk carried.
+#[derive(Debug, Clone, Copy)]
+struct Fence {
+    clock: u64,
+    term: u64,
+}
+
+/// An applied write waiting for a flush to cover it: the group commit of
+/// the log it went to, and the clock it brought the store to.
+struct Pending {
+    commit: Arc<GroupCommit>,
+    clock: u64,
+}
+
 /// Who to wake when the clock moves: registered callbacks behind a
 /// count. No descriptor and no thread of its own; an append with nobody
 /// registered pays one atomic load.
 ///
 /// **No wake-up is lost.** A watcher ([`Store::watch_clock`]) pushes its
 /// callback and publishes the count inside `wakes`' lock, *then* reads
-/// the clock. An appender publishes the clock inside the store's write
-/// lock, releases it, *then* loads the count, and when that is non-zero
-/// calls every callback under `wakes`' lock. The watcher's clock read is
-/// a read-lock section and the appender's bump a write-lock section, so
-/// the store's lock orders the two. Reader first: the registration
+/// the clock. An appender's write is published inside the store's write
+/// lock — by the appender itself, or with `fsync` on by the flush that
+/// covers it, before the appender learns it is acknowledged — and the
+/// appender, once acknowledged and with no store lock held, *then* loads
+/// the count, and when that is non-zero calls every callback under
+/// `wakes`' lock. The watcher's clock read is a read-lock section and
+/// the publication a write-lock section, so the store's lock orders the
+/// two. Reader first: the registration
 /// happens-before the appender's load and lock, which see it and call
 /// the callback. Writer first: the watcher reads the new clock and does
 /// not need the wake.
@@ -401,6 +498,8 @@ impl Store {
                 edge_set: std::collections::HashSet::new(),
                 policy: Vec::new(),
                 clock: 0,
+                published: Watermark::default(),
+                flushes: FlushCounts::default(),
                 term: 0,
                 wal: None,
                 partition: None,
@@ -444,8 +543,9 @@ impl Store {
     /// Appends a node record, assigning its logical timestamp.
     ///
     /// # Panics
-    /// On a durable store, panics if the write-ahead-log write fails; use
-    /// [`try_append_node`](Self::try_append_node) to handle I/O errors.
+    /// On a durable store, panics if the write-ahead log cannot log or
+    /// flush the record; use [`try_append_node`](Self::try_append_node)
+    /// to handle I/O errors.
     pub fn append_node(
         &self,
         label: impl Into<String>,
@@ -458,8 +558,10 @@ impl Store {
     }
 
     /// Appends a node record, assigning its logical timestamp. On a
-    /// durable store the record is logged (and, with fsync on, synced)
-    /// before it is applied; an `Err` means nothing was appended.
+    /// durable store the record is logged before it is applied, and with
+    /// `fsync` on the call returns once a flush covers it (one flush may
+    /// cover many concurrent writers); readers see the record from that
+    /// flush on. An `Err` means nothing was appended.
     pub fn try_append_node(
         &self,
         label: impl Into<String>,
@@ -467,34 +569,16 @@ impl Store {
         features: Features,
         lowest: PrivilegeId,
     ) -> Result<RecordId> {
-        let mut inner = self.inner.write();
-        // Bounds-check before logging: an out-of-range predicate would be
-        // acknowledged live but rejected (as corruption) at replay,
-        // truncating every later acknowledged write.
-        Self::check_predicate(&inner, lowest)?;
-        let record = NodeRecord {
+        let record = WalRecord::AppendNode(NodeRecord {
             label: label.into(),
             kind,
             features,
             lowest,
-            created_at: inner.clock,
-        };
-        let record = Self::log(&mut inner, WalRecord::AppendNode(record))?;
-        let WalRecord::AppendNode(record) = record else {
-            unreachable!()
-        };
-        let pos = inner.nodes.len() as u32;
-        let id = RecordId(match inner.partition {
-            Some(p) => p.global(pos),
-            None => pos,
+            created_at: 0, // stamped under the write lock
         });
-        inner.clock += 1;
-        // The frame is encoded; the label and features move into the one
-        // payload every reader of this node will share.
-        inner.nodes.push(record.into());
-        drop(inner);
-        self.watch.notify();
-        Ok(id)
+        let (id, pending) = self.stage(record, None)?;
+        self.acknowledge(pending)?;
+        Ok(id.expect("a node record is assigned an id"))
     }
 
     /// Appends an edge record after validating endpoints and uniqueness.
@@ -503,40 +587,9 @@ impl Store {
     /// route by their source); `to` may be a foreign id, accepted
     /// unvalidated.
     pub fn append_edge(&self, from: RecordId, to: RecordId, kind: EdgeKind) -> Result<()> {
-        let mut inner = self.inner.write();
-        if let Some(p) = inner.partition {
-            if !p.owns(from.0) {
-                return Err(StoreError::WrongShard {
-                    id: from,
-                    owner: p.map().shard_of(from.0),
-                });
-            }
-        }
-        Self::check_record(&inner, from)?;
-        Self::check_record(&inner, to)?;
-        if from == to {
-            return Err(StoreError::Graph(surrogate_core::error::Error::SelfLoop(
-                NodeId(from.0),
-            )));
-        }
-        if inner.edge_set.contains(&(from, to)) {
-            return Err(StoreError::Graph(
-                surrogate_core::error::Error::DuplicateEdge {
-                    from: NodeId(from.0),
-                    to: NodeId(to.0),
-                },
-            ));
-        }
-        Self::log(
-            &mut inner,
-            WalRecord::AppendEdge(EdgeRecord { from, to, kind }),
-        )?;
-        inner.edge_set.insert((from, to));
-        inner.clock += 1;
-        inner.edges.push(EdgeRecord { from, to, kind });
-        drop(inner);
-        self.watch.notify();
-        Ok(())
+        let (_, pending) =
+            self.stage(WalRecord::AppendEdge(EdgeRecord { from, to, kind }), None)?;
+        self.acknowledge(pending)
     }
 
     /// Appends a policy statement after validating its references.
@@ -545,37 +598,203 @@ impl Store {
     /// owned by this shard (policy routes by the node it governs);
     /// incidental `from`/`to` references may be foreign.
     pub fn apply_policy(&self, statement: PolicyStatement) -> Result<()> {
+        let (_, pending) = self.stage(WalRecord::ApplyPolicy(statement), None)?;
+        self.acknowledge(pending)
+    }
+
+    /// The write path up to the flush, in one write-lock section:
+    /// validates `record` (and a replicated record's `fence`), logs it,
+    /// applies it, and advances the applied clock. On a store that needs
+    /// no flush the write is published here too; otherwise the returned
+    /// [`Pending`] is what the caller waits on. Returns a node record's
+    /// id.
+    fn stage(
+        &self,
+        mut record: WalRecord,
+        fence: Option<Fence>,
+    ) -> Result<(Option<RecordId>, Option<Pending>)> {
         let mut inner = self.inner.write();
-        if let Some(p) = inner.partition {
-            let target = statement.node();
-            if !p.owns(target.0) {
-                return Err(StoreError::WrongShard {
-                    id: target,
-                    owner: p.map().shard_of(target.0),
-                });
-            }
+        if let Some(fence) = fence {
+            Self::check_fence(&inner, fence)?;
         }
-        match &statement {
-            PolicyStatement::MarkIncidence { node, from, to, .. } => {
-                Self::check_record(&inner, *node)?;
-                Self::check_record(&inner, *from)?;
-                Self::check_record(&inner, *to)?;
-            }
-            PolicyStatement::MarkNode { node, .. } => Self::check_record(&inner, *node)?,
-            PolicyStatement::AddSurrogate { node, .. } => Self::check_record(&inner, *node)?,
+        Self::validate(&inner, &record)?;
+        let clock = inner.clock;
+        if let WalRecord::AppendNode(node) = &mut record {
+            node.created_at = clock;
         }
-        if let (_, Some(predicate)) = codec::policy_refs(&statement) {
-            Self::check_predicate(&inner, predicate)?;
+        if let Some(wal) = inner.wal.as_mut() {
+            wal.append(&record, clock)?;
         }
-        let statement = match Self::log(&mut inner, WalRecord::ApplyPolicy(statement))? {
-            WalRecord::ApplyPolicy(statement) => statement,
-            _ => unreachable!(),
-        };
         inner.clock += 1;
-        inner.policy.push(statement);
-        drop(inner);
+        let id = match record {
+            WalRecord::AppendNode(node) => {
+                let pos = inner.nodes.len() as u32;
+                // The frame is encoded; the label and features move into
+                // the one payload every reader of this node will share.
+                inner.nodes.push(node.into());
+                Some(RecordId(match inner.partition {
+                    Some(p) => p.global(pos),
+                    None => pos,
+                }))
+            }
+            WalRecord::AppendEdge(edge) => {
+                inner.edge_set.insert((edge.from, edge.to));
+                inner.edges.push(edge);
+                None
+            }
+            WalRecord::ApplyPolicy(statement) => {
+                inner.policy.push(statement);
+                None
+            }
+        };
+        let pending = match inner.wal.as_ref() {
+            Some(wal) if wal.options().fsync => Some(Pending {
+                commit: wal.commit().clone(),
+                clock: inner.clock,
+            }),
+            _ => {
+                inner.published = inner.applied();
+                None
+            }
+        };
+        Ok((id, pending))
+    }
+
+    /// Acknowledges staged writes: waits for a flush to cover `pending`,
+    /// if there is one, then wakes the clock's watchers.
+    fn acknowledge(&self, pending: Option<Pending>) -> Result<()> {
+        if let Some(pending) = pending {
+            self.await_flush(pending)?;
+        }
         self.watch.notify();
         Ok(())
+    }
+
+    /// Blocks until a flush covers `pending`, leading one when none is in
+    /// flight. `Err` when the write will never be covered: the flush
+    /// failed (the leader gets its I/O error, the others
+    /// [`StoreError::WalPoisoned`]), and the write is rolled back.
+    fn await_flush(&self, pending: Pending) -> Result<()> {
+        let mut failure = None;
+        loop {
+            match pending.commit.wait(pending.clock) {
+                Turn::Acked => return Ok(()),
+                Turn::Failed => return Err(failure.unwrap_or(StoreError::WalPoisoned)),
+                Turn::Lead => failure = self.lead_flush(&pending.commit).err(),
+            }
+        }
+    }
+
+    /// One flush of a group commit, by the writer whose turn it is.
+    /// Captures what the flush covers under the read lock, flushes with no
+    /// store lock held, then publishes under the write lock — or, when
+    /// the flush failed, poisons the log and rolls the unpublished writes
+    /// back — and hands the outcome to every waiter.
+    fn lead_flush(&self, commit: &Arc<GroupCommit>) -> Result<()> {
+        let (mark, flusher) = {
+            let inner = self.inner.read();
+            match inner.log_of(commit) {
+                Some(wal) => (inner.applied(), wal.flusher()),
+                // A log restarted under a new history settled its writers.
+                None => {
+                    commit.finish(0, false);
+                    return Ok(());
+                }
+            }
+        };
+        let flushed = flusher.and_then(|handle| handle.sync());
+        let mut inner = self.inner.write();
+        let ours = inner.log_of(commit).is_some();
+        if ours {
+            match &flushed {
+                Ok(()) => {
+                    let gained = inner.publish(mark);
+                    inner.count_flush(gained);
+                }
+                Err(_) => {
+                    inner.wal.as_mut().expect("ours").poison();
+                    inner.roll_back();
+                }
+            }
+        }
+        let published = if ours { inner.published.clock } else { 0 };
+        drop(inner);
+        commit.finish(published, ours && flushed.is_err());
+        flushed
+    }
+
+    /// Refuses a replicated record from a deposed term, or one that does
+    /// not land exactly at the applied clock.
+    fn check_fence(inner: &Inner, fence: Fence) -> Result<()> {
+        if fence.term < inner.term {
+            return Err(StoreError::DeposedPrimary {
+                term: fence.term,
+                current: inner.term,
+            });
+        }
+        if fence.clock != inner.clock {
+            return Err(StoreError::ReplicationGap {
+                expected: inner.clock,
+                found: fence.clock,
+            });
+        }
+        Ok(())
+    }
+
+    /// Everything a record must satisfy before it is logged: nothing
+    /// unreplayable is ever acknowledged. On a partitioned store a
+    /// record's routing id must be owned here.
+    fn validate(inner: &Inner, record: &WalRecord) -> Result<()> {
+        let route = |id: RecordId| match inner.partition {
+            Some(p) if !p.owns(id.0) => Err(StoreError::WrongShard {
+                id,
+                owner: p.map().shard_of(id.0),
+            }),
+            _ => Ok(()),
+        };
+        match record {
+            // Bounds-check before logging: an out-of-range predicate
+            // would be acknowledged live but rejected (as corruption) at
+            // replay, truncating every later acknowledged write.
+            WalRecord::AppendNode(node) => Self::check_predicate(inner, node.lowest),
+            WalRecord::AppendEdge(EdgeRecord { from, to, .. }) => {
+                route(*from)?;
+                Self::check_record(inner, *from)?;
+                Self::check_record(inner, *to)?;
+                if from == to {
+                    return Err(StoreError::Graph(surrogate_core::error::Error::SelfLoop(
+                        NodeId(from.0),
+                    )));
+                }
+                if inner.edge_set.contains(&(*from, *to)) {
+                    return Err(StoreError::Graph(
+                        surrogate_core::error::Error::DuplicateEdge {
+                            from: NodeId(from.0),
+                            to: NodeId(to.0),
+                        },
+                    ));
+                }
+                Ok(())
+            }
+            WalRecord::ApplyPolicy(statement) => {
+                route(statement.node())?;
+                match statement {
+                    PolicyStatement::MarkIncidence { node, from, to, .. } => {
+                        Self::check_record(inner, *node)?;
+                        Self::check_record(inner, *from)?;
+                        Self::check_record(inner, *to)?;
+                    }
+                    PolicyStatement::MarkNode { node, .. }
+                    | PolicyStatement::AddSurrogate { node, .. } => {
+                        Self::check_record(inner, *node)?
+                    }
+                }
+                match codec::policy_refs(statement) {
+                    (_, Some(predicate)) => Self::check_predicate(inner, predicate),
+                    _ => Ok(()),
+                }
+            }
+        }
     }
 
     /// Rejects record ids that cannot exist here: out-of-range on an
@@ -605,35 +824,37 @@ impl Store {
         Ok(())
     }
 
-    /// Writes the mutation's WAL frame on durable stores (a no-op on
-    /// in-memory ones), handing the record back on success. Called with
-    /// the write lock held, *before* the in-memory mutation.
-    fn log(inner: &mut Inner, record: WalRecord) -> Result<WalRecord> {
-        let clock = inner.clock;
-        if let Some(wal) = inner.wal.as_mut() {
-            wal.append(&record, clock)?;
-        }
-        Ok(record)
-    }
-
     /// Number of node records.
     pub fn node_count(&self) -> usize {
-        self.inner.read().nodes.len()
+        self.inner.read().published.lengths.nodes
     }
 
     /// Number of edge records.
     pub fn edge_count(&self) -> usize {
-        self.inner.read().edges.len()
+        self.inner.read().published.lengths.edges
     }
 
     /// Number of policy statements.
     pub fn policy_count(&self) -> usize {
-        self.inner.read().policy.len()
+        self.inner.read().published.lengths.policy
     }
 
-    /// The store's logical clock (total appends).
+    /// The store's logical clock (total acknowledged appends).
     pub fn clock(&self) -> u64 {
-        self.inner.read().clock
+        self.inner.read().published.clock
+    }
+
+    /// `(flushes, flushed writes)` of the write-ahead log since the store
+    /// opened: the flushes that made at least one write durable, and the
+    /// writes they made durable. Every write acknowledged with `fsync` on
+    /// is counted once, so their ratio is the mean group size; both stay
+    /// 0 with `fsync` off.
+    pub fn wal_flush_stats(&self) -> (u64, u64) {
+        let FlushCounts {
+            flushes,
+            flushed_writes,
+        } = self.inner.read().flushes;
+        (flushes, flushed_writes)
     }
 
     /// The store's version — an alias of the logical clock, read by the
@@ -696,17 +917,19 @@ impl Store {
         (log.clock, Materialized::build(lattice, log))
     }
 
-    /// Copies what the log holds past `since`, under the caller's lock.
+    /// Copies what the published log holds past `since`, under the
+    /// caller's lock.
     fn copy_since(inner: &Inner, since: LogLengths) -> LogDelta {
+        let Watermark { clock, lengths } = inner.published;
         LogDelta {
             since,
-            clock: inner.clock,
-            nodes: inner.nodes[since.nodes..]
+            clock,
+            nodes: inner.nodes[since.nodes..lengths.nodes]
                 .iter()
                 .map(|stored| stored.node.clone())
                 .collect(),
-            edges: inner.edges[since.edges..].to_vec(),
-            policy: inner.policy[since.policy..].to_vec(),
+            edges: inner.edges[since.edges..lengths.edges].to_vec(),
+            policy: inner.policy[since.policy..lengths.policy].to_vec(),
             slots: SlotLengths::default(),
         }
     }
@@ -727,12 +950,14 @@ impl Store {
         let since = base.reflects;
         let inner = self.inner.read();
         let last = since.nodes.checked_sub(1)?;
+        let published = inner.published.lengths;
         let is_prefix = inner.partition.is_none()
             // `graph` is a public field; a swapped one is no prefix.
             && base.graph.node_count() == since.nodes
             && base.graph.edge_count() == since.edges
-            && since.edges <= inner.edges.len()
-            && since.policy <= inner.policy.len()
+            && since.nodes <= published.nodes
+            && since.edges <= published.edges
+            && since.policy <= published.policy
             && inner.nodes.get(last).is_some_and(|stored| {
                 Arc::ptr_eq(&stored.node, base.graph.shared_node(NodeId(last as u32)))
             });
@@ -753,14 +978,17 @@ impl Store {
             Some(p) => p.local(id.0) as usize,
             None => id.index(),
         };
-        inner.nodes.get(pos).map(StoredNode::to_record)
+        inner.nodes[..inner.published.lengths.nodes]
+            .get(pos)
+            .map(StoredNode::to_record)
     }
 
     /// A copy of all edge records in append order. Edge kinds live only at
     /// the record level (the materialized graph is untyped), so
     /// kind-filtered lineage walks read them from here.
     pub fn edges(&self) -> Vec<EdgeRecord> {
-        self.inner.read().edges.clone()
+        let inner = self.inner.read();
+        inner.edges[..inner.published.lengths.edges].to_vec()
     }
 
     /// Builds the graph, markings, and catalog from the record log — the
@@ -769,14 +997,19 @@ impl Store {
         self.materialize_versioned().1
     }
 
+    /// The published log as snapshot data.
     fn snapshot_data(inner: &Inner) -> SnapshotData {
+        let Watermark { clock, lengths } = inner.published;
         SnapshotData {
             lattice_names: inner.lattice_names.clone(),
             dominance: inner.dominance.clone(),
-            nodes: inner.nodes.iter().map(StoredNode::to_record).collect(),
-            edges: inner.edges.clone(),
-            policy: inner.policy.clone(),
-            clock: inner.clock,
+            nodes: inner.nodes[..lengths.nodes]
+                .iter()
+                .map(StoredNode::to_record)
+                .collect(),
+            edges: inner.edges[..lengths.edges].to_vec(),
+            policy: inner.policy[..lengths.policy].to_vec(),
+            clock,
             partition: inner.partition,
         }
     }
@@ -798,20 +1031,24 @@ impl Store {
         }
         let lattice = builder.finish()?;
         let edge_set = data.edges.iter().map(|e| (e.from, e.to)).collect();
+        let mut inner = Inner {
+            lattice,
+            lattice_names: data.lattice_names,
+            dominance: data.dominance,
+            nodes: data.nodes.into_iter().map(StoredNode::from).collect(),
+            edges: data.edges,
+            edge_set,
+            policy: data.policy,
+            clock: data.clock,
+            published: Watermark::default(),
+            flushes: FlushCounts::default(),
+            term: 0,
+            wal: None,
+            partition: data.partition,
+        };
+        inner.published = inner.applied();
         Ok(Self {
-            inner: RwLock::new(Inner {
-                lattice,
-                lattice_names: data.lattice_names,
-                dominance: data.dominance,
-                nodes: data.nodes.into_iter().map(StoredNode::from).collect(),
-                edges: data.edges,
-                edge_set,
-                policy: data.policy,
-                clock: data.clock,
-                term: 0,
-                wal: None,
-                partition: data.partition,
-            }),
+            inner: RwLock::new(inner),
             watch: ClockWatch::default(),
         })
     }
@@ -976,8 +1213,8 @@ impl Store {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io_at(dir, e))?;
         wal::ensure_vacant(dir)?;
         let inner = self.inner.read();
-        let bytes = codec::encode(&Self::snapshot_data(&inner));
-        wal::write_atomic(&wal::snapshot_path(dir, inner.clock), &bytes)?;
+        let data = Self::snapshot_data(&inner);
+        wal::write_atomic(&wal::snapshot_path(dir, data.clock), &codec::encode(&data))?;
         if inner.term > 0 {
             wal::write_term(dir, inner.term)?;
         }
@@ -989,23 +1226,25 @@ impl Store {
     /// new snapshot supersedes. Errors with [`StoreError::NotDurable`] on
     /// an in-memory store.
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
-        // Under the write lock: capture a consistent copy of the state
-        // and rotate so the active segment starts exactly at the
-        // checkpoint clock. Encoding and the fsync'd snapshot write
+        // Under the write lock: rotate so the active segment starts
+        // exactly at the applied clock — which flushes every frame before
+        // it — publish what that flush covered, and capture a consistent
+        // copy of the state. Encoding and the fsync'd snapshot write
         // happen *outside* the lock — appends racing into the fresh
         // segment carry clocks >= the captured one, and recovery without
         // the new snapshot just replays the still-present old segments.
         let (data, dir, clock) = {
             let mut inner = self.inner.write();
-            if inner.wal.is_none() {
-                return Err(StoreError::NotDurable);
-            }
             let clock = inner.clock;
-            let data = Self::snapshot_data(&inner);
-            let wal = inner.wal.as_mut().expect("checked above");
+            let Some(wal) = inner.wal.as_mut() else {
+                return Err(StoreError::NotDurable);
+            };
             let dir = wal.dir().to_path_buf();
             wal.rotate(clock)?;
-            (data, dir, clock)
+            let applied = inner.applied();
+            let gained = inner.publish(applied);
+            inner.count_flush(gained);
+            (Self::snapshot_data(&inner), dir, clock)
         };
         let bytes = codec::encode(&data);
         wal::write_atomic(&wal::snapshot_path(&dir, clock), &bytes)?;
@@ -1085,41 +1324,74 @@ impl Store {
     }
 
     /// Applies one replicated WAL record at the tail of this store's
-    /// history — the **replica apply path**. The record goes through the
-    /// ordinary append methods, so on a durable store it is logged to
-    /// this store's *own* write-ahead log first: a replica's directory
+    /// history — the one-record case of
+    /// [`apply_replicated_chunk`](Self::apply_replicated_chunk), at the
+    /// store's applied clock. A node record stamped for any other clock
+    /// is refused with [`StoreError::ReplicationGap`].
+    pub fn apply_replicated(&self, record: WalRecord, term: u64) -> Result<()> {
+        let clock = self.inner.read().clock;
+        self.apply_replicated_chunk(clock, [record], term)
+    }
+
+    /// Applies a chunk of replicated WAL records, clock-contiguous from
+    /// `start_clock`, at the tail of this store's history — the **replica
+    /// apply path**. Each record is logged to this store's *own*
+    /// write-ahead log before it is applied, so a replica's directory
     /// recovers by exactly the rules a primary's does, and a restarted
-    /// replica resumes from its local clock.
+    /// replica resumes from its local clock. With `fsync` on, the whole
+    /// chunk costs one flush, and readers see it once that flush is done.
     ///
-    /// `term` is the fencing term the record's chunk carried. A term
-    /// below one this store has observed is refused with
-    /// [`StoreError::DeposedPrimary`] before anything else — frames
-    /// from a deposed primary are never applied, even when their clocks
-    /// would line up. A higher term is adopted (and durably recorded)
-    /// first.
+    /// `term` is the fencing term the chunk carried. A term below one
+    /// this store has observed is refused with
+    /// [`StoreError::DeposedPrimary`] before anything else — frames from
+    /// a deposed primary are never applied, even when their clocks would
+    /// line up — and again for each record, so a promotion racing the
+    /// chunk stops it there. A higher term is adopted (and durably
+    /// recorded) first.
     ///
-    /// Validation then mirrors the recovery replay path: a node
-    /// record stamped for any clock but the current one is refused with
+    /// Records below the applied clock are skipped (an overlapping
+    /// resend). Validation then mirrors the recovery replay path: a
+    /// record past the applied clock, or a node record stamped for a
+    /// clock other than its own, is refused with
     /// [`StoreError::ReplicationGap`] (the stream is out of order or the
     /// primary's history diverged), and semantically invalid records
-    /// surface the ordinary append errors. Nothing is applied on error.
-    pub fn apply_replicated(&self, record: WalRecord, term: u64) -> Result<()> {
+    /// surface the ordinary append errors. The records before a refused
+    /// one stay applied; nothing of the refused one is.
+    pub fn apply_replicated_chunk(
+        &self,
+        start_clock: u64,
+        records: impl IntoIterator<Item = WalRecord>,
+        term: u64,
+    ) -> Result<()> {
         self.observe_replication_term(term)?;
-        match record {
-            WalRecord::AppendNode(node) => {
-                let expected = self.clock();
-                if node.created_at != expected {
-                    return Err(StoreError::ReplicationGap {
-                        expected,
-                        found: node.created_at,
-                    });
-                }
-                self.try_append_node(node.label, node.kind, node.features, node.lowest)
-                    .map(|_| ())
+        let first = self.inner.read().clock;
+        let (mut applied, mut last, mut refused) = (first, None, None);
+        for (clock, record) in (start_clock..).zip(records) {
+            if clock < applied {
+                continue;
             }
-            WalRecord::AppendEdge(edge) => self.append_edge(edge.from, edge.to, edge.kind),
-            WalRecord::ApplyPolicy(statement) => self.apply_policy(statement),
+            // A node record carries the clock it was logged at; a stream
+            // that disagrees with it is out of order.
+            let clock = match &record {
+                WalRecord::AppendNode(node) if clock == applied => node.created_at,
+                _ => clock,
+            };
+            match self.stage(record, Some(Fence { clock, term })) {
+                Ok((_, pending)) => {
+                    applied += 1;
+                    last = pending.or(last);
+                }
+                Err(e) => {
+                    refused = Some(e);
+                    break;
+                }
+            }
         }
+        if applied > first {
+            // One flush covers every record staged above.
+            self.acknowledge(last)?;
+        }
+        refused.map_or(Ok(()), Err)
     }
 
     /// Replaces this durable store's entire state with `snapshot` — the
@@ -1127,10 +1399,11 @@ impl Store {
     /// checkpointed past this store's clock and the intervening frames
     /// no longer exist. The snapshot is installed on disk (older
     /// segments and snapshots are pruned, a fresh write-ahead-log
-    /// segment opens at the snapshot's clock) and the in-memory state is
-    /// swapped under the write lock, so concurrent readers see either
-    /// the old state or the new one, never a mix, and the epoch stays
-    /// monotone.
+    /// segment opens at the snapshot's clock, through the same
+    /// [`WalIo`]) and the in-memory state is swapped under the write
+    /// lock, so concurrent readers see either the old state or the new
+    /// one, never a mix, and the epoch stays monotone. A write still
+    /// waiting for a flush of the old log fails.
     ///
     /// A snapshot at or behind the current clock is a no-op (the local
     /// history already covers it); the current clock is returned either
@@ -1143,10 +1416,9 @@ impl Store {
             return Err(StoreError::NotDurable);
         };
         if data.clock <= inner.clock {
-            return Ok(inner.clock);
+            return Ok(inner.published.clock);
         }
         let dir = wal.dir().to_path_buf();
-        let options = wal.options();
         let clock = data.clock;
         wal::write_atomic(&wal::snapshot_path(&dir, clock), snapshot)?;
         // Local history is a prefix of the primary's, so everything on
@@ -1160,14 +1432,16 @@ impl Store {
                 let _ = std::fs::remove_file(&path);
             }
         }
-        let writer = Wal::open(&dir, options, Box::new(wal::DiskIo), None, clock)?;
-        let fresh = Self::from_snapshot_data(data)?;
-        let mut fresh_inner = fresh.inner.into_inner();
-        fresh_inner.wal = Some(writer);
+        let mut fresh = Self::from_snapshot_data(data)?.inner.into_inner();
+        let published = inner.published.clock;
+        let wal = inner.wal.as_mut().expect("checked above");
+        wal.restart(clock, published)?;
+        fresh.wal = inner.wal.take();
         // The fencing term outlives the state swap: it fences senders,
         // not history, and the durable term file was never touched.
-        fresh_inner.term = inner.term;
-        *inner = fresh_inner;
+        fresh.term = inner.term;
+        fresh.flushes = inner.flushes;
+        *inner = fresh;
         drop(inner);
         self.watch.notify();
         Ok(clock)
@@ -1727,6 +2001,89 @@ mod tests {
         let clock = reopened.clock();
         assert_eq!(reopened.install_snapshot(&snapshot).unwrap(), clock);
         assert_eq!(reopened.to_bytes(), primary.to_bytes());
+        std::fs::remove_dir_all(&primary_dir).ok();
+        std::fs::remove_dir_all(&replica_dir).ok();
+    }
+
+    /// Counts what a store asks of its injected I/O.
+    #[derive(Debug, Default)]
+    struct Counts {
+        opens: AtomicUsize,
+        appends: AtomicUsize,
+        syncs: AtomicUsize,
+    }
+
+    #[derive(Debug)]
+    struct CountingIo(Arc<Counts>);
+
+    #[derive(Debug)]
+    struct CountingFile(Arc<Counts>, Box<dyn wal::WalFile>);
+
+    impl WalIo for CountingIo {
+        fn open_segment(&mut self, path: &Path) -> std::io::Result<Box<dyn wal::WalFile>> {
+            self.0.opens.fetch_add(1, Ordering::SeqCst);
+            Ok(Box::new(CountingFile(
+                self.0.clone(),
+                wal::DiskIo.open_segment(path)?,
+            )))
+        }
+    }
+
+    impl wal::WalFile for CountingFile {
+        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.appends.fetch_add(1, Ordering::SeqCst);
+            self.1.append(bytes)
+        }
+
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.0.syncs.fetch_add(1, Ordering::SeqCst);
+            self.1.sync()
+        }
+    }
+
+    /// A fast-forward keeps the store's injected I/O: the segment it
+    /// opens, its header, and every later append and flush go through
+    /// it. Mutation caught: `install_snapshot` reopening the log with a
+    /// plain `DiskIo` (the counts stop moving).
+    #[test]
+    fn install_snapshot_keeps_the_injected_io() {
+        let primary_dir = temp_dir("install-io-src");
+        let replica_dir = temp_dir("install-io-dst");
+        let snapshot = durable_sample(&primary_dir).to_bytes();
+        let counts = Arc::new(Counts::default());
+        let replica = Store::create_durable_with_io(
+            &replica_dir,
+            &["Public", "High"],
+            &[(1, 0)],
+            DurabilityOptions::default(),
+            Box::new(CountingIo(counts.clone())),
+        )
+        .unwrap();
+        let seen = |counts: &Counts| {
+            [&counts.opens, &counts.appends, &counts.syncs].map(|n| n.load(Ordering::SeqCst))
+        };
+        let before = seen(&counts);
+        replica.install_snapshot(&snapshot).unwrap();
+        let installed = seen(&counts);
+        assert_eq!(
+            [
+                installed[0] - before[0],
+                installed[1] - before[1],
+                installed[2] - before[2]
+            ],
+            [2, 1, 1],
+            "the new segment's two handles, its header and its flush"
+        );
+        let public = replica.predicate("Public").unwrap();
+        replica.append_node("after", NodeKind::Data, Features::new(), public);
+        let written = seen(&counts);
+        assert_eq!(
+            [written[1] - installed[1], written[2] - installed[2]],
+            [1, 1],
+            "the write's frame and its flush"
+        );
+        drop(replica);
+        assert_eq!(Store::open(&replica_dir).unwrap().clock(), 5);
         std::fs::remove_dir_all(&primary_dir).ok();
         std::fs::remove_dir_all(&replica_dir).ok();
     }

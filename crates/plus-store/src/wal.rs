@@ -20,10 +20,16 @@
 //!
 //! # Protocol
 //!
-//! * **Append**: the frame is written (and optionally fsynced) *before*
-//!   the in-memory mutation is applied, so an acknowledged mutation is
-//!   always recoverable. Segments rotate once the active one crosses
-//!   [`DurabilityOptions::segment_max_bytes`].
+//! * **Append**: the frame is written to the active segment *before*
+//!   the in-memory mutation is applied, under the store's write lock, so
+//!   log order is clock order. With [`DurabilityOptions::fsync`] on, the
+//!   writer is acknowledged only once a flush covers its frame: flushes
+//!   run outside the store's lock on a second handle of the segment, one
+//!   at a time, and each covers every frame appended before it started
+//!   (a group commit). Readers see a write once a flush covers it.
+//!   Segments rotate once the active one crosses
+//!   [`DurabilityOptions::segment_max_bytes`]; a rotation first flushes
+//!   the segment it leaves.
 //! * **Recovery** (`recover`, run by `Store::open*`): load the newest
 //!   decodable snapshot (falling back through older ones), then replay
 //!   segments in clock
@@ -59,6 +65,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::codec::{self, FrameDecode, RawFrame, WalRecord};
 use crate::error::{Result, StoreError};
@@ -76,8 +83,11 @@ pub struct DurabilityOptions {
     /// Rotate to a fresh segment once the active one reaches this many
     /// bytes.
     pub segment_max_bytes: u64,
-    /// `fsync` the active segment after every appended frame. On, the
-    /// default, survives power loss; off survives process crashes only.
+    /// Acknowledge a write only once an `fsync` of the log covers its
+    /// frame. Concurrent writers share flushes: one flush covers every
+    /// frame appended before it started. On, the default, survives power
+    /// loss; off leaves frames to the page cache and survives process
+    /// crashes only.
     pub fsync: bool,
 }
 
@@ -94,8 +104,11 @@ impl Default for DurabilityOptions {
 /// fault-injection harness substitutes an implementation that fails after
 /// a byte budget, proving every crash point recovers.
 ///
-/// `Sync` is required only so the store stays `Sync` with a writer
-/// embedded; all calls happen under the store's write lock.
+/// The log opens each segment twice when it flushes: `append` is called
+/// on one handle under the store's write lock, `sync` on the other with
+/// no store lock held, possibly while the first handle appends. A flush
+/// must cover every byte appended to the file (through either handle)
+/// before it began, as `fdatasync` does.
 pub trait WalFile: Send + Sync + fmt::Debug {
     /// Appends bytes at the end of the file.
     fn append(&mut self, bytes: &[u8]) -> std::io::Result<()>;
@@ -333,6 +346,12 @@ pub(crate) struct Wal {
     options: DurabilityOptions,
     io: Box<dyn WalIo>,
     active: Box<dyn WalFile>,
+    /// With `fsync` on, a second handle on the active segment: a group
+    /// commit's leader flushes it with no store lock held.
+    flush: Option<Arc<FlushHandle>>,
+    /// The rendezvous of the writers waiting for a flush. A log restarted
+    /// under a new history gets a fresh one.
+    commit: Arc<GroupCommit>,
     active_path: PathBuf,
     active_bytes: u64,
     poisoned: bool,
@@ -361,40 +380,28 @@ impl Wal {
         resume: Option<(PathBuf, u64)>,
         clock: u64,
     ) -> Result<Self> {
-        let (active_path, active_bytes, header) = match resume {
-            Some((path, len)) => (path, len, None),
-            None => (
-                segment_path(dir, clock),
-                0,
-                Some(codec::encode_wal_header(clock)),
-            ),
-        };
-        let mut active = io
+        let fresh = resume.is_none();
+        let (active_path, active_bytes) = resume.unwrap_or_else(|| (segment_path(dir, clock), 0));
+        let active = io
             .open_segment(&active_path)
             .map_err(|e| StoreError::io_at(&active_path, e))?;
-        let mut active_bytes = active_bytes;
-        if let Some(header) = header {
-            active
-                .append(&header)
-                .map_err(|e| StoreError::io_at(&active_path, e))?;
-            if options.fsync {
-                active
-                    .sync()
-                    .map_err(|e| StoreError::io_at(&active_path, e))?;
-                // The segment's *name* must be durable too.
-                sync_dir(dir)?;
-            }
-            active_bytes = header.len() as u64;
-        }
-        Ok(Self {
+        let mut wal = Self {
             dir: dir.to_path_buf(),
             options,
             io,
             active,
+            flush: None,
+            commit: Arc::default(),
             active_path,
             active_bytes,
             poisoned: false,
-        })
+        };
+        if fresh {
+            wal.write_header(clock)?;
+        } else {
+            wal.flush = wal.open_flush()?;
+        }
+        Ok(wal)
     }
 
     pub(crate) fn dir(&self) -> &Path {
@@ -405,8 +412,37 @@ impl Wal {
         self.options
     }
 
+    /// Marks the log failed after a flush failed: it takes no more
+    /// frames, and its group commit flushes nothing more.
+    pub(crate) fn poison(&mut self) {
+        self.poisoned = true;
+    }
+
+    /// The group commit this log's durable writers wait on.
+    pub(crate) fn commit(&self) -> &Arc<GroupCommit> {
+        &self.commit
+    }
+
+    /// The handle a group commit's leader flushes: the active segment's,
+    /// or [`StoreError::WalPoisoned`] once the log can flush nothing it
+    /// may acknowledge.
+    ///
+    /// # Panics
+    /// Panics on a log without `fsync`, which has no group commit.
+    pub(crate) fn flusher(&self) -> Result<Arc<FlushHandle>> {
+        if self.poisoned {
+            return Err(StoreError::WalPoisoned);
+        }
+        Ok(self
+            .flush
+            .clone()
+            .expect("only a log with fsync on has a group commit"))
+    }
+
     /// Logs the mutation that will move the clock from `clock` to
-    /// `clock + 1`. Must be called *before* the in-memory mutation.
+    /// `clock + 1`. Must be called *before* the in-memory mutation. The
+    /// frame reaches the page cache; with `fsync` on, the caller waits on
+    /// [`commit`](Self::commit) before acknowledging it.
     pub(crate) fn append(&mut self, record: &WalRecord, clock: u64) -> Result<()> {
         if self.poisoned {
             return Err(StoreError::WalPoisoned);
@@ -422,19 +458,14 @@ impl Wal {
             return Err(StoreError::io_at(&self.active_path, e));
         }
         self.active_bytes += frame.len() as u64;
-        if self.options.fsync {
-            if let Err(e) = self.active.sync() {
-                self.poisoned = true;
-                return Err(StoreError::io_at(&self.active_path, e));
-            }
-        }
         Ok(())
     }
 
-    /// Starts a fresh segment whose first frame will be `clock`. Any
-    /// failure poisons the writer: a partially written header would
-    /// otherwise be appended-after on retry, corrupting the segment from
-    /// birth.
+    /// Starts a fresh segment whose first frame will be `clock`, flushing
+    /// the one it leaves first (with `fsync` on), so a flush of the new
+    /// segment covers every frame before it too. Any failure poisons the
+    /// writer: a partially written header would otherwise be
+    /// appended-after on retry, corrupting the segment from birth.
     pub(crate) fn rotate(&mut self, clock: u64) -> Result<()> {
         if self.poisoned {
             return Err(StoreError::WalPoisoned);
@@ -447,31 +478,161 @@ impl Wal {
             // frame stream; there is nothing to rotate away from.
             return Ok(());
         }
-        match self.rotate_inner(&path, clock) {
-            Ok(()) => Ok(()),
-            Err(e) => {
+        if self.options.fsync {
+            if let Err(e) = self.active.sync() {
                 self.poisoned = true;
-                Err(e)
+                return Err(StoreError::io_at(&self.active_path, e));
             }
+        }
+        self.start_segment(&path, clock)
+    }
+
+    /// Starts the log afresh at `clock` under a new history, for a store
+    /// whose state was replaced (a replica's fast-forward): a fresh
+    /// segment, a cleared poison flag and a new group commit. Writers
+    /// waiting on the old one are failed unless a flush already covered
+    /// them (`flushed`, the clock readers saw).
+    pub(crate) fn restart(&mut self, clock: u64, flushed: u64) -> Result<()> {
+        std::mem::take(&mut self.commit).finish(flushed, true);
+        self.poisoned = false;
+        self.start_segment(&segment_path(&self.dir, clock), clock)
+    }
+
+    /// Makes the segment at `path` the active one, header first. Failure
+    /// poisons the writer.
+    fn start_segment(&mut self, path: &Path, clock: u64) -> Result<()> {
+        let started = self.io.open_segment(path).map(|file| {
+            self.active = file;
+            self.active_path = path.to_path_buf();
+        });
+        let started = started
+            .map_err(|e| StoreError::io_at(path, e))
+            .and_then(|()| self.write_header(clock));
+        if started.is_err() {
+            self.poisoned = true;
+        }
+        started
+    }
+
+    /// Writes the header of the freshly opened active segment, whose
+    /// first frame will be `clock`, and opens its flush handle.
+    fn write_header(&mut self, clock: u64) -> Result<()> {
+        let path = &self.active_path;
+        let header = codec::encode_wal_header(clock);
+        self.active
+            .append(&header)
+            .map_err(|e| StoreError::io_at(path, e))?;
+        self.active_bytes = header.len() as u64;
+        if self.options.fsync {
+            self.active.sync().map_err(|e| StoreError::io_at(path, e))?;
+            // The segment's *name* must be durable too.
+            sync_dir(&self.dir)?;
+        }
+        self.flush = self.open_flush()?;
+        Ok(())
+    }
+
+    /// The second handle on the active segment that a group commit
+    /// flushes, opened through the same [`WalIo`] so an injected or
+    /// recording I/O layer sees every flush.
+    fn open_flush(&mut self) -> Result<Option<Arc<FlushHandle>>> {
+        if !self.options.fsync {
+            return Ok(None);
+        }
+        let path = self.active_path.clone();
+        let file = self
+            .io
+            .open_segment(&path)
+            .map_err(|e| StoreError::io_at(&path, e))?;
+        Ok(Some(Arc::new(FlushHandle {
+            path,
+            file: Mutex::new(file),
+        })))
+    }
+}
+
+/// A segment handle used only to flush, shared with a group commit's
+/// leader so the flush runs with no store lock held.
+#[derive(Debug)]
+pub(crate) struct FlushHandle {
+    path: PathBuf,
+    file: Mutex<Box<dyn WalFile>>,
+}
+
+impl FlushHandle {
+    /// Flushes every byte appended to the segment so far.
+    pub(crate) fn sync(&self) -> Result<()> {
+        self.file
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .sync()
+            .map_err(|e| StoreError::io_at(&self.path, e))
+    }
+}
+
+/// Where durable writers wait for a flush to cover their frames: at most
+/// one flush in flight, led by a writer, and how far the flushes so far
+/// reach. No thread of its own. The store drives the protocol
+/// (`Store::await_flush`); this keeps its state.
+#[derive(Debug, Default)]
+pub(crate) struct GroupCommit {
+    state: Mutex<CommitState>,
+    done: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct CommitState {
+    /// A writer is flushing.
+    leading: bool,
+    /// Every write that brought the clock to at most this is acknowledged.
+    flushed: u64,
+    /// A flush failed, or the log was restarted: every write above
+    /// `flushed` fails.
+    closed: bool,
+}
+
+/// What a writer waiting on a [`GroupCommit`] does next.
+#[derive(Debug)]
+pub(crate) enum Turn {
+    /// A flush covered the write.
+    Acked,
+    /// The write will never be covered.
+    Failed,
+    /// No flush is in flight: this writer leads the next one.
+    Lead,
+}
+
+impl GroupCommit {
+    /// Waits until the write that brought the clock to `clock` is
+    /// decided, or until no flush is in flight and this writer must lead
+    /// one. A frame appended after a flush started waits for the next.
+    pub(crate) fn wait(&self, clock: u64) -> Turn {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if state.flushed >= clock {
+                return Turn::Acked;
+            }
+            if state.closed {
+                return Turn::Failed;
+            }
+            if !state.leading {
+                state.leading = true;
+                return Turn::Lead;
+            }
+            state = self.done.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    fn rotate_inner(&mut self, path: &Path, clock: u64) -> Result<()> {
-        let mut file = self
-            .io
-            .open_segment(path)
-            .map_err(|e| StoreError::io_at(path, e))?;
-        let header = codec::encode_wal_header(clock);
-        file.append(&header)
-            .map_err(|e| StoreError::io_at(path, e))?;
-        if self.options.fsync {
-            file.sync().map_err(|e| StoreError::io_at(path, e))?;
-            sync_dir(&self.dir)?;
-        }
-        self.active = file;
-        self.active_path = path.to_path_buf();
-        self.active_bytes = header.len() as u64;
-        Ok(())
+    /// Ends the flush a [`Turn::Lead`] began: writes up to `flushed` are
+    /// acknowledged, and with `failed` every write above fails, for good.
+    /// Wakes every waiter.
+    pub(crate) fn finish(&self, flushed: u64, failed: bool) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.leading = false;
+        state.flushed = state.flushed.max(flushed);
+        state.closed |= failed;
+        drop(state);
+        self.done.notify_all();
     }
 }
 

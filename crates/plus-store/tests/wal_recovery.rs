@@ -16,12 +16,20 @@
 //!   poisons itself after the first failure, and recovers what it
 //!   acknowledged.
 //!
+//! With `fsync` on, an in-memory device that keeps each file's flushed
+//! prefix apart from its written bytes proves that no write is
+//! acknowledged before a flush covers it: under concurrent writers at
+//! every power-loss point, when a flush fails, and when one flush covers
+//! several writers.
+//!
 //! Plus proptest cases over the frame codec itself: torn writes and bit
 //! flips never panic and never fabricate records before the damage.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -546,6 +554,429 @@ fn account_service_restores_epoch_from_the_recovered_log() {
     drop(service);
     let reopened = AccountService::open_durable(&dir).unwrap();
     assert_eq!(reopened.epoch(), committed_clock + 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Group commit: no write is acknowledged before a flush covers it
+// ---------------------------------------------------------------------------
+
+/// Runs at the start of every flush with the flush's index (from 0, the
+/// first segment's header), before the flush takes effect; an `Err`
+/// fails the flush.
+type SyncHook = Box<dyn Fn(&MemDisk, usize) -> std::io::Result<()> + Send + Sync>;
+
+/// An in-memory device that keeps each segment's written bytes apart
+/// from the prefix a flush made durable: a power loss keeps only the
+/// latter. The log opens two handles on a segment; they share its file,
+/// and a flush through either covers everything written to it, as
+/// `fdatasync` does.
+#[derive(Default)]
+struct MemDisk {
+    /// Per segment: written bytes, and how many of them are flushed.
+    files: Mutex<BTreeMap<PathBuf, (Vec<u8>, usize)>>,
+    syncs: AtomicUsize,
+    on_sync: Option<SyncHook>,
+    /// Told the length of every append, after it lands.
+    on_append: Option<Mutex<mpsc::Sender<usize>>>,
+}
+
+impl std::fmt::Debug for MemDisk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemDisk")
+            .field("syncs", &self.syncs)
+            .finish_non_exhaustive()
+    }
+}
+
+impl MemDisk {
+    /// What a power loss now would leave: each segment's flushed prefix.
+    fn flushed(&self) -> Vec<(PathBuf, Vec<u8>)> {
+        let files = self.files.lock().unwrap();
+        files
+            .iter()
+            .map(|(path, (bytes, flushed))| (path.clone(), bytes[..*flushed].to_vec()))
+            .collect()
+    }
+
+    /// What a process crash now would leave: every written byte.
+    fn written(&self) -> Vec<(PathBuf, Vec<u8>)> {
+        let files = self.files.lock().unwrap();
+        files
+            .iter()
+            .map(|(path, (bytes, _))| (path.clone(), bytes.clone()))
+            .collect()
+    }
+}
+
+/// Recovers the store a crash leaves in `dir`: the clock-0 `snapshot`
+/// and the segment `files`.
+fn recover_crash(dir: &Path, snapshot: &[u8], files: &[(PathBuf, Vec<u8>)]) -> Store {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(wal::snapshot_path(dir, 0), snapshot).unwrap();
+    for (path, bytes) in files {
+        std::fs::write(dir.join(path.file_name().unwrap()), bytes).unwrap();
+    }
+    Store::open(dir).unwrap()
+}
+
+#[derive(Debug)]
+struct MemIo(Arc<MemDisk>);
+
+#[derive(Debug)]
+struct MemFile {
+    disk: Arc<MemDisk>,
+    path: PathBuf,
+}
+
+impl WalIo for MemIo {
+    fn open_segment(&mut self, path: &Path) -> std::io::Result<Box<dyn WalFile>> {
+        let mut files = self.0.files.lock().unwrap();
+        files.entry(path.to_path_buf()).or_default();
+        Ok(Box::new(MemFile {
+            disk: self.0.clone(),
+            path: path.to_path_buf(),
+        }))
+    }
+}
+
+impl WalFile for MemFile {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let mut files = self.disk.files.lock().unwrap();
+        files
+            .get_mut(&self.path)
+            .unwrap()
+            .0
+            .extend_from_slice(bytes);
+        drop(files);
+        if let Some(appended) = &self.disk.on_append {
+            let _ = appended.lock().unwrap().send(bytes.len());
+        }
+        Ok(())
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        let index = self.disk.syncs.fetch_add(1, Ordering::SeqCst);
+        if let Some(hook) = &self.disk.on_sync {
+            hook(&self.disk, index)?;
+        }
+        let mut files = self.disk.files.lock().unwrap();
+        let (bytes, flushed) = files.get_mut(&self.path).unwrap();
+        *flushed = bytes.len();
+        Ok(())
+    }
+}
+
+/// A durable store with `fsync` on whose segments live on `disk`.
+fn store_on(dir: &Path, disk: &Arc<MemDisk>) -> Store {
+    Store::create_durable_with_io(
+        dir,
+        LATTICE.0,
+        LATTICE.1,
+        DurabilityOptions::default(),
+        Box::new(MemIo(disk.clone())),
+    )
+    .unwrap()
+}
+
+/// Power loss under four concurrent durable writers. At the start of
+/// every flush, and after the last write, the device is cut to what the
+/// flushes so far made durable; each cut must recover a prefix of the
+/// store's history that holds every write acknowledged before it.
+/// Mutation caught: acknowledging a write no flush covers — `stage`
+/// publishing inline with `fsync` on, as it does with it off — which
+/// leaves every acknowledged frame outside the flushed prefix.
+#[test]
+fn power_loss_keeps_every_acknowledged_write() {
+    const WRITERS: usize = 4;
+    const WRITES: usize = 30;
+    type Cut = (usize, Vec<(PathBuf, Vec<u8>)>);
+    let acked: Arc<Mutex<Vec<(RecordId, String)>>> = Arc::default();
+    let cuts: Arc<Mutex<Vec<Cut>>> = Arc::default();
+    let disk = Arc::new(MemDisk {
+        on_sync: Some(Box::new({
+            let (acked, cuts) = (acked.clone(), cuts.clone());
+            move |disk, _| {
+                // Acks first: every one counted returned before this
+                // flush began, so an earlier flush must have covered it.
+                let seen = acked.lock().unwrap().len();
+                cuts.lock().unwrap().push((seen, disk.flushed()));
+                Ok(())
+            }
+        })),
+        ..Default::default()
+    });
+    let dir = temp_dir("power-loss");
+    let store = store_on(&dir, &disk);
+    let public = store.predicate("Public").unwrap();
+    std::thread::scope(|scope| {
+        for t in 0..WRITERS {
+            let (store, acked) = (&store, &acked);
+            scope.spawn(move || {
+                for i in 0..WRITES {
+                    let label = format!("w{t}-{i}");
+                    let id = store
+                        .try_append_node(label.clone(), NodeKind::Data, Features::new(), public)
+                        .unwrap();
+                    acked.lock().unwrap().push((id, label));
+                }
+            });
+        }
+    });
+    let acked = acked.lock().unwrap().clone();
+    assert_eq!(acked.len(), WRITERS * WRITES);
+    let mut cuts = std::mem::take(&mut *cuts.lock().unwrap());
+    cuts.push((acked.len(), disk.flushed()));
+
+    let snapshot = std::fs::read(wal::snapshot_path(&dir, 0)).unwrap();
+    let crash_dir = temp_dir("power-loss-crash");
+    for (n, (seen, files)) in cuts.iter().enumerate() {
+        let recovered = recover_crash(&crash_dir, &snapshot, files);
+        let clock = recovered.clock();
+        assert_eq!(recovered.node_count() as u64, clock, "cut {n}");
+        for i in 0..clock as u32 {
+            assert_eq!(
+                recovered.node(RecordId(i)),
+                store.node(RecordId(i)),
+                "cut {n}: not a prefix of the history"
+            );
+        }
+        for (id, label) in &acked[..*seen] {
+            assert_eq!(
+                recovered.node(*id).map(|node| node.label),
+                Some(label.clone()),
+                "cut {n}: a write acknowledged before the power loss is gone"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&crash_dir).ok();
+}
+
+/// The k-th flush fails, for every k across a sequential workload: the
+/// write it was to cover fails with the I/O error, no write is
+/// acknowledged after it, later writes fail (poisoned, or refused against
+/// the state the failure left), the store holds exactly the
+/// acknowledged prefix, and the log holds nothing past the failed write.
+/// Mutations caught: treating a failed flush as done (`lead_flush`
+/// ignoring what `sync` returned: the write is acknowledged), and not
+/// poisoning the log (later writes still fail, but their frames reach
+/// it, and a process crash would recover them).
+#[test]
+fn a_failed_flush_fails_its_writes_and_keeps_the_acknowledged_prefix() {
+    const OPS: usize = 40;
+    let expected = expected_prefixes(OPS);
+    let dir = temp_dir("flush-failure");
+    let crash_dir = temp_dir("flush-failure-crash");
+    // Flush 0 writes the first segment's header; flush k covers op k - 1.
+    for k in 1..=OPS {
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Arc::new(MemDisk {
+            on_sync: Some(Box::new(move |_, index| match index == k {
+                true => Err(std::io::Error::other("injected flush failure")),
+                false => Ok(()),
+            })),
+            ..Default::default()
+        });
+        let store = store_on(&dir, &disk);
+        let mut acknowledged = 0;
+        let mut failed = false;
+        for i in 0..OPS {
+            match apply_op(&store, i) {
+                Ok(()) => {
+                    assert!(!failed, "k {k}: op {i} acknowledged after a failed flush");
+                    acknowledged += 1;
+                }
+                Err(e) if failed => assert!(
+                    matches!(
+                        e,
+                        StoreError::WalPoisoned
+                            | StoreError::UnknownRecord(_)
+                            | StoreError::Graph(_)
+                    ),
+                    "k {k}: unexpected error after the failure: {e}"
+                ),
+                Err(e) => {
+                    assert!(
+                        matches!(e, StoreError::Io { path: Some(_), .. }),
+                        "k {k}: the flush's own writer gets its I/O error, got {e}"
+                    );
+                    failed = true;
+                }
+            }
+        }
+        assert_eq!(acknowledged, k - 1, "k {k}");
+        assert_eq!(store.to_bytes(), expected[acknowledged], "k {k}");
+        let public = store.predicate("Public").unwrap();
+        assert!(
+            matches!(
+                store.try_append_node("late", NodeKind::Data, Features::new(), public),
+                Err(StoreError::WalPoisoned)
+            ),
+            "k {k}: a write after the failure is refused as poisoned"
+        );
+        let snapshot = std::fs::read(wal::snapshot_path(&dir, 0)).unwrap();
+        let recovered = recover_crash(&crash_dir, &snapshot, &disk.written());
+        let clock = recovered.clock() as usize;
+        assert!(
+            clock <= k,
+            "k {k}: {clock} records written, {acknowledged} acknowledged"
+        );
+        assert_eq!(recovered.to_bytes(), expected[clock], "k {k}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&crash_dir).ok();
+}
+
+/// A durable store whose flushes, once `armed`, each announce themselves
+/// on the returned receiver and then wait for the outcome the test
+/// sends. Every append is announced too.
+struct HeldFlushes {
+    disk: Arc<MemDisk>,
+    armed: Arc<AtomicBool>,
+    appended: mpsc::Receiver<usize>,
+    started: mpsc::Receiver<()>,
+    release: mpsc::Sender<std::io::Result<()>>,
+}
+
+impl HeldFlushes {
+    fn new() -> Self {
+        let armed = Arc::new(AtomicBool::new(false));
+        let (appended_tx, appended) = mpsc::channel();
+        let (started_tx, started) = mpsc::channel();
+        let (release, outcomes) = mpsc::channel::<std::io::Result<()>>();
+        let (started_tx, outcomes) = (Mutex::new(started_tx), Mutex::new(outcomes));
+        let hook_armed = armed.clone();
+        let disk = Arc::new(MemDisk {
+            on_sync: Some(Box::new(move |_, _| {
+                if !hook_armed.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                started_tx.lock().unwrap().send(()).unwrap();
+                // A flush the schedule never releases fails instead of
+                // hanging the test.
+                let outcome = outcomes
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(30));
+                outcome.unwrap_or_else(|_| Err(std::io::Error::other("flush never released")))
+            })),
+            on_append: Some(Mutex::new(appended_tx)),
+            ..Default::default()
+        });
+        Self {
+            disk,
+            armed,
+            appended,
+            started,
+            release,
+        }
+    }
+
+    /// Waits for the next announcement on `channel`: the store's threads
+    /// are blocked or finished otherwise, so a long wait is a failure.
+    fn next<T>(channel: &mpsc::Receiver<T>, what: &str) -> T {
+        channel
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("no {what}"))
+    }
+
+    /// Writer A appends and starts its flush, which is held; then B
+    /// appends an edge and C a node. A's flush ends with `outcome`, and
+    /// any later flush succeeds. Returns the store, the three results and
+    /// how many flushes ran after arming.
+    fn a_then_b_and_c(
+        self,
+        dir: &Path,
+        outcome: std::io::Result<()>,
+    ) -> (Store, [Result<(), StoreError>; 3], usize) {
+        let store = store_on(dir, &self.disk);
+        let public = store.predicate("Public").unwrap();
+        let x = store.append_node("x", NodeKind::Data, Features::new(), public);
+        let y = store.append_node("y", NodeKind::Data, Features::new(), public);
+        while self.appended.try_recv().is_ok() {}
+        self.armed.store(true, Ordering::SeqCst);
+        let syncs_before = self.disk.syncs.load(Ordering::SeqCst);
+        let node = |label: &'static str| {
+            let store = &store;
+            move || {
+                store
+                    .try_append_node(label, NodeKind::Data, Features::new(), public)
+                    .map(|_| ())
+            }
+        };
+        let results = std::thread::scope(|scope| {
+            let a = scope.spawn(node("a"));
+            Self::next(&self.appended, "append by A");
+            Self::next(&self.started, "flush by A");
+            let b = scope.spawn(|| store.append_edge(x, y, EdgeKind::InputTo));
+            Self::next(&self.appended, "append by B");
+            let c = scope.spawn(node("c"));
+            Self::next(&self.appended, "append by C");
+            self.release.send(outcome).unwrap();
+            let a = a.join().unwrap();
+            if a.is_ok() {
+                // B and C were appended before A's flush ended, so one
+                // flush led by either covers both.
+                Self::next(&self.started, "flush covering B and C");
+                self.release.send(Ok(())).unwrap();
+            }
+            [a, b.join().unwrap(), c.join().unwrap()]
+        });
+        assert!(
+            self.started.try_recv().is_err(),
+            "no flush beyond those released"
+        );
+        let flushes = self.disk.syncs.load(Ordering::SeqCst) - syncs_before;
+        (store, results, flushes)
+    }
+}
+
+/// One flush covers every frame appended before it began: writer A's
+/// flush is held while B and C append; released, it covers A alone, and
+/// B and C then share one flush — two flushes for three acknowledged
+/// writes. Mutations caught: a flush per write (`GroupCommit::wait`
+/// handing every writer `Lead`: three flushes), and a leader publishing
+/// what was appended while it flushed (B and C acknowledged with no
+/// flush of their own: the second flush never comes).
+#[test]
+fn one_flush_covers_the_writers_that_queued_behind_another() {
+    let dir = temp_dir("group-commit");
+    let (store, results, flushes) = HeldFlushes::new().a_then_b_and_c(&dir, Ok(()));
+    for (writer, result) in ["A", "B", "C"].iter().zip(&results) {
+        assert!(result.is_ok(), "{writer}: {result:?}");
+    }
+    assert_eq!(flushes, 2, "three writes, two flushes");
+    assert_eq!(store.clock(), 5);
+    assert_eq!(store.wal_flush_stats(), (4, 5), "x, y, then two groups");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same schedule with A's flush failing: A gets the I/O error, B and
+/// C — appended behind it, never flushed — fail as poisoned, and all
+/// three are rolled back, B's edge out of the duplicate check too.
+/// Mutations caught: `await_flush` taking `Turn::Failed` for an
+/// acknowledgement, and a rollback that leaves the edge set alone
+/// (re-appending B's edge is refused as a duplicate, not as poisoned).
+#[test]
+fn a_failed_flush_fails_the_writers_queued_behind_it() {
+    let dir = temp_dir("group-commit-failure");
+    let failure = Err(std::io::Error::other("injected flush failure"));
+    let (store, results, flushes) = HeldFlushes::new().a_then_b_and_c(&dir, failure);
+    let [a, b, c] = results;
+    assert!(matches!(a, Err(StoreError::Io { .. })), "A: {a:?}");
+    assert!(matches!(b, Err(StoreError::WalPoisoned)), "B: {b:?}");
+    assert!(matches!(c, Err(StoreError::WalPoisoned)), "C: {c:?}");
+    assert_eq!(flushes, 1, "nothing is flushed after a failure");
+    assert_eq!(
+        (store.clock(), store.node_count(), store.edge_count()),
+        (2, 2, 0)
+    );
+    assert!(matches!(
+        store.append_edge(RecordId(0), RecordId(1), EdgeKind::InputTo),
+        Err(StoreError::WalPoisoned)
+    ));
     std::fs::remove_dir_all(&dir).ok();
 }
 

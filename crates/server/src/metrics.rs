@@ -41,6 +41,8 @@
 //! | `spgraph_replication_term` | gauge | the fencing term this node has observed (promotion generation) |
 //! | `spgraph_replication_lag` | gauge | mutations behind the primary (0 on a primary; stale lower bound while disconnected) |
 //! | `spgraph_promotions_total` | counter | replica-to-primary promotions served by this process |
+//! | `spgraph_wal_flushes_total` | counter | write-ahead-log flushes that made at least one write durable (0 with `fsync` off) |
+//! | `spgraph_wal_flushed_writes_total` | counter | writes those flushes made durable; divided by `spgraph_wal_flushes_total`, the writes one flush covers |
 //! | `spgraph_gather_generation` | gauge | slot resets a gather's merge has performed (failover repairs) |
 //! | `spgraph_gather_slot_clock{slot=…}` | gauge | mutations of each shard's history a gather's merge reflects |
 //! | `spgraph_gather_slot_term{slot=…}` | gauge | fencing term a gather last folded each shard's feed under (absent until its first chunk) |
@@ -439,6 +441,19 @@ impl ServerMetrics {
             "spgraph_promotions_total",
             "Replica-to-primary promotions served by this process.",
             self.promotions.get(),
+        );
+        let (flushes, flushed_writes) = service
+            .store()
+            .map_or((0, 0), |store| store.wal_flush_stats());
+        counter(
+            "spgraph_wal_flushes_total",
+            "Write-ahead-log flushes that made at least one write durable.",
+            flushes,
+        );
+        counter(
+            "spgraph_wal_flushed_writes_total",
+            "Writes the write-ahead log's flushes made durable.",
+            flushed_writes,
         );
         let (extended_accounts, generated, protect_time) = service.protect_stats();
         let (extended, rebuilt, build_time) = service.snapshot_stats();

@@ -12,10 +12,11 @@
 //!
 //! * **Frames** are the primary's sealed WAL frames, byte-identical to
 //!   its segment contents. Each decodes through the same checksummed
-//!   frame codec recovery uses and is applied through
-//!   [`Store::apply_replicated`] — which logs it to the replica's *own*
-//!   write-ahead log before applying, so the replica directory recovers
-//!   by exactly the rules a primary's does.
+//!   frame codec recovery uses, and a chunk is applied through
+//!   [`Store::apply_replicated_chunk`] — which logs each record to the
+//!   replica's *own* write-ahead log before applying it, and flushes once
+//!   per chunk, so the replica directory recovers by exactly the rules a
+//!   primary's does.
 //! * **Snapshots** arrive only when the replica must backfill: a cold
 //!   start (clock 0), or a primary checkpoint that pruned the log past
 //!   the replica's clock. [`Store::install_snapshot`] fast-forwards the
@@ -607,8 +608,8 @@ fn bootstrap(
 fn apply_chunk(store: &Store, chunk: &WalChunk) -> Result<(), ReplicaError> {
     // Fence before anything touches the store: a chunk from a deposed
     // primary must not even install its snapshot. (Every frame is
-    // re-checked inside apply_replicated, so a promotion racing this
-    // window still cannot let a forked frame in.)
+    // re-checked inside apply_replicated_chunk, so a promotion racing
+    // this window still cannot let a forked frame in.)
     store
         .observe_replication_term(chunk.term)
         .map_err(ReplicaError::Store)?;
@@ -623,7 +624,8 @@ fn apply_chunk(store: &Store, chunk: &WalChunk) -> Result<(), ReplicaError> {
 }
 
 /// Replays sealed frames (clock-contiguous from `start_clock`, stamped
-/// with the feeder's fencing `term`) into the store, skipping any
+/// with the feeder's fencing `term`) into the store as one chunk:
+/// decoded whole first, then applied with one flush, skipping any
 /// overlap below the local clock.
 fn apply_frames(
     store: &Store,
@@ -631,24 +633,12 @@ fn apply_frames(
     frames: &[u8],
     term: u64,
 ) -> Result<(), ReplicaError> {
-    let mut clock = start_clock;
+    let mut records = Vec::new();
     let mut pos = 0;
     while pos < frames.len() {
         match codec::decode_frame(&frames[pos..]) {
             FrameDecode::Complete { record, consumed } => {
-                let local = store.version();
-                if clock > local {
-                    return Err(ReplicaError::Store(StoreError::ReplicationGap {
-                        expected: local,
-                        found: clock,
-                    }));
-                }
-                if clock == local {
-                    store
-                        .apply_replicated(record, term)
-                        .map_err(ReplicaError::Store)?;
-                }
-                clock += 1;
+                records.push(record);
                 pos += consumed;
             }
             // The outer wire frame's checksum already passed, so damage
@@ -664,7 +654,12 @@ fn apply_frames(
             }
         }
     }
-    Ok(())
+    if records.is_empty() {
+        return Ok(());
+    }
+    store
+        .apply_replicated_chunk(start_clock, records, term)
+        .map_err(ReplicaError::Store)
 }
 
 /// `true` when `dir` already holds a replica (or any durable) store —

@@ -545,3 +545,70 @@ fn a_gather_exports_its_merge_and_feeds() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Writes per flush can be read off a running server: every durable
+/// write acknowledged with `fsync` on is counted once in
+/// `spgraph_wal_flushed_writes_total`, and no flush is counted that
+/// covered nothing. A page-cache store flushes nothing and exports 0.
+/// Mutation caught: counting the inline publication of a store without
+/// `fsync` as a flush (the page-cache store would export its writes).
+#[test]
+fn wal_flushes_are_counted_with_the_writes_they_cover() {
+    const WRITES: usize = 24;
+    let flush_counts = |store: Arc<Store>| {
+        let server = Server::bind(
+            Arc::new(AccountService::new(store)),
+            "127.0.0.1:0",
+            &ServerConfig {
+                threads: 1,
+                metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let (_, body) = scrape(server.metrics_local_addr().unwrap(), "/metrics");
+        server.shutdown();
+        (
+            sample(&body, "spgraph_wal_flushes_total"),
+            sample(&body, "spgraph_wal_flushed_writes_total"),
+        )
+    };
+    let write_from_two_threads = |store: &Arc<Store>| {
+        let public = store.predicate("Public").unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                scope.spawn(move || {
+                    for i in 0..WRITES / 2 {
+                        store.append_node(
+                            format!("{t}-{i}"),
+                            NodeKind::Data,
+                            Features::new(),
+                            public,
+                        );
+                    }
+                });
+            }
+        });
+    };
+
+    let dir = std::env::temp_dir().join(format!("observability-flushes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = Arc::new(Store::create_durable(&dir, &["Public"], &[]).unwrap());
+    write_from_two_threads(&durable);
+    // A checkpoint flushes too, and must count nothing it did not cover.
+    durable.checkpoint().unwrap();
+    let (flushes, flushed_writes) = flush_counts(durable);
+    assert_eq!(
+        flushed_writes, WRITES as f64,
+        "every acked write counted once"
+    );
+    assert!(
+        (1.0..=WRITES as f64).contains(&flushes),
+        "{flushes} flushes for {WRITES} writes"
+    );
+
+    let (page_cache, _) = setup();
+    write_from_two_threads(&page_cache);
+    assert_eq!(flush_counts(page_cache), (0.0, 0.0));
+    std::fs::remove_dir_all(&dir).ok();
+}
