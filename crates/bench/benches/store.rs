@@ -46,7 +46,7 @@ fn bench_store(c: &mut Criterion) {
 }
 
 /// `snapshot/{rebuild,extend}/{1025n,4860n}`: `AccountService::snapshot`
-/// (materialization plus index build) on `spbench`'s G1k and G5k shapes.
+/// (materialization plus index) on `spbench`'s G1k and G5k shapes.
 /// `rebuild` is a cold service's first epoch. `extend` is the epoch after
 /// a one-record write; the write re-marks node 0, so the graph stays the
 /// stated size however many iterations run.

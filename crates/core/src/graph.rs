@@ -402,10 +402,11 @@ impl Graph {
 /// are involved in construction or traversal.
 ///
 /// The layout is the snapshot currency of the protection hot path: a
-/// `Csr` is built once per materialized epoch (or on the fly for a
-/// one-shot protection) and shared read-only across every concurrent
-/// account generation against that epoch.
-#[derive(Debug, Clone, Default)]
+/// `Csr` is built once for a cold snapshot (or on the fly for a one-shot
+/// protection), [extended](Csr::extend) with its graph from epoch to
+/// epoch, and shared read-only across every concurrent account
+/// generation against an epoch.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Csr {
     nodes: u32,
     /// `out_offsets[u] .. out_offsets[u + 1]` spans `u`'s out-adjacency.
@@ -478,6 +479,72 @@ impl Csr {
         }
     }
 
+    /// Brings an index of a prefix of `graph` up to the whole of it: the
+    /// nodes and edges `graph` gained since are merged in, and the result
+    /// equals [`Csr::build`] of `graph`.
+    ///
+    /// New nodes get empty ranges. A new edge's id is above every held
+    /// id, so it goes at the end of its node's range, whether that node
+    /// is new or old. The new edges are sorted by node for each
+    /// direction and merged in from the back: the held entries between
+    /// two touched nodes move once, and their offsets shift once. The
+    /// cost is the new edges' sort plus a move of everything after the
+    /// first touched node; nothing is hashed and nothing is allocated
+    /// beyond the arrays' growth and one buffer of the new edges.
+    ///
+    /// # Panics
+    /// Panics if `graph` is not an extension of the graph this index was
+    /// built from: it has fewer nodes or edges, or a different edge at
+    /// the last held edge id.
+    pub fn extend(&mut self, graph: &Graph) {
+        let (held_nodes, held_edges) = (self.node_count(), self.edge_count());
+        let (nodes, edges) = (graph.node_count(), graph.edge_count());
+        assert!(
+            nodes >= held_nodes
+                && edges >= held_edges
+                && (held_edges == 0
+                    || self.endpoints(held_edges - 1) == graph.edge_at(held_edges - 1)),
+            "graph does not extend the one this index was built from"
+        );
+        self.nodes = nodes as u32;
+        // Every array grows by exactly what it gains: an index that grows
+        // by a few entries an epoch keeps no slack, where a doubling `Vec`
+        // could hold up to twice the index.
+        for offsets in [&mut self.out_offsets, &mut self.in_offsets] {
+            offsets.reserve_exact(nodes - held_nodes);
+            offsets.resize(nodes + 1, held_edges as u32);
+        }
+        if edges == held_edges {
+            return;
+        }
+        let new = &graph.edge_list[held_edges..];
+        self.endpoints.reserve_exact(new.len());
+        self.endpoints.extend(new.iter().map(|&(a, b)| (a.0, b.0)));
+        // `(node, edge id, other end)` of each new edge, for one
+        // direction at a time.
+        let mut fresh: Vec<(u32, u32, u32)> = (held_edges as u32..)
+            .zip(new)
+            .map(|(id, &(a, b))| (a.0, id, b.0))
+            .collect();
+        fresh.sort_unstable();
+        merge_tail(
+            &mut self.out_offsets,
+            &mut self.out_targets,
+            &mut self.out_edge_ids,
+            &fresh,
+        );
+        for (node, _, other) in &mut fresh {
+            std::mem::swap(node, other);
+        }
+        fresh.sort_unstable();
+        merge_tail(
+            &mut self.in_offsets,
+            &mut self.in_sources,
+            &mut self.in_edge_ids,
+            &fresh,
+        );
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -526,6 +593,47 @@ impl Csr {
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
         (self.in_offsets[v.index() + 1] - self.in_offsets[v.index()]) as usize
+    }
+}
+
+/// Merges new adjacency entries into one direction of a [`Csr`].
+/// `fresh` holds `(node, edge id, other end)`, sorted by node and then
+/// by id, and every id in it is above every held id. Walking the touched
+/// nodes from the last, the held run after a node moves up by the number
+/// of fresh entries at or before that node, the node's fresh entries
+/// fill the gap this opens at the end of its range, and the run's
+/// offsets shift by the same count.
+fn merge_tail(
+    offsets: &mut [u32],
+    others: &mut Vec<u32>,
+    ids: &mut Vec<u32>,
+    fresh: &[(u32, u32, u32)],
+) {
+    let held = others.len();
+    for v in [&mut *others, &mut *ids] {
+        v.reserve_exact(fresh.len());
+        v.resize(held + fresh.len(), 0);
+    }
+    // Held entries at `hi..` and offsets at `bound..` are in place.
+    let (mut hi, mut bound, mut end) = (held, offsets.len(), fresh.len());
+    while end > 0 {
+        let node = fresh[end - 1].0;
+        let start = fresh[..end]
+            .iter()
+            .rposition(|&(n, ..)| n != node)
+            .map_or(0, |i| i + 1);
+        let node = node as usize;
+        let lo = offsets[node + 1] as usize;
+        others.copy_within(lo..hi, lo + end);
+        ids.copy_within(lo..hi, lo + end);
+        for (slot, &(_, id, other)) in (lo + start..).zip(&fresh[start..end]) {
+            others[slot] = other;
+            ids[slot] = id;
+        }
+        for offset in &mut offsets[node + 1..bound] {
+            *offset += end as u32;
+        }
+        (hi, bound, end) = (lo, node + 1, start);
     }
 }
 
@@ -682,6 +790,22 @@ mod tests {
         assert_eq!(csr.in_degree(d), 2);
         assert_eq!(csr.out(b).0, &[d.0]);
         assert_eq!(csr.inn(c).0, &[a.0]);
+    }
+
+    /// As many nodes and edges, but another last edge: not an extension.
+    #[test]
+    #[should_panic(expected = "does not extend")]
+    fn csr_refuses_a_graph_it_was_not_built_from() {
+        let (g, [a, b, c, d]) = diamond();
+        let mut csr = Csr::build(&g);
+        let mut other = Graph::new();
+        for label in ["a", "b", "c", "d"] {
+            other.add_node(label, public());
+        }
+        for (from, to) in [(a, b), (a, c), (b, d), (d, a)] {
+            other.add_edge(from, to).unwrap();
+        }
+        csr.extend(&other);
     }
 
     #[test]

@@ -140,10 +140,15 @@ pub struct Snapshot {
 type Seeds = HashMap<CacheKey, Arc<ProtectedAccount>>;
 
 impl Snapshot {
-    fn stamped(stamp: Stamp, materialized: Materialized, seeds: Seeds) -> Self {
-        // Build the CSR index once per epoch, here, so every protection
-        // and every sealed frame of the epoch runs hash-free.
-        let index = SnapshotIndex::build(&materialized);
+    /// `index` is `materialized`'s, ready before the epoch serves, so
+    /// every protection and every sealed frame of the epoch runs
+    /// hash-free.
+    fn stamped(
+        stamp: Stamp,
+        materialized: Materialized,
+        index: SnapshotIndex,
+        seeds: Seeds,
+    ) -> Self {
         Self {
             epoch: stamp.epoch,
             shard_epochs: stamp.shard_epochs,
@@ -158,16 +163,17 @@ impl Snapshot {
         }
     }
 
-    /// Takes the retired snapshot apart: its materialization, and the
-    /// seeds it did not consume, overwritten by every account it holds.
-    fn retire(self) -> (Materialized, Seeds) {
+    /// Takes the retired snapshot apart: its materialization and index,
+    /// and the seeds it did not consume, overwritten by every account it
+    /// holds.
+    fn retire(self) -> (Materialized, SnapshotIndex, Seeds) {
         let mut seeds = self.seeds.into_inner();
         for (key, slot) in self.accounts.into_inner() {
             if let Some(account) = slot.lock().unwrap_or_else(PoisonError::into_inner).take() {
                 seeds.insert(key, account);
             }
         }
-        (self.materialized, seeds)
+        (self.materialized, self.index, seeds)
     }
 
     /// The store version this materialization corresponds to.
@@ -190,8 +196,9 @@ impl Snapshot {
         &self.materialized
     }
 
-    /// The dense CSR index of this materialization, built once at
-    /// snapshot time and shared by every protection against this epoch.
+    /// The dense CSR index of this materialization, built or extended
+    /// at snapshot time and shared by every protection against this
+    /// epoch.
     pub fn index(&self) -> &SnapshotIndex {
         &self.index
     }
@@ -564,19 +571,22 @@ impl AccountService {
         let started = Instant::now();
         // Build on the snapshot being retired: take it apart when this is
         // the last pin, clone its materialization (payloads are shared)
-        // while a reader still holds one. It is never put back: a build
-        // reads the source's state and records under one lock, and that
-        // state only moves forward — except across a slot reset, whose
-        // new generation is adopted regardless.
+        // and its index while a reader still holds one. It is never put
+        // back: a build reads the source's state and records under one
+        // lock, and that state only moves forward — except across a slot
+        // reset, whose new generation is adopted regardless.
         let (base, seeds) = match cached.take().map(Arc::try_unwrap) {
             Some(Ok(retired)) => {
-                let (materialized, seeds) = retired.retire();
-                (Some(materialized), seeds)
+                let (materialized, index, seeds) = retired.retire();
+                (Some((materialized, index)), seeds)
             }
-            Some(Err(pinned)) => (Some(pinned.materialized.clone()), Seeds::new()),
+            Some(Err(pinned)) => (
+                Some((pinned.materialized.clone(), pinned.index.clone())),
+                Seeds::new(),
+            ),
             None => (None, Seeds::new()),
         };
-        let extended = base.and_then(|mut base| {
+        let extended = base.and_then(|(mut base, mut index)| {
             let (stamp, delta) = self.source.delta_since(&base)?;
             // Seeds outlive only the writes an account extends across.
             let seeds = if delta.appends_into_new_nodes() {
@@ -584,15 +594,20 @@ impl AccountService {
             } else {
                 Seeds::new()
             };
+            // The index moves with its materialization: the delta only
+            // appends, so the predecessor's index extends by what the
+            // graph gained.
             base.extend(delta);
-            Some((stamp, base, seeds))
+            index.extend(&base);
+            Some((stamp, base, index, seeds))
         });
         let built = extended.is_some();
-        let (stamp, materialized, seeds) = extended.unwrap_or_else(|| {
+        let (stamp, materialized, index, seeds) = extended.unwrap_or_else(|| {
             let (stamp, materialized) = self.source.materialize();
-            (stamp, materialized, Seeds::new())
+            let index = SnapshotIndex::build(&materialized);
+            (stamp, materialized, index, Seeds::new())
         });
-        let snapshot = Arc::new(Snapshot::stamped(stamp, materialized, seeds));
+        let snapshot = Arc::new(Snapshot::stamped(stamp, materialized, index, seeds));
         self.builds.record(built, started);
         // Swapping `current` is the whole invalidation: the retired
         // snapshot's frames, and its accounts unless they became seeds,
@@ -895,7 +910,7 @@ impl AccountService {
     /// rebuilt from the whole source (the first, a partitioned store, a
     /// store whose history was swapped, a gather epoch no delta
     /// expresses), and the total time
-    /// both kinds took, index build included — `(extended, rebuilt,
+    /// both kinds took, index included — `(extended, rebuilt,
     /// time)`. A read at the cached epoch moves none of them.
     pub fn snapshot_stats(&self) -> (u64, u64, Duration) {
         self.builds.read()

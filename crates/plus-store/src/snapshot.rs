@@ -9,29 +9,23 @@
 //! ([`Materialized::extend`](crate::Materialized::extend)). The
 //! protection algorithms (account generation, permitted-reach BFS,
 //! lineage traversal) touch every edge many times per request — at
-//! serving scale the hashing dominates. A [`SnapshotIndex`] is built
-//! **once per epoch** when the service materializes a
-//! [`Snapshot`](crate::Snapshot), and every protection against that
-//! epoch then runs over flat arrays:
+//! serving scale the hashing dominates. A [`SnapshotIndex`] holds the
+//! epoch's compressed-sparse-row adjacency ([`Csr`]): both edge
+//! directions split into `offsets + targets + edge-id` arrays, so out-
+//! and in-walks are cache-linear and per-edge side tables are indexed by
+//! edge id instead of hashed `(from, to)` pairs.
 //!
-//! * a compressed-sparse-row adjacency ([`Csr`]) with both edge
-//!   directions split into `offsets + targets + edge-id` arrays, so
-//!   out- and in-walks are cache-linear and per-edge side tables are
-//!   indexed by edge id instead of hashed `(from, to)` pairs;
-//! * an interned per-node [`PrivilegeId`] array ([`node_lowest`]) — the
-//!   `lowest(n)` predicate of every record, addressable by `NodeId`
-//!   index without touching node payloads.
-//!
-//! The index is immutable and cheap to share: the service stores it
-//! inside the epoch's `Snapshot`, and account generation borrows it via
-//! `ProtectionContext::with_csr`. An epoch bump simply builds a new
-//! index, even where the materialization under it was extended; nothing
-//! is patched in place.
-//!
-//! [`node_lowest`]: SnapshotIndex::node_lowest
+//! The index moves with its materialization. A service's cold snapshot
+//! builds it; an epoch that extends its predecessor's materialization
+//! extends the predecessor's index by the same nodes and edges
+//! ([`Csr::extend`]), in place when the predecessor is retired and on a
+//! copy when a reader still pins it. Both sources append a delta's edges
+//! at the tail of the edge list, so edge ids stay insertion positions and
+//! the extended index equals a build. Within an epoch the index is
+//! immutable: the service stores it inside the epoch's `Snapshot`, and
+//! account generation borrows it via `ProtectionContext::with_csr`.
 
-use surrogate_core::graph::{Csr, NodeId};
-use surrogate_core::privilege::PrivilegeId;
+use surrogate_core::graph::Csr;
 
 use crate::store::Materialized;
 
@@ -40,35 +34,26 @@ use crate::store::Materialized;
 #[derive(Debug, Clone)]
 pub struct SnapshotIndex {
     csr: Csr,
-    node_lowest: Vec<PrivilegeId>,
 }
 
 impl SnapshotIndex {
     /// Builds the index from a materialization in `O(V + E)` — one pass
     /// over the insertion-ordered edge list, no hashing.
     pub fn build(materialized: &Materialized) -> SnapshotIndex {
-        let graph = &materialized.graph;
-        let node_lowest = graph.node_ids().map(|n| graph.node(n).lowest).collect();
         SnapshotIndex {
-            csr: Csr::build(graph),
-            node_lowest,
+            csr: Csr::build(&materialized.graph),
         }
+    }
+
+    /// Brings the index of `materialized`'s predecessor up to
+    /// `materialized`, which extended it.
+    pub(crate) fn extend(&mut self, materialized: &Materialized) {
+        self.csr.extend(&materialized.graph);
     }
 
     /// The CSR adjacency (both directions, edge-id-carrying).
     pub fn csr(&self) -> &Csr {
         &self.csr
-    }
-
-    /// `lowest(n)` per node, indexed by [`NodeId::index`]. Interned here
-    /// so visibility planning can scan a flat `PrivilegeId` array.
-    pub fn node_lowest(&self) -> &[PrivilegeId] {
-        &self.node_lowest
-    }
-
-    /// The `lowest` predicate of one node.
-    pub fn lowest(&self, node: NodeId) -> PrivilegeId {
-        self.node_lowest[node.index()]
     }
 
     /// Number of nodes indexed.
@@ -103,9 +88,6 @@ mod tests {
         let index = SnapshotIndex::build(&materialized);
         assert_eq!(index.node_count(), 3);
         assert_eq!(index.edge_count(), 2);
-        assert_eq!(index.lowest(NodeId(0)), high);
-        assert_eq!(index.lowest(NodeId(1)), public);
-        assert_eq!(index.node_lowest().len(), 3);
         for id in 0..index.edge_count() {
             assert_eq!(index.csr().endpoints(id), materialized.graph.edge_at(id));
         }

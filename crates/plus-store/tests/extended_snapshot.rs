@@ -1,9 +1,10 @@
 //! An epoch built from its predecessor is the epoch a rebuild would have
 //! produced. `AccountService::snapshot` brings the retired snapshot's
 //! materialization forward with `Store::delta_since` (or, on a gather,
-//! `ShardMerge::delta_since`) + `Materialized::extend`;
-//! `Store::materialize` or `ShardMerge::materialize` (the whole log, from
-//! empty) is the oracle, and so is every account generated from it.
+//! `ShardMerge::delta_since`) + `Materialized::extend`, and its index with
+//! `Csr::extend`; `Store::materialize` or `ShardMerge::materialize` (the
+//! whole log, from empty) is the oracle, and so is every account
+//! generated from it and the index `Csr::build` makes of it.
 //!
 //! Each test names the one-line mutation it exists to catch.
 
@@ -21,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use surrogate_core::account::ProtectedAccount;
 use surrogate_core::feature::Features;
-use surrogate_core::graph::NodeId;
+use surrogate_core::graph::{Csr, NodeId};
 use surrogate_core::marking::{Marking, MarkingRule};
 use surrogate_core::privilege::PrivilegeId;
 use surrogate_core::shard::ShardMap;
@@ -199,10 +200,12 @@ fn assert_same_account(got: &ProtectedAccount, want: &ProtectedAccount) {
 
 /// The served snapshot against both oracles: `store.materialize()`, and
 /// every account of a fresh service over a reopened copy of the store.
+/// Its index is the one its graph builds.
 fn assert_serves_what_a_rebuild_would(service: &AccountService, store: &Store) {
     let snapshot = service.snapshot();
     assert_eq!(snapshot.epoch(), store.version());
     assert_same_materialization(&snapshot, &store.materialize());
+    assert_eq!(snapshot.index().csr(), &Csr::build(&snapshot.graph));
     let reopened = AccountService::new(Arc::new(Store::from_bytes(&store.to_bytes()).unwrap()));
     for strategy in &STRATEGIES {
         for preds in &high_water_sets() {
@@ -271,8 +274,9 @@ fn two_node_store() -> (Arc<Store>, AccountService) {
     (store, service)
 }
 
-/// Catches: extending a pinned `Materialized` in place (the pin would
-/// grow a node and an edge, and its next `protect_at` would see them).
+/// Catches: extending a pinned `Materialized` or its index in place (the
+/// pin would grow a node and an edge, and its next `protect_at` would
+/// see them).
 #[test]
 fn pinned_snapshot_is_untouched_by_its_successor() {
     let (store, service) = two_node_store();
@@ -293,6 +297,10 @@ fn pinned_snapshot_is_untouched_by_its_successor() {
     );
     assert_eq!(
         (pinned.graph.node_count(), pinned.graph.edge_count()),
+        (2, 1)
+    );
+    assert_eq!(
+        (pinned.index().node_count(), pinned.index().edge_count()),
         (2, 1)
     );
     // A different key, so this is generated from the pin now, not served
@@ -488,12 +496,13 @@ impl Gather {
     /// The served snapshot against the merge's own materialization, and
     /// every account against a generation from it. Node payloads are
     /// the merge's own: none is a copy, or left over from a history the
-    /// merge dropped.
+    /// merge dropped. The index is the one the graph builds.
     fn assert_serves_what_a_rebuild_would(&self) {
         let snapshot = self.service.snapshot();
         let oracle = self.merged.update(|m| m.materialize());
         assert_eq!(snapshot.shard_epochs(), self.merged.clocks());
         assert_same_materialization(&snapshot, &oracle);
+        assert_eq!(snapshot.index().csr(), &Csr::build(&snapshot.graph));
         for n in (oracle.graph.node_ids()).filter(|&n| !oracle.graph.node(n).label.is_empty()) {
             assert!(
                 Arc::ptr_eq(snapshot.graph.shared_node(n), oracle.graph.shared_node(n)),

@@ -33,7 +33,7 @@
 //! | `spgraph_account_protects_total{kind=…}` | counter | account-cache misses: `extended` from the account an earlier epoch left, or `generated` by a protection strategy |
 //! | `spgraph_account_protect_seconds_total` | counter | total time those misses took to make their accounts |
 //! | `spgraph_snapshot_builds_total{kind=…}` | counter | epochs materialized: `extended` from the retired snapshot by the log's delta, or `rebuilt` from the whole log |
-//! | `spgraph_snapshot_build_seconds_total` | counter | total time those builds took, index build included |
+//! | `spgraph_snapshot_build_seconds_total` | counter | total time those builds took, index included |
 //! | `spgraph_bytes_{read,written}_total` | counter | query-socket traffic volume |
 //! | `spgraph_epoch` | gauge | the served store's current epoch |
 //! | `spgraph_snapshots_shipped_total` | counter | replica backfill snapshots |
@@ -466,7 +466,7 @@ impl ServerMetrics {
             ),
             (
                 "spgraph_snapshot_build_seconds_total",
-                "Total time snapshot builds took, index build included.",
+                "Total time snapshot builds took, index included.",
                 build_time,
             ),
         ] {
