@@ -4,14 +4,14 @@
 //! rebuilt from the whole log or extended from its predecessor, and what
 //! a durable replica pays to apply a shipped chunk.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use plus_store::codec::WalRecord;
-use plus_store::{AccountService, NodeKind, NodeRecord, PolicyStatement, RecordId, Store};
+use plus_store::{AccountService, EdgeKind, NodeKind, NodeRecord, RecordId, Store};
 use surrogate_bench::experiments::fig10::{build_store, Fig10Config};
 use surrogate_core::feature::Features;
-use surrogate_core::marking::Marking;
 use surrogate_core::privilege::PrivilegeId;
 
 fn bench_store(c: &mut Criterion) {
@@ -45,11 +45,16 @@ fn bench_store(c: &mut Criterion) {
     group.finish();
 }
 
-/// `snapshot/{rebuild,extend}/{1025n,4860n}`: `AccountService::snapshot`
+/// `snapshot/{rebuild,extend,pin}/{1025n,4860n}`: `AccountService::snapshot`
 /// (materialization plus index) on `spbench`'s G1k and G5k shapes.
 /// `rebuild` is a cold service's first epoch. `extend` is the epoch after
-/// a one-record write; the write re-marks node 0, so the graph stays the
-/// stated size however many iterations run.
+/// a two-record write: a node, and an edge into it from the node the
+/// write before appended, as a workflow grows step by step. `pin` is the
+/// same epoch while a reader holds its predecessor, so the successor is
+/// built on a clone of the materialization and its index; the pin is
+/// dropped in the iteration. The written store is replaced by a fresh
+/// copy every [`Growing::RESET`] writes, untimed, so the graph stays
+/// within that many nodes of the stated size.
 fn bench_snapshot(c: &mut Criterion) {
     let mut group = c.benchmark_group("snapshot");
     for &(stages, width) in &[(20usize, 25usize), (40, 60)] {
@@ -67,21 +72,79 @@ fn bench_snapshot(c: &mut Criterion) {
             b.iter(|| AccountService::new(store.clone()).snapshot());
         });
 
-        let service = AccountService::new(store.clone());
-        service.snapshot();
-        let write = PolicyStatement::MarkNode {
-            node: RecordId(0),
-            predicate: None,
-            marking: Marking::Visible,
+        let bytes = store.to_bytes();
+        let growing = RefCell::new(Growing::new(&bytes));
+        let reset = || {
+            let mut growing = growing.borrow_mut();
+            if growing.writes == Growing::RESET {
+                *growing = Growing::new(&bytes);
+            }
         };
         group.bench_function(BenchmarkId::new("extend", &size), |b| {
-            b.iter(|| {
-                store.apply_policy(write.clone()).expect("node 0 exists");
-                service.snapshot()
-            });
+            b.iter_batched(
+                reset,
+                |()| {
+                    let mut growing = growing.borrow_mut();
+                    growing.write();
+                    growing.service.snapshot()
+                },
+                BatchSize::SmallInput,
+            );
+        });
+        group.bench_function(BenchmarkId::new("pin", &size), |b| {
+            b.iter_batched(
+                reset,
+                |()| {
+                    let mut growing = growing.borrow_mut();
+                    let pinned = growing.service.snapshot();
+                    growing.write();
+                    let successor = growing.service.snapshot();
+                    drop(pinned);
+                    successor
+                },
+                BatchSize::SmallInput,
+            );
         });
     }
     group.finish();
+}
+
+/// A served store that grows one workflow step per write.
+struct Growing {
+    store: Arc<Store>,
+    service: AccountService,
+    last: RecordId,
+    writes: usize,
+}
+
+impl Growing {
+    const RESET: usize = 128;
+
+    /// A store decoded from `bytes`, with its first epoch built.
+    fn new(bytes: &[u8]) -> Growing {
+        let store = Arc::new(Store::from_bytes(bytes).expect("decodes"));
+        let service = AccountService::new(store.clone());
+        service.snapshot();
+        let last = RecordId(store.node_count() as u32 - 1);
+        Growing {
+            store,
+            service,
+            last,
+            writes: 0,
+        }
+    }
+
+    /// Appends a node and an edge into it from the last one appended.
+    fn write(&mut self) {
+        let node = self
+            .store
+            .append_node("step", NodeKind::Data, Features::new(), PrivilegeId(0));
+        self.store
+            .append_edge(self.last, node, EdgeKind::InputTo)
+            .expect("both nodes exist");
+        self.last = node;
+        self.writes += 1;
+    }
 }
 
 /// `store/replica_apply/{per_record,chunk}`: a 256-record chunk applied

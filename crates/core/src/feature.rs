@@ -5,7 +5,6 @@
 //! or coarsening features (§3.1), so feature equality and counting are the
 //! basis of the default info-score heuristics.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A single feature value.
@@ -85,12 +84,22 @@ impl From<bool> for FeatureValue {
 
 /// An ordered attribute → value map.
 ///
-/// A `BTreeMap` keeps iteration deterministic, which matters for the wire
-/// codec, for snapshot tests, and for reproducible examples.
+/// The entries are one `Vec` sorted by attribute, so iteration is in
+/// attribute order — deterministic for the wire codec, for snapshot
+/// tests and for reproducible examples — and a lookup is a binary
+/// search. A node usually carries one to three features, and a sorted
+/// `Vec` holds them in one heap block of exactly their size, where a
+/// `BTreeMap` takes a whole leaf node for one entry. [`set`](Self::set)
+/// keeps the block exact: a payload is written once and then read and
+/// shared by every view of it.
+///
+/// Bulk construction ([`FromIterator`]) takes its entries in any order:
+/// it sorts them stably and keeps the last value of each attribute,
+/// as many [`set`](Self::set)s in that order would, in O(k log k).
 #[derive(Debug, Clone, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Features {
-    entries: BTreeMap<String, FeatureValue>,
+    entries: Vec<(String, FeatureValue)>,
 }
 
 impl Features {
@@ -105,19 +114,32 @@ impl Features {
         self
     }
 
+    /// Position of `key`, or where it would be inserted.
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
     /// Inserts or replaces a feature.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<FeatureValue>) {
-        self.entries.insert(key.into(), value.into());
+        let key = key.into();
+        let value = value.into();
+        match self.find(&key) {
+            Ok(at) => self.entries[at].1 = value,
+            Err(at) => {
+                self.entries.reserve_exact(1);
+                self.entries.insert(at, (key, value));
+            }
+        }
     }
 
     /// Looks up a feature by attribute name.
     pub fn get(&self, key: &str) -> Option<&FeatureValue> {
-        self.entries.get(key)
+        self.find(key).ok().map(|at| &self.entries[at].1)
     }
 
     /// Removes a feature, returning its previous value.
     pub fn remove(&mut self, key: &str) -> Option<FeatureValue> {
-        self.entries.remove(key)
+        self.find(key).ok().map(|at| self.entries.remove(at).1)
     }
 
     /// Number of features.
@@ -155,17 +177,31 @@ impl Features {
 
 impl<K: Into<String>, V: Into<FeatureValue>> FromIterator<(K, V)> for Features {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut features = Features::new();
-        for (k, v) in iter {
-            features.set(k, v);
-        }
-        features
+        let mut entries: Vec<(String, FeatureValue)> = iter
+            .into_iter()
+            .map(|(k, v)| (k.into(), v.into()))
+            .collect();
+        // Stable, so the entries of one attribute stay in input order;
+        // the dedup then moves the last one's value into the first's slot.
+        entries.sort_by(|(a, _), (b, _)| a.cmp(b));
+        entries.dedup_by(|(later, value), (kept, kept_value)| {
+            let same = later == kept;
+            if same {
+                std::mem::swap(value, kept_value);
+            }
+            same
+        });
+        Features { entries }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     #[test]
     fn builder_and_lookup() {
@@ -232,6 +268,46 @@ mod tests {
     fn from_iterator_collects() {
         let f: Features = vec![("a", 1i64), ("b", 2i64)].into_iter().collect();
         assert_eq!(f.len(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `set`, `remove` and `from_iter`, on keys drawn from a small
+        /// alphabet so duplicates are common and arrive unsorted, agree
+        /// with a `BTreeMap` model on every lookup and on iteration order.
+        #[test]
+        fn features_match_a_btreemap_model(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let key = |rng: &mut StdRng| format!("k{}", rng.gen_range(0..12u32));
+            let pairs: Vec<(String, i64)> = (0..rng.gen_range(0..24usize))
+                .map(|_| (key(&mut rng), rng.gen_range(-5..5i64)))
+                .collect();
+            let mut model: BTreeMap<String, FeatureValue> = pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), FeatureValue::Int(*v)))
+                .collect();
+            let mut features: Features = pairs.into_iter().collect();
+            for _ in 0..rng.gen_range(0..32usize) {
+                let k = key(&mut rng);
+                if rng.gen_bool(0.6) {
+                    let v = FeatureValue::Str(format!("v{}", rng.gen_range(0..4u32)));
+                    model.insert(k.clone(), v.clone());
+                    features.set(k, v);
+                } else {
+                    prop_assert_eq!(features.remove(&k), model.remove(&k));
+                }
+                prop_assert_eq!(features.len(), model.len());
+            }
+            for i in 0..12u32 {
+                let k = format!("k{i}");
+                prop_assert_eq!(features.get(&k), model.get(&k));
+            }
+            let got: Vec<(&str, &FeatureValue)> = features.iter().collect();
+            let want: Vec<(&str, &FeatureValue)> =
+                model.iter().map(|(k, v)| (k.as_str(), v)).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

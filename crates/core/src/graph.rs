@@ -6,6 +6,8 @@
 //! representation is a simple digraph (no parallel edges, no self-loops)
 //! with both adjacency directions materialized, because account generation
 //! walks edges both ways and the opacity measure needs in/out degrees.
+//! Each direction is one arena of node ids, not a list per node, so a
+//! graph is a few heap blocks however many nodes it has.
 
 use std::fmt;
 use std::sync::Arc;
@@ -52,17 +54,130 @@ pub struct Node {
     pub lowest: PrivilegeId,
 }
 
+/// One node's row of an [`Adjacency`]: `len` ids at `start`, with room
+/// for `cap` before the next row's cells.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// One direction of a graph's adjacency: every node's row is a [`Span`]
+/// of one arena of node ids.
+///
+/// A row with room takes a new id in place. A full row at the arena's
+/// end grows there; any other full row moves to the end with twice its
+/// room, leaving its old cells dead. Once dead cells outnumber the ids
+/// held, the arena is rewritten in node order with every row exactly
+/// full, so it stays within a small factor of the edge count. A push
+/// costs amortized O(1) plus a share of a pass over the spans per
+/// compaction; an insertion also shifts its row's tail.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    spans: Vec<Span>,
+    cells: Vec<NodeId>,
+    /// Ids held: the sum of the rows' lengths.
+    live: usize,
+    /// Cells no span covers any more.
+    dead: usize,
+}
+
+impl Adjacency {
+    fn with_capacity(nodes: usize, edges: usize) -> Self {
+        Adjacency {
+            spans: Vec::with_capacity(nodes),
+            cells: Vec::with_capacity(edges),
+            live: 0,
+            dead: 0,
+        }
+    }
+
+    fn add_row(&mut self) {
+        self.spans.push(Span {
+            start: self.cells.len() as u32,
+            len: 0,
+            cap: 0,
+        });
+    }
+
+    #[inline]
+    fn row(&self, node: usize) -> &[NodeId] {
+        let Span { start, len, .. } = self.spans[node];
+        &self.cells[start as usize..(start + len) as usize]
+    }
+
+    fn push(&mut self, node: usize, id: NodeId) {
+        let len = self.spans[node].len as usize;
+        self.insert(node, len, id);
+    }
+
+    /// Inserts `id` at position `at` of `node`'s row.
+    fn insert(&mut self, node: usize, at: usize, id: NodeId) {
+        let span = self.spans[node];
+        if span.len == span.cap {
+            self.grow(node);
+        }
+        let span = &mut self.spans[node];
+        let (start, len) = (span.start as usize, span.len as usize);
+        span.len += 1;
+        self.live += 1;
+        self.cells
+            .copy_within(start + at..start + len, start + at + 1);
+        self.cells[start + at] = id;
+    }
+
+    /// Doubles the room of `node`'s full row (one cell for an empty one),
+    /// compacting the arena first if dead cells outnumber the ids held.
+    fn grow(&mut self, node: usize) {
+        if self.dead > self.live {
+            self.compact();
+        }
+        let Span { start, len, cap } = self.spans[node];
+        let room = (2 * cap).max(1);
+        let end = self.cells.len();
+        if (start + cap) as usize == end {
+            self.cells.resize(end + (room - cap) as usize, NodeId(0));
+        } else {
+            self.cells
+                .extend_from_within(start as usize..(start + len) as usize);
+            self.cells.resize(end + room as usize, NodeId(0));
+            self.spans[node].start = end as u32;
+            self.dead += cap as usize;
+        }
+        self.spans[node].cap = room;
+    }
+
+    /// Rewrites the arena in node order, every row exactly full.
+    fn compact(&mut self) {
+        let mut cells = Vec::with_capacity(self.live);
+        for span in &mut self.spans {
+            let (start, len) = (span.start as usize, span.len as usize);
+            span.start = cells.len() as u32;
+            span.cap = span.len;
+            cells.extend_from_slice(&self.cells[start..start + len]);
+        }
+        self.cells = cells;
+        self.dead = 0;
+    }
+}
+
 /// A directed graph with privilege-annotated nodes.
 ///
 /// Node payloads sit behind an [`Arc`]: a graph derived from another (a
 /// materialized epoch from the record log, a protected account from its
 /// source graph) shares the payloads it does not change instead of
 /// copying them, and cloning a graph copies no label or feature.
+///
+/// Adjacency is one arena per direction, not a list per node: cloning
+/// or dropping a graph (what a pinned epoch and a retired account cost)
+/// is a few heap blocks, not two per node. Every row lists its node's
+/// neighbours in edge-list order.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Arc<Node>>,
-    out: Vec<Vec<NodeId>>,
-    inn: Vec<Vec<NodeId>>,
+    out: Adjacency,
+    inn: Adjacency,
     edge_index: FxHashMap<Edge, u32>,
     edge_list: Vec<Edge>,
 }
@@ -77,8 +192,8 @@ impl Graph {
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         let mut g = Self::new();
         g.nodes.reserve(nodes);
-        g.out.reserve(nodes);
-        g.inn.reserve(nodes);
+        g.out = Adjacency::with_capacity(nodes, edges);
+        g.inn = Adjacency::with_capacity(nodes, edges);
         g.edge_list.reserve(edges);
         g.edge_index.reserve(edges);
         g
@@ -108,8 +223,8 @@ impl Graph {
     pub fn add_shared_node(&mut self, node: Arc<Node>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
+        self.out.add_row();
+        self.inn.add_row();
         id
     }
 
@@ -131,8 +246,8 @@ impl Graph {
                 slot.insert(self.edge_list.len() as u32);
             }
         }
-        self.out[from.index()].push(to);
-        self.inn[to.index()].push(from);
+        self.out.push(from.index(), to);
+        self.inn.push(to.index(), from);
         self.edge_list.push((from, to));
         Ok(())
     }
@@ -163,17 +278,25 @@ impl Graph {
         };
         for &(a, b) in shown {
             debug_assert!(a != b && !edge_index.contains_key(&(a, b)));
-            let list = &mut out[a.index()];
-            list.insert(list.partition_point(|&t| ahead((a, t), false)), b);
-            let list = &mut inn[b.index()];
-            list.insert(list.partition_point(|&s| ahead((s, b), false)), a);
+            let at = out
+                .row(a.index())
+                .partition_point(|&t| ahead((a, t), false));
+            out.insert(a.index(), at, b);
+            let at = inn
+                .row(b.index())
+                .partition_point(|&s| ahead((s, b), false));
+            inn.insert(b.index(), at, a);
         }
         for &(a, b) in sorted {
             debug_assert!(a != b && !edge_index.contains_key(&(a, b)));
-            let list = &mut out[a.index()];
-            list.insert(list.partition_point(|&t| ahead((a, t), t < b)), b);
-            let list = &mut inn[b.index()];
-            list.insert(list.partition_point(|&s| ahead((s, b), s < a)), a);
+            let at = out
+                .row(a.index())
+                .partition_point(|&t| ahead((a, t), t < b));
+            out.insert(a.index(), at, b);
+            let at = inn
+                .row(b.index())
+                .partition_point(|&s| ahead((s, b), s < a));
+            inn.insert(b.index(), at, a);
         }
 
         let block = edge_list.split_off(at);
@@ -285,25 +408,25 @@ impl Graph {
     /// Successors of `id`.
     #[inline]
     pub fn out_neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.out[id.index()]
+        self.out.row(id.index())
     }
 
     /// Predecessors of `id`.
     #[inline]
     pub fn in_neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.inn[id.index()]
+        self.inn.row(id.index())
     }
 
     /// Out-degree of `id`.
     #[inline]
     pub fn out_degree(&self, id: NodeId) -> usize {
-        self.out[id.index()].len()
+        self.out.row(id.index()).len()
     }
 
     /// In-degree of `id`.
     #[inline]
     pub fn in_degree(&self, id: NodeId) -> usize {
-        self.inn[id.index()].len()
+        self.inn.row(id.index()).len()
     }
 
     /// Total (undirected) degree of `id`.
@@ -375,12 +498,12 @@ impl Graph {
         // Kahn's algorithm: a digraph is acyclic iff a topological order
         // consumes every node.
         let n = self.node_count();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.inn[i].len()).collect();
+        let mut indeg: Vec<usize> = (0..n).map(|i| self.inn.row(i).len()).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut consumed = 0;
         while let Some(i) = queue.pop() {
             consumed += 1;
-            for &next in &self.out[i] {
+            for &next in self.out.row(i) {
                 indeg[next.index()] -= 1;
                 if indeg[next.index()] == 0 {
                     queue.push(next.index());
@@ -641,6 +764,10 @@ fn merge_tail(
 mod tests {
     use super::*;
     use crate::privilege::PrivilegeLattice;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn public() -> PrivilegeId {
         PrivilegeLattice::public_only().public()
@@ -840,5 +967,121 @@ mod tests {
         assert_eq!(derived.node(a2).label, "a");
         assert!(!Arc::ptr_eq(g.shared_node(a), copy.shared_node(a)));
         assert!(Arc::ptr_eq(g.shared_node(a), derived.shared_node(a2)));
+    }
+
+    /// The per-node lists the arena replaced, rebuilt from an edge list:
+    /// every row in edge-list order.
+    fn model_rows(nodes: usize, edges: &[Edge]) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) {
+        let (mut out, mut inn) = (vec![Vec::new(); nodes], vec![Vec::new(); nodes]);
+        for &(a, b) in edges {
+            out[a.index()].push(b);
+            inn[b.index()].push(a);
+        }
+        (out, inn)
+    }
+
+    /// Two rows that outgrow their room in turn leave dead cells behind
+    /// at every move, until a compaction rewrites the arena.
+    #[test]
+    fn adjacency_compacts_and_keeps_every_row() {
+        let p = public();
+        let mut g = Graph::new();
+        let (a, b) = (g.add_node("a", p), g.add_node("b", p));
+        let mut edges = Vec::new();
+        let mut compactions = 0;
+        for i in 0..32 {
+            let t = g.add_node(format!("t{i}"), p);
+            for from in [a, b] {
+                let dead = g.out.dead;
+                g.add_edge(from, t).unwrap();
+                edges.push((from, t));
+                compactions += usize::from(g.out.dead < dead);
+            }
+        }
+        assert!(compactions > 0, "no compaction ran");
+        assert!(g.out.cells.len() <= 3 * edges.len());
+        let (out, inn) = model_rows(g.node_count(), &edges);
+        for n in g.node_ids() {
+            assert_eq!(g.out_neighbors(n), out[n.index()].as_slice());
+            assert_eq!(g.in_neighbors(n), inn[n.index()].as_slice());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random `add_node`, `add_edge` and `splice_edges` sequences, long
+        /// enough that both arenas compact, against a list-per-node model:
+        /// after every step each row equals the model's, and the edge list
+        /// and its index equal the model's edge list.
+        #[test]
+        fn adjacency_matches_a_list_per_node_model(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = public();
+            let mut g = Graph::new();
+            let mut edges: Vec<Edge> = Vec::new();
+            let mut present: HashSet<Edge> = HashSet::new();
+            let (mut out, mut inn): (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) = (vec![], vec![]);
+            let max_nodes = rng.gen_range(2..40u32);
+            for _ in 0..rng.gen_range(1..400usize) {
+                let n = g.node_count() as u32;
+                let pick = rng.gen_range(0..16u32);
+                if n < 2 || (pick < 3 && n < max_nodes) {
+                    g.add_node(format!("n{n}"), p);
+                    out.push(Vec::new());
+                    inn.push(Vec::new());
+                } else if pick < 14 {
+                    let (a, b) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+                    let added = g.add_edge(a, b).is_ok();
+                    prop_assert_eq!(added, a != b && !present.contains(&(a, b)));
+                    if added {
+                        edges.push((a, b));
+                        present.insert((a, b));
+                        out[a.index()].push(b);
+                        inn[b.index()].push(a);
+                    }
+                } else {
+                    // The tail after `at` must be in `(from, to)` order.
+                    let mut sorted_from = edges.len();
+                    while sorted_from > 0
+                        && (sorted_from == edges.len() || edges[sorted_from - 1] < edges[sorted_from])
+                    {
+                        sorted_from -= 1;
+                    }
+                    let at = rng.gen_range(sorted_from..=edges.len());
+                    let (mut shown, mut sorted) = (Vec::new(), Vec::new());
+                    for _ in 0..rng.gen_range(0..8usize) {
+                        let edge = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+                        if edge.0 != edge.1 && present.insert(edge) {
+                            if rng.gen_bool(0.5) { shown.push(edge) } else { sorted.push(edge) }
+                        }
+                    }
+                    sorted.sort_unstable();
+                    g.splice_edges(at, &shown, &sorted);
+                    let mut block = edges.split_off(at);
+                    edges.extend_from_slice(&shown);
+                    block.extend_from_slice(&sorted);
+                    block.sort_unstable();
+                    edges.extend(block);
+                    (out, inn) = model_rows(out.len(), &edges);
+                }
+                for id in g.node_ids() {
+                    prop_assert_eq!(g.out_neighbors(id), out[id.index()].as_slice());
+                    prop_assert_eq!(g.in_neighbors(id), inn[id.index()].as_slice());
+                    prop_assert_eq!(g.out_degree(id), out[id.index()].len());
+                    prop_assert_eq!(g.in_degree(id), inn[id.index()].len());
+                }
+                prop_assert_eq!(g.edges().collect::<Vec<_>>(), edges.clone());
+                for (i, &edge) in edges.iter().enumerate() {
+                    prop_assert_eq!(g.edge_index(edge), Some(i));
+                }
+            }
+            // A clone reads the same rows.
+            let copy = g.clone();
+            for id in g.node_ids() {
+                prop_assert_eq!(copy.out_neighbors(id), g.out_neighbors(id));
+                prop_assert_eq!(copy.in_neighbors(id), g.in_neighbors(id));
+            }
+        }
     }
 }

@@ -16,8 +16,9 @@
 //! ```
 //!
 //! Strings are `u32` length + UTF-8 bytes. Features are `u16` count of
-//! `(str key, u8 value-tag, value)` entries. The checksum catches torn
-//! writes and bit rot before a corrupt snapshot reaches the graph layer.
+//! `(str key, u8 value-tag, value)` entries, so a node or surrogate
+//! carries at most [`MAX_FEATURES`]. The checksum catches torn writes and
+//! bit rot before a corrupt snapshot reaches the graph layer.
 //!
 //! Version 2 exists solely for **partitioned** (sharded) stores: an
 //! unpartitioned snapshot always encodes as version 1, byte-identical to
@@ -187,7 +188,23 @@ pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-pub(crate) fn put_features(buf: &mut BytesMut, features: &Features) {
+/// The most features one node or surrogate carries: its features'
+/// count is a `u16` in every format. `Store` refuses a write with more
+/// before logging it.
+pub const MAX_FEATURES: usize = u16::MAX as usize;
+
+/// Refuses a count its wire field cannot carry. Encoding is where this
+/// must fail: a bare `as` cast here would truncate the count silently
+/// and desynchronize the peer's decoder mid-payload.
+pub(crate) fn check_count(what: &'static str, count: usize, max: u64) -> Result<(), CodecError> {
+    if count as u64 > max {
+        return Err(CodecError::CountOverflow { what, count, max });
+    }
+    Ok(())
+}
+
+pub(crate) fn put_features(buf: &mut BytesMut, features: &Features) -> Result<(), CodecError> {
+    check_count("features", features.len(), MAX_FEATURES as u64)?;
     buf.put_u16_le(features.len() as u16);
     for (key, value) in features.iter() {
         put_str(buf, key);
@@ -214,6 +231,7 @@ pub(crate) fn put_features(buf: &mut BytesMut, features: &Features) {
             }
         }
     }
+    Ok(())
 }
 
 fn marking_tag(m: Marking) -> u8 {
@@ -251,12 +269,12 @@ pub(crate) fn put_opt_predicate(buf: &mut BytesMut, p: Option<PrivilegeId>) {
     put_opt(buf, p, |buf, p| buf.put_u16_le(p.0));
 }
 
-fn put_node(buf: &mut BytesMut, node: &NodeRecord) {
+fn put_node(buf: &mut BytesMut, node: &NodeRecord) -> Result<(), CodecError> {
     put_str(buf, &node.label);
     buf.put_u8(node.kind.tag());
     buf.put_u16_le(node.lowest.0);
     buf.put_u64_le(node.created_at);
-    put_features(buf, &node.features);
+    put_features(buf, &node.features)
 }
 
 fn put_edge(buf: &mut BytesMut, edge: &EdgeRecord) {
@@ -265,7 +283,10 @@ fn put_edge(buf: &mut BytesMut, edge: &EdgeRecord) {
     buf.put_u8(edge.kind.tag());
 }
 
-pub(crate) fn put_policy(buf: &mut BytesMut, statement: &PolicyStatement) {
+pub(crate) fn put_policy(
+    buf: &mut BytesMut,
+    statement: &PolicyStatement,
+) -> Result<(), CodecError> {
     match statement {
         PolicyStatement::MarkIncidence {
             node,
@@ -301,14 +322,23 @@ pub(crate) fn put_policy(buf: &mut BytesMut, statement: &PolicyStatement) {
             buf.put_u8(2);
             buf.put_u32_le(node.0);
             put_str(buf, label);
-            put_features(buf, features);
+            put_features(buf, features)?;
             buf.put_u16_le(lowest.0);
             buf.put_f64_le(*info_score);
         }
     }
+    Ok(())
 }
 
+/// A record the store holds always encodes: it refused any with more
+/// than [`MAX_FEATURES`] features before logging it.
+const STAGED: &str = "a record with more features than a frame carries was never staged";
+
 /// Encodes a snapshot.
+///
+/// # Panics
+/// Panics if a node or surrogate carries more than [`MAX_FEATURES`]
+/// features, which no store holds.
 pub fn encode(data: &SnapshotData) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(
         64 + data.nodes.len() * 48 + data.edges.len() * 9 + data.policy.len() * 24,
@@ -336,7 +366,7 @@ pub fn encode(data: &SnapshotData) -> Vec<u8> {
 
     buf.put_u32_le(data.nodes.len() as u32);
     for node in &data.nodes {
-        put_node(&mut buf, node);
+        put_node(&mut buf, node).expect(STAGED);
     }
 
     buf.put_u32_le(data.edges.len() as u32);
@@ -346,7 +376,7 @@ pub fn encode(data: &SnapshotData) -> Vec<u8> {
 
     buf.put_u32_le(data.policy.len() as u32);
     for statement in &data.policy {
-        put_policy(&mut buf, statement);
+        put_policy(&mut buf, statement).expect(STAGED);
     }
 
     let checksum = fnv1a(&buf);
@@ -408,9 +438,11 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(bytes).map_err(|_| CodecError::InvalidUtf8)
     }
 
+    /// A feature list, in whatever key order it was written: the entries
+    /// are collected, then sorted once ([`Features`]' `FromIterator`).
     pub(crate) fn features(&mut self) -> Result<Features, CodecError> {
         let count = self.u16()?;
-        let mut features = Features::new();
+        let mut entries = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let key = self.string()?;
             let tag = self.u8()?;
@@ -427,9 +459,9 @@ impl<'a> Reader<'a> {
                     })
                 }
             };
-            features.set(key, value);
+            entries.push((key, value));
         }
-        Ok(features)
+        Ok(entries.into_iter().collect())
     }
 
     pub(crate) fn opt_predicate(&mut self) -> Result<Option<PrivilegeId>, CodecError> {
@@ -707,12 +739,16 @@ pub fn decode_wal_header(bytes: &[u8]) -> Result<u64, CodecError> {
 }
 
 /// Encodes one record as a self-checking frame.
+///
+/// # Panics
+/// Panics if the record carries more than [`MAX_FEATURES`] features,
+/// which `Store` refuses before logging.
 pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
     let mut payload = BytesMut::with_capacity(64);
     match record {
         WalRecord::AppendNode(node) => {
             payload.put_u8(0);
-            put_node(&mut payload, node);
+            put_node(&mut payload, node).expect(STAGED);
         }
         WalRecord::AppendEdge(edge) => {
             payload.put_u8(1);
@@ -720,7 +756,7 @@ pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
         }
         WalRecord::ApplyPolicy(statement) => {
             payload.put_u8(2);
-            put_policy(&mut payload, statement);
+            put_policy(&mut payload, statement).expect(STAGED);
         }
     }
     seal_frame(&payload)

@@ -53,6 +53,10 @@ pub enum StoreError {
     /// A predicate id outside the store's lattice was passed to an
     /// append or policy call.
     UnknownPredicate(u16),
+    /// A node or surrogate carries more features than a frame can
+    /// record ([`MAX_FEATURES`](crate::codec::MAX_FEATURES)); it was
+    /// refused before anything was logged.
+    TooManyFeatures(usize),
     /// A replicated record or snapshot does not continue this store's
     /// history: it is stamped for a different clock than the local tail
     /// (an out-of-order stream, or a primary whose history diverged).
@@ -129,6 +133,11 @@ impl fmt::Display for StoreError {
             StoreError::UnknownPredicate(id) => {
                 write!(f, "predicate #{id} does not exist in the store's lattice")
             }
+            StoreError::TooManyFeatures(count) => write!(
+                f,
+                "{count} features exceed the {} a node or surrogate can carry",
+                crate::codec::MAX_FEATURES
+            ),
             StoreError::ReplicationGap { expected, found } => write!(
                 f,
                 "replicated record for clock {found} does not continue local history at clock {expected}"

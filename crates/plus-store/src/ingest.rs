@@ -40,8 +40,9 @@ impl Default for IngestKinds<'_> {
 /// Imports a protection setup into a fresh store. See the module docs.
 ///
 /// Fails if the marking store uses a non-`Visible` global default (which
-/// has no policy-statement representation) or if the setup is internally
-/// inconsistent (dangling ids).
+/// has no policy-statement representation), if the setup is internally
+/// inconsistent (dangling ids), or if a node or surrogate carries more
+/// features than the store records.
 pub fn ingest(
     graph: &Graph,
     lattice: &PrivilegeLattice,
@@ -65,12 +66,12 @@ pub fn ingest(
 
     for n in graph.node_ids() {
         let node = graph.node(n);
-        store.append_node(
+        store.try_append_node(
             node.label.clone(),
             (kinds.node_kind)(n),
             node.features.clone(),
             node.lowest,
-        );
+        )?;
     }
     for edge in graph.edges() {
         store.append_edge(

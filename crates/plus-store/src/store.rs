@@ -543,9 +543,10 @@ impl Store {
     /// Appends a node record, assigning its logical timestamp.
     ///
     /// # Panics
-    /// On a durable store, panics if the write-ahead log cannot log or
-    /// flush the record; use [`try_append_node`](Self::try_append_node)
-    /// to handle I/O errors.
+    /// Panics if the record is refused (an unknown predicate, more than
+    /// [`MAX_FEATURES`](codec::MAX_FEATURES) features) or, on a durable
+    /// store, if the write-ahead log cannot log or flush it; use
+    /// [`try_append_node`](Self::try_append_node) to handle either.
     pub fn append_node(
         &self,
         label: impl Into<String>,
@@ -756,7 +757,10 @@ impl Store {
             // Bounds-check before logging: an out-of-range predicate
             // would be acknowledged live but rejected (as corruption) at
             // replay, truncating every later acknowledged write.
-            WalRecord::AppendNode(node) => Self::check_predicate(inner, node.lowest),
+            WalRecord::AppendNode(node) => {
+                Self::check_features(&node.features)?;
+                Self::check_predicate(inner, node.lowest)
+            }
             WalRecord::AppendEdge(EdgeRecord { from, to, .. }) => {
                 route(*from)?;
                 Self::check_record(inner, *from)?;
@@ -784,9 +788,10 @@ impl Store {
                         Self::check_record(inner, *from)?;
                         Self::check_record(inner, *to)?;
                     }
-                    PolicyStatement::MarkNode { node, .. }
-                    | PolicyStatement::AddSurrogate { node, .. } => {
-                        Self::check_record(inner, *node)?
+                    PolicyStatement::MarkNode { node, .. } => Self::check_record(inner, *node)?,
+                    PolicyStatement::AddSurrogate { node, features, .. } => {
+                        Self::check_record(inner, *node)?;
+                        Self::check_features(features)?;
                     }
                 }
                 match codec::policy_refs(statement) {
@@ -820,6 +825,16 @@ impl Store {
     fn check_predicate(inner: &Inner, predicate: PrivilegeId) -> Result<()> {
         if predicate.0 as usize >= inner.lattice_names.len() {
             return Err(StoreError::UnknownPredicate(predicate.0));
+        }
+        Ok(())
+    }
+
+    /// Rejects a feature list a frame cannot record: its count would be
+    /// truncated in the log, and replay would stop at that frame,
+    /// dropping it and every acknowledged write after it.
+    fn check_features(features: &Features) -> Result<()> {
+        if features.len() > codec::MAX_FEATURES {
+            return Err(StoreError::TooManyFeatures(features.len()));
         }
         Ok(())
     }

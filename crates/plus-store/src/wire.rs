@@ -154,7 +154,9 @@ use surrogate_core::feature::Features;
 use surrogate_core::privilege::PrivilegeId;
 use surrogate_core::query::Direction;
 
-use crate::codec::{put_features, put_opt, put_opt_predicate, put_policy, put_str, Reader};
+use crate::codec::{
+    check_count, put_features, put_opt, put_opt_predicate, put_policy, put_str, Reader,
+};
 use crate::error::CodecError;
 use crate::record::{EdgeKind, NodeKind, PolicyStatement, RecordId};
 use crate::service::{ProtectedLineageRow, QueryRequest, QueryResponse};
@@ -780,7 +782,7 @@ fn read_query_request(r: &mut Reader<'_>) -> Result<QueryRequest, CodecError> {
     Ok(request)
 }
 
-fn put_write_op(buf: &mut BytesMut, op: &WriteOp) {
+fn put_write_op(buf: &mut BytesMut, op: &WriteOp) -> Result<(), CodecError> {
     match op {
         WriteOp::AppendNode {
             label,
@@ -792,7 +794,7 @@ fn put_write_op(buf: &mut BytesMut, op: &WriteOp) {
             put_str(buf, label);
             buf.put_u8(kind.tag());
             buf.put_u16_le(lowest.0);
-            put_features(buf, features);
+            put_features(buf, features)?;
         }
         WriteOp::AppendEdge { from, to, kind } => {
             buf.put_u8(1);
@@ -802,9 +804,10 @@ fn put_write_op(buf: &mut BytesMut, op: &WriteOp) {
         }
         WriteOp::ApplyPolicy(statement) => {
             buf.put_u8(2);
-            put_policy(buf, statement);
+            put_policy(buf, statement)?;
         }
     }
+    Ok(())
 }
 
 fn read_write_op(r: &mut Reader<'_>) -> Result<WriteOp, CodecError> {
@@ -843,16 +846,6 @@ fn read_write_op(r: &mut Reader<'_>) -> Result<WriteOp, CodecError> {
             })
         }
     })
-}
-
-/// Refuses a count its wire field cannot carry. Encoding is where this
-/// must fail: a bare `as` cast here would truncate the count silently
-/// and desynchronize the peer's decoder mid-payload.
-fn check_count(what: &'static str, count: usize, max: u64) -> Result<(), CodecError> {
-    if count as u64 > max {
-        return Err(CodecError::CountOverflow { what, count, max });
-    }
-    Ok(())
 }
 
 fn put_query_response(buf: &mut BytesMut, response: &QueryResponse) -> Result<(), CodecError> {
@@ -1168,7 +1161,7 @@ pub fn encode_request(request: &Request) -> Result<Vec<u8>, CodecError> {
         Request::Promote => buf.put_u8(8),
         Request::Write { op } => {
             buf.put_u8(9);
-            put_write_op(&mut buf, op);
+            put_write_op(&mut buf, op)?;
         }
     }
     Ok(buf.to_vec())

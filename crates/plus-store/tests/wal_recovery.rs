@@ -557,6 +557,58 @@ fn account_service_restores_epoch_from_the_recovered_log() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A node or surrogate with more features than a frame's `u16` count can
+/// record is refused before it is logged. Were it logged, its count
+/// would wrap, replay would stop at that frame as corrupt, and it and
+/// every acknowledged write after it would be lost.
+#[test]
+fn an_unrecordable_feature_count_is_refused_not_lost_on_recovery() {
+    let dir = temp_dir("feature-count");
+    let store = Store::create_durable_with(
+        &dir,
+        LATTICE.0,
+        LATTICE.1,
+        DurabilityOptions {
+            fsync: false,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let public = store.predicate("Public").unwrap();
+    let too_many = || -> Features {
+        (0..=codec::MAX_FEATURES as i64)
+            .map(|i| (format!("f{i:05}"), i))
+            .collect()
+    };
+    let first = store.append_node("first", NodeKind::Data, Features::new(), public);
+    let node = store.try_append_node("wide", NodeKind::Data, too_many(), public);
+    assert!(
+        matches!(node, Err(StoreError::TooManyFeatures(n)) if n == codec::MAX_FEATURES + 1),
+        "{node:?}"
+    );
+    let surrogate = store.apply_policy(PolicyStatement::AddSurrogate {
+        node: first,
+        label: "wide".into(),
+        features: too_many(),
+        lowest: public,
+        info_score: 0.5,
+    });
+    assert!(
+        matches!(surrogate, Err(StoreError::TooManyFeatures(_))),
+        "{surrogate:?}"
+    );
+    store.append_node("after", NodeKind::Data, Features::new(), public);
+    let acked = store.clock();
+    assert_eq!(acked, 2, "the refused writes did not tick the clock");
+    drop(store);
+
+    let (recovered, report) = Store::open_reporting(&dir, Default::default()).unwrap();
+    assert!(report.truncated.is_none(), "{:?}", report.truncated);
+    assert_eq!(recovered.clock(), acked);
+    assert_eq!(recovered.node_count(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Group commit: no write is acknowledged before a flush covers it
 // ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ use plus_store::{
     CheckpointStats, CodecError, EdgeKind, NodeKind, PolicyStatement, ProtectedLineageRow,
     QueryRequest, QueryResponse, RecordId, SegmentDigest, Strategy,
 };
-use surrogate_core::feature::Features;
+use surrogate_core::feature::{FeatureValue, Features};
 use surrogate_core::marking::Marking;
 use surrogate_core::privilege::PrivilegeId;
 use surrogate_core::query::Direction;
@@ -780,6 +780,104 @@ fn oversized_shard_epoch_declarations_are_rejected() {
         decode_response(&bytes).unwrap_err(),
         CodecError::FrameTooLarge(MAX_SHARDS + 1)
     );
+}
+
+/// A node write whose features follow in the order `entries` gives them:
+/// the request `encode_request` writes for a featureless node, with the
+/// feature list (its last field) replaced. Values are `Int`s.
+fn node_write_with_features(entries: &[(String, i64)]) -> Vec<u8> {
+    let mut payload = encode_request(&Request::Write {
+        op: WriteOp::AppendNode {
+            label: "n".into(),
+            kind: NodeKind::Data,
+            features: Features::new(),
+            lowest: PrivilegeId(0),
+        },
+    })
+    .unwrap();
+    assert_eq!(payload.split_off(payload.len() - 2), [0, 0]);
+    payload.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+    for (key, value) in entries {
+        payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        payload.extend_from_slice(key.as_bytes());
+        payload.push(1);
+        payload.extend_from_slice(&value.to_le_bytes());
+    }
+    payload
+}
+
+fn decoded_features(payload: &[u8]) -> Features {
+    match decode_request(payload).unwrap() {
+        Request::Write {
+            op: WriteOp::AppendNode { features, .. },
+        } => features,
+        other => panic!("not a node write: {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Features a remote writer sends in reverse key order, some keys
+    /// repeated, decode to what a `BTreeMap` of the same entries holds
+    /// (the last value of each key), and re-encode in key order.
+    #[test]
+    fn reverse_ordered_features_roundtrip_in_key_order(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut entries: Vec<(String, i64)> = (0..rng.gen_range(0..40usize))
+            .map(|_| (format!("k{:02}", rng.gen_range(0..24u32)), rng.gen_range(-9..9i64)))
+            .collect();
+        entries.sort_by(|a, b| b.0.cmp(&a.0));
+        let model: std::collections::BTreeMap<String, i64> = entries.iter().cloned().collect();
+        let features = decoded_features(&node_write_with_features(&entries));
+        let got: Vec<(String, i64)> = features
+            .iter()
+            .map(|(k, v)| match v {
+                FeatureValue::Int(i) => (k.to_string(), *i),
+                other => panic!("decoded {other:?}"),
+            })
+            .collect();
+        let sorted: Vec<(String, i64)> = model.into_iter().collect();
+        prop_assert_eq!(&got, &sorted);
+        let reencoded = encode_request(&Request::Write {
+            op: WriteOp::AppendNode {
+                label: "n".into(),
+                kind: NodeKind::Data,
+                features,
+                lowest: PrivilegeId(0),
+            },
+        })
+        .unwrap();
+        prop_assert_eq!(reencoded, node_write_with_features(&sorted));
+    }
+}
+
+/// A full `u16` of features in reverse key order decodes in one sort,
+/// not one insertion each; one more does not encode.
+#[test]
+fn feature_counts_at_and_beyond_the_field_limit() {
+    let entries: Vec<(String, i64)> = (0..u16::MAX as i64)
+        .rev()
+        .map(|i| (format!("f{i:05}"), i))
+        .collect();
+    let features = decoded_features(&node_write_with_features(&entries));
+    assert_eq!(features.len(), u16::MAX as usize);
+    let keys: Vec<&str> = features.iter().map(|(k, _)| k).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]));
+    let beyond = Request::Write {
+        op: WriteOp::AppendNode {
+            label: "n".into(),
+            kind: NodeKind::Data,
+            features: (0..=u16::MAX as i64)
+                .map(|i| (format!("f{i:05}"), i))
+                .collect(),
+            lowest: PrivilegeId(0),
+        },
+    };
+    assert!(matches!(
+        encode_request(&beyond),
+        Err(CodecError::CountOverflow { what: "features", count, .. }) if count == u16::MAX as usize + 1
+    ));
 }
 
 /// The topology lists obey the same bounded-declaration discipline: a
